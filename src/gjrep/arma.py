@@ -61,6 +61,8 @@ class NoiseSpec:
         scalar distribution applied per coordinate
     ``burn_in`` is the presample depth: the simulated path starts at
     ``t = -burn_in - 1`` so that the MA(1) drive exists from ``-burn_in``.
+    A seed or burn-in that is not a non-negative integer, an unknown kind,
+    or missing or non-numeric params raise ``InputError`` at construction.
     """
 
     kind: str
@@ -68,6 +70,42 @@ class NoiseSpec:
     seed: int
     burn_in: int = 0
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("seed", "burn_in"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise InputError(f"noise {name} must be a non-negative integer, got {value!r}")
+        if not isinstance(self.params, dict):
+            raise InputError(f"noise params must be a mapping, got {type(self.params).__name__}")
+        _noise_law(self)
+
+
+def _noise_law(spec: NoiseSpec) -> tuple:
+    """The checked numeric parameters of ``spec.kind``, as ``simulate_noise`` uses them."""
+    params = spec.params
+    try:
+        if spec.kind == "gaussian":
+            sigma = np.asarray(params.get("sigma", 1.0), dtype=float)
+            if sigma.ndim > 1 or sigma.size not in (1, spec.dim):
+                raise InputError(f"sigma must be a scalar or {spec.dim} values, not {sigma.shape}")
+            return (sigma,)
+        if spec.kind == "bernoulli_scaled":
+            p = float(params.get("p", 0.5))
+            if not 0.0 <= p <= 1.0:
+                raise InputError(f"p must be a probability, got {p}")
+            return p, float(params.get("eps", 1.0)), bool(params.get("centered", True))
+        if spec.kind == "table":
+            values = np.asarray(params["values"], dtype=np.complex128).reshape(-1)
+            probs = np.asarray(params["probs"], dtype=float).reshape(-1)
+            if values.shape != probs.shape or (probs < 0).any() or not np.isclose(probs.sum(), 1.0):
+                raise InputError("table noise needs matching values/probs, probs >= 0 summing to 1")
+            return values, probs
+    except KeyError as exc:
+        raise InputError(f"{spec.kind} noise needs params[{exc}]") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{spec.kind} noise params: {exc}") from None
+    raise InputError(f"unknown noise kind {spec.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +150,7 @@ def simulate_noise(spec: NoiseSpec, t_end: int) -> Trajectory:
     Identical spec (kind, params, seed, burn_in) and horizon give a
     bit-identical path.
     """
-    if spec.burn_in < 0:
-        raise InputError("burn_in must be >= 0")
+    law = _noise_law(spec)
     start = -spec.burn_in - 1
     length = t_end - start + 1
     if length <= 0:
@@ -121,25 +158,16 @@ def simulate_noise(spec: NoiseSpec, t_end: int) -> Trajectory:
     rng = np.random.default_rng(spec.seed)
     shape = (length, spec.dim)
     if spec.kind == "gaussian":
-        sigma = np.asarray(spec.params.get("sigma", 1.0), dtype=float)
+        (sigma,) = law
         vals = rng.standard_normal(shape) * sigma
     elif spec.kind == "bernoulli_scaled":
-        p = float(spec.params.get("p", 0.5))
-        eps = float(spec.params.get("eps", 1.0))
-        centered = bool(spec.params.get("centered", True))
-        if not 0.0 <= p <= 1.0:
-            raise InputError(f"p must be a probability, got {p}")
+        p, eps, centered = law
         w = (rng.random(shape) >= p).astype(float)  # P[w = 0] = p
         vals = eps * (w - (1.0 - p)) if centered else eps * w
-    elif spec.kind == "table":
-        values = np.asarray(spec.params["values"], dtype=np.complex128).reshape(-1)
-        probs = np.asarray(spec.params["probs"], dtype=float).reshape(-1)
-        if values.shape != probs.shape or not np.isclose(probs.sum(), 1.0):
-            raise InputError("table noise needs matching values/probs summing to 1")
+    else:
+        values, probs = law
         idx = rng.choice(values.shape[0], size=shape, p=probs)
         vals = values[idx]
-    else:
-        raise InputError(f"unknown noise kind {spec.kind!r}")
     return Trajectory(start=start, values=np.asarray(vals, dtype=np.complex128))
 
 

@@ -27,6 +27,7 @@ from .pencil import (
     TOL_CONTOUR,
     TOL_FUND,
     TOL_SOLVE,
+    LaurentExpansion,
     LinearPencil,
     annulus_estimate,
     basic_residuals,
@@ -66,7 +67,7 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool]:
+def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpansion]:
     radius = args.radius if args.radius is not None else default_radius(pencil)
     basic = basic_solution(
         pencil,
@@ -94,10 +95,7 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool]:
         "radius": radius,
         "default_radius": default_radius(pencil),
         "basic_residuals": residuals,
-        "laurent": {
-            str(j): gio.encode_complex(expansion[j])
-            for j in range(J_LO, J_HI + 1)
-        },
+        "laurent": {str(j): expansion[j] for j in range(J_LO, J_HI + 1)},
         "laurent_norms": {
             str(j): spectral_norm(expansion[j]) for j in range(J_LO, J_HI + 1)
         },
@@ -107,8 +105,8 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool]:
             "passed": fund.passed,
         },
         "projections": {
-            "domain_sin": gio.encode_complex(pair.domain_sin),
-            "range_sin": gio.encode_complex(pair.range_sin),
+            "domain_sin": pair.domain_sin,
+            "range_sin": pair.range_sin,
             "domain_sin_rank": int(round(np.trace(pair.domain_sin).real)),
             "range_sin_rank": int(round(np.trace(pair.range_sin).real)),
         },
@@ -121,7 +119,7 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool]:
         "closed_form_error": closed_err,
     }
     ok = fund.passed and sep.passed and max(residuals.values()) <= args.tol_fund * 10
-    return report, ok
+    return report, ok, expansion
 
 
 def cmd_analyze(args) -> int:
@@ -129,17 +127,7 @@ def cmd_analyze(args) -> int:
     pencil = gio.load_pencil(obj)
     if isinstance(pencil, PolynomialPencil):
         aug = augment(pencil)
-        report, ok = _analyze_linear(aug.pencil, args)
-        basic = basic_solution(
-            aug.pencil,
-            radius=args.radius
-            if args.radius is not None
-            else default_radius(aug.pencil),
-            nodes=args.nodes,
-            tol=args.tol_contour,
-            verify_tol=args.tol_fund,
-        )
-        expansion = laurent_range(basic, aug.pencil, J_LO, J_HI)
+        report, ok, expansion = _analyze_linear(aug.pencil, args)
         tmap, disagreement = unpack_laurent(aug, expansion.coefficients)
         pfund = verify_polynomial_fundamental(
             pencil, tmap, J_LO + pencil.degree, J_HI, tol=args.tol_fund
@@ -153,7 +141,7 @@ def cmd_analyze(args) -> int:
         }
         ok = ok and pfund.passed and disagreement <= args.tol_fund
     else:
-        report, ok = _analyze_linear(pencil, args)
+        report, ok, _ = _analyze_linear(pencil, args)
     if args.format == "csv":
         raise InputError("csv output applies to trajectory reports; use --format json")
     _write_out(gio.dumps_report(report), args.out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -21,11 +22,8 @@ from .pencil import Array, LinearPencil
 
 def encode_complex(value) -> Any:
     """Nested lists with complex entries as [re, im]."""
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        z = complex(arr)
-        return [z.real, z.imag]
-    return [encode_complex(row) for row in arr]
+    arr = np.asarray(value, dtype=np.complex128)
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def decode_complex(obj, name: str = "value", ndim: int | None = None) -> Array:
@@ -126,9 +124,9 @@ def load_model(obj: dict) -> tuple[ArmaModel, NoiseSpec]:
     spec = NoiseSpec(
         kind=str(nz["kind"]),
         dim=model.dim,
-        seed=int(nz["seed"]),
-        burn_in=int(nz.get("burn_in", 0)),
-        params=dict(nz.get("params", {})),
+        seed=nz["seed"],
+        burn_in=nz.get("burn_in", 0),
+        params=nz.get("params", {}),
     )
     return model, spec
 
@@ -166,23 +164,86 @@ def trajectory_to_csv(traj: Trajectory, component: str = "x") -> str:
     return components_to_csv({component: traj.values}, traj.start)
 
 
-def json_ready(obj):
-    """Recursively convert numpy scalars/arrays and complex values for json.dumps."""
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
+# the C encoder's text for non-finite floats -> the strings a report carries instead
+_NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"'}
+
+
+def _write_value(obj, level: int, out: list[str]) -> None:
+    """Append the JSON text of ``obj``, nested ``level`` deep, to ``out``."""
     if isinstance(obj, np.ndarray):
-        return encode_complex(obj) if np.iscomplexobj(obj) else obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    return obj
+        _write_array(obj, level, out)
+    elif isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        _write_items(
+            "{}", [(json.dumps(key) + ": ", items[key]) for key in sorted(items)], level, out
+        )
+    elif isinstance(obj, (list, tuple)):
+        _write_items("[]", [("", v) for v in obj], level, out)
+    elif isinstance(obj, complex):
+        _write_value([obj.real, obj.imag], level, out)
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append(repr(x) if math.isfinite(x) else f'"{x!r}"')
+    elif isinstance(obj, np.integer):
+        out.append(str(obj.item()))
+    else:
+        out.append(json.dumps(obj))
+
+
+def _write_items(brackets: str, items: list, level: int, out: list[str]) -> None:
+    if not items:
+        out.append(brackets)
+        return
+    inner = "\n" + "  " * (level + 1)
+    lead = brackets[0] + inner
+    for head, value in items:
+        out.append(lead + head)
+        _write_value(value, level + 1, out)
+        lead = "," + inner
+    out.append("\n" + "  " * level + brackets[1])
+
+
+def _write_array(a: np.ndarray, level: int, out: list[str]) -> None:
+    """A float array as one block of leaves, each on its own line.
+
+    Complex entries become a trailing [re, im] axis.  The leaf texts come
+    from one C-encoder call; each separator closes and reopens as many
+    brackets as axes roll over between its two leaves.
+    """
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], -1)
+    if a.dtype.kind != "f" or a.ndim == 0 or a.size == 0:
+        _write_value(a.tolist(), level, out)
+        return
+    flat = a.ravel()
+    leaves = json.dumps(flat.tolist())[1:-1].split(", ")
+    for i in np.flatnonzero(~np.isfinite(flat)):
+        leaves[i] = _NON_FINITE[leaves[i]]
+    rank, size = a.ndim, flat.size
+    ind = ["\n" + "  " * k for k in range(level + rank + 1)]
+    seps = ["," + ind[-1]] * (size - 1)
+    stride = 1
+    for k in range(1, rank):
+        stride *= a.shape[rank - k]
+        close = "".join(ind[level + rank - j] + "]" for j in range(1, k + 1))
+        reopen = "".join(ind[level + j] + "[" for j in range(rank - k, rank))
+        seps[stride - 1 :: stride] = [close + "," + reopen + ind[-1]] * (size // stride - 1)
+    body = [""] * (2 * size - 1)
+    body[::2] = leaves
+    body[1::2] = seps
+    out.append("[" + "".join(ind[level + j] + "[" for j in range(1, rank)) + ind[-1])
+    out.append("".join(body))
+    out.append("".join(ind[level + j] + "]" for j in range(rank - 1, -1, -1)))
 
 
 def dumps_report(report: dict) -> str:
-    """Deterministic JSON text for a report dictionary."""
-    return json.dumps(json_ready(report), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text for a report dictionary.
+
+    Keys are sorted and nesting is indented by two spaces.  Floats are
+    written as their shortest repr, complex values as [re, im], and NaN and
+    infinities as the strings "nan", "inf" and "-inf".
+    """
+    out: list[str] = []
+    _write_value(report, 0, out)
+    out.append("\n")
+    return "".join(out)

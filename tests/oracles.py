@@ -7,6 +7,7 @@ sides of every comparison fail independently.
 
 from __future__ import annotations
 
+import json
 from math import comb
 
 import numpy as np
@@ -114,3 +115,37 @@ def random_unit_root_pencil(rng, n, order, mu_min=0.4, mu_max=4.0):
             break
     c0 = c1 @ m
     return c0, c1
+
+
+def complex_lists(value):
+    """Nested lists with one ``complex()`` call per entry, written as [re, im]."""
+    arr = np.asarray(value)
+    if arr.ndim == 0:
+        z = complex(arr)
+        return [z.real, z.imag]
+    return [complex_lists(row) for row in arr]
+
+
+def _json_ready(obj):
+    if isinstance(obj, dict):
+        return {str(k): _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return complex_lists(obj) if np.iscomplexobj(obj) else obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def report_text(report):
+    """Report JSON by the literal route: a recursive conversion to nested
+    lists (complex entries as [re, im], one ``complex()`` per entry), then
+    ``json.dumps(sort_keys=True, indent=2)``.  It agrees with the package
+    wherever every float is finite.
+    """
+    return json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"

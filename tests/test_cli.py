@@ -1,13 +1,20 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gjrep
 from gjrep import ArmaModel, LinearPencil, NoiseSpec, PolynomialPencil, make
+from gjrep import io as gio
 from gjrep.cli import main
 from gjrep.io import dump_model, dump_pencil
+from oracles import report_text
 
 
 @pytest.fixture
@@ -181,3 +188,80 @@ def test_demo_json_format(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["name"] == "c0"
     assert all(ch["passed"] for ch in rep["checks"])
+
+
+def _similarity_pencil(n=8, seed=3):
+    # C0 = Q blockdiag(J_2(0), diag(mu)) Q^H with a seeded unitary Q, C1 = I
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    block = np.diag(rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n)))
+    block[0, 0] = block[1, 1] = 0.0
+    block[0, 1] = 1.0
+    return LinearPencil(q @ block @ q.conj().T, np.eye(n))
+
+
+def _degree2_pencil():
+    rng = np.random.default_rng(5)
+    c0 = np.array([[1.0], [0.5]]) @ np.array([[1.0, -1.0]])
+    return PolynomialPencil((c0, rng.standard_normal((2, 2)), 0.3 * np.eye(2)))
+
+
+REPORT_PENCILS = {
+    "similarity": _similarity_pencil,
+    "volterra": lambda: make("volterra", n=12).pencil,
+    "polynomial": _degree2_pencil,
+}
+
+
+@pytest.mark.parametrize("case", [*REPORT_PENCILS, "demo", "represent"])
+def test_report_bytes_match_oracle(case, matrix_model_file, tmp_path, monkeypatch):
+    if case in REPORT_PENCILS:
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(dump_pencil(REPORT_PENCILS[case]())))
+        argv = ["analyze", "--pencil", str(path)]
+    elif case == "demo":
+        argv = ["demo", "--name", "c0", "--format", "json"]
+    else:
+        argv = ["represent", "--model", matrix_model_file, "--form", "extended_s", "--T", "60"]
+    written = []
+    real = gio.dumps_report
+
+    def recording(report):
+        written.append((report, real(report)))
+        return written[-1][1]
+
+    monkeypatch.setattr(gio, "dumps_report", recording)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    ((report, text),) = written
+    assert text == report_text(report)
+    assert out.read_text() == text
+
+
+MALFORMED_NOISE = {
+    "table_without_values": {"kind": "table", "seed": 0, "params": {"probs": [1.0]}},
+    "string_sigma": {"kind": "gaussian", "seed": 0, "params": {"sigma": "x"}},
+    "negative_seed": {"kind": "gaussian", "seed": -1},
+    "fractional_seed": {"kind": "gaussian", "seed": 2.5},
+    "string_burn_in": {"kind": "gaussian", "seed": 0, "burn_in": "x"},
+    "list_params": {"kind": "gaussian", "seed": 0, "params": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("noise", MALFORMED_NOISE.values(), ids=list(MALFORMED_NOISE))
+def test_malformed_model_exits_3(noise, matrix_model_file, tmp_path):
+    doc = json.loads(Path(matrix_model_file).read_text())
+    doc["noise"] = noise
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    argv = ["represent", "--model", str(path), "--form", "extended_s", "--T", "20"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from gjrep.cli import main; sys.exit(main())", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(gjrep.__file__).parents[1])},
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")

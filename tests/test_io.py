@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gjrep import ArmaModel, InputError, LinearPencil, NoiseSpec, PolynomialPencil
 from gjrep.io import (
@@ -18,6 +21,7 @@ from gjrep.io import (
     trajectory_to_csv,
 )
 from gjrep.arma import Trajectory
+from oracles import complex_lists, report_text
 
 
 def test_complex_roundtrip():
@@ -29,6 +33,8 @@ def test_complex_roundtrip():
     assert np.array_equal(back, a)
     v = np.array([1 + 2j, 3 - 4j])
     assert np.array_equal(decode_complex(encode_complex(v), "v", ndim=1), v)
+    for value in (a, v, np.complex128(-0.0 + 2j), np.arange(6).reshape(2, 3), np.zeros((2, 0))):
+        assert encode_complex(value) == complex_lists(value)
 
 
 def test_decode_rejects_bare_reals_and_rank():
@@ -153,3 +159,57 @@ def test_reports_deterministic_and_sorted():
     assert one == two
     assert one.index('"a_first"') < one.index('"z_last"')
     assert json.loads(one)["inf_val"] == "inf"
+
+
+def _raise_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_report_non_finite_values_are_strings():
+    rep = {
+        "real": np.array([[np.nan, 1.0], [np.inf, -np.inf]]),
+        "complex": np.array([np.inf + 0j, complex(np.nan, -np.inf)]),
+        "scalars": [np.float64(np.nan), complex(np.inf, 1.0), float("-inf")],
+    }
+    text = dumps_report(rep)
+    back = json.loads(text, parse_constant=_raise_constant)
+    assert back["real"] == [["nan", 1.0], ["inf", "-inf"]]
+    assert back["complex"] == [["inf", 0.0], ["nan", "-inf"]]
+    assert back["scalars"] == ["nan", ["inf", 1.0], "-inf"]
+    # arrays follow the rule plain lists of floats always had
+    as_lists = {"real": rep["real"].tolist(), "complex": complex_lists(rep["complex"])}
+    assert dumps_report({**rep, **as_lists}) == text
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=6),
+    _finite,
+    _finite_complex,
+    _finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _finite_complex.map(np.complex128),
+    hnp.arrays(np.float64, _shapes, elements=_finite),
+    hnp.arrays(np.complex128, _shapes, elements=_finite_complex),
+)
+_reports = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4) | st.integers(-3, 3), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports)
+def test_report_bytes_match_oracle(report):
+    assert dumps_report(report) == report_text(report)
