@@ -68,7 +68,8 @@ def _load_json(path: str) -> dict:
 
 
 def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpansion]:
-    radius = args.radius if args.radius is not None else default_radius(pencil)
+    auto_radius = default_radius(pencil)
+    radius = args.radius if args.radius is not None else auto_radius
     basic = basic_solution(
         pencil,
         radius=radius,
@@ -93,7 +94,7 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpa
     report = {
         "dim": pencil.dim,
         "radius": radius,
-        "default_radius": default_radius(pencil),
+        "default_radius": auto_radius,
         "basic_residuals": residuals,
         "laurent": {str(j): expansion[j] for j in range(J_LO, J_HI + 1)},
         "laurent_norms": {

@@ -1,36 +1,31 @@
-"""Kernel selection: compiled extension if available, numpy fallback otherwise.
-
-Set ``GJREP_PURE_PYTHON=1`` to force the fallback (used by the benchmark
-and to reproduce results on hosts without a compiler).
-"""
+"""Time-stepping kernel: the batched first-order vector recursion, in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _kernels_py
-
-if os.environ.get("GJREP_PURE_PYTHON", "") == "1":
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
-
-IMPL: str = _impl.IMPL
+IMPL = "python"
 
 
 def arma_recursion(step: np.ndarray, drive: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    step = np.ascontiguousarray(step, dtype=np.complex128)
-    drive = np.ascontiguousarray(drive, dtype=np.complex128)
-    x0 = np.ascontiguousarray(x0, dtype=np.complex128)
-    return np.asarray(_impl.arma_recursion(step, drive, x0))
+    """Iterate ``x[t] = step @ x[t-1] + drive[t]`` for t = 0..T-1.
 
+    Parameters
+    ----------
+    step : (n, n) complex ndarray
+    drive : (T, n, m) complex ndarray
+        Forcing term per step; m is a batch axis (independent columns).
+    x0 : (n, m) complex ndarray
+        State at t = -1.
 
-def causal_stack_apply(stack: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    stack = np.ascontiguousarray(stack, dtype=np.complex128)
-    signal = np.ascontiguousarray(signal, dtype=np.complex128)
-    return np.asarray(_impl.causal_stack_apply(stack, signal))
+    Returns
+    -------
+    (T, n, m) complex ndarray with the state at t = 0..T-1.
+    """
+    step = np.asarray(step, dtype=np.complex128)
+    out = np.array(drive, dtype=np.complex128)  # a copy, advanced in place
+    prev = np.asarray(x0, dtype=np.complex128)
+    for row in out:
+        row += step @ prev
+        prev = row
+    return out

@@ -16,10 +16,20 @@ Forms:
     Laurent coefficients, drive treated as zero before t = 0.
   * ``natural_s``: same series on actual (full) differences of the
     presample history, plus a history correction through the k vector.
-  * ``extended_ns``: stationary part as a causal convolution in the
-    decaying component of the companion power coefficients.
-  * ``extended_s``: the convolution run over the presample too, with the
-    matching correction; algebraically identical to ``extended_ns``.
+  * ``extended_ns``: stationary part as a causal filter in the regular
+    directions: the recursion ``z(t) = (P^c S) z(t-1) + P^c A_0^{-1} g(t)``
+    with ``S = -A_0^{-1} A_1`` and the key projection ``P^c = T_0 C_0``.
+    Its impulse response is the decaying component ``Q_s = R_s - U_s`` of
+    the companion powers; the projected step has eigenvalue zero on the
+    singular directions, so rounding cannot build up there.
+  * ``extended_s``: the same recursion started at the head of the
+    presample, with the presample's propagated state subtracted in the
+    k-term; algebraically identical to ``extended_ns``.
+
+The deterministic and history terms are vector recursions of the
+coefficient sequences ``U_t``, ``V_t`` and ``Q_t`` applied to one vector;
+``coeff_u``, ``coeff_v``, ``coeff_r`` and ``coeff_q`` build the literal
+coefficient stacks for inspection and testing.
 
 The natural variants require the regular Laurent series to converge on a
 disc of radius above one (divergence raises NaturalFormDiverges) and
@@ -232,8 +242,17 @@ def natural_budget(
     )
 
 
-def _matvec_stack(stack: Array, vec: Array) -> Array:
-    return np.einsum("tij,j->ti", stack, vec)
+def _orbit(step: Array, first: Array, horizon: int) -> Array:
+    """Rows ``step^t first`` for t = 0..horizon-1, by vector recursion.
+
+    ``first`` is one vector (n,) or a batch of columns (n, m); the result
+    has shape (horizon, n) or (horizon, n, m) accordingly.
+    """
+    cols = first.reshape(first.shape[0], -1)
+    drive = np.zeros((horizon,) + cols.shape, dtype=np.complex128)
+    drive[0] = cols
+    out = kernels.arma_recursion(step, drive, np.zeros_like(drive[0]))
+    return out.reshape((horizon,) + first.shape)
 
 
 def _difference_series(
@@ -352,15 +371,14 @@ def represent(
         trend += sign * (cum @ tkm.T)
         tkm = -(neg_step @ tkm)
 
-    u_stack = coeff_u(basic, pencil, t_end)
     c1c = pencil.c1 @ model.c
-    det_sin = -_matvec_stack(u_stack, c1c)
+    w_sin = _checked_inverse(np.eye(n) - neg_step, "I - T_{-1} C_0")
+    det_sin = _orbit(w_sin, w_sin @ (basic.t_minus_one @ c1c), horizon)
 
     budgets: dict[str, float] = {
         "trend_depth": float(trend_depth),
         "presample": float(presample),
     }
-    k_term = np.zeros((horizon, n), dtype=np.complex128)
 
     if form.startswith("natural"):
         cutoff, tail_est, _ = natural_budget(
@@ -373,10 +391,9 @@ def represent(
         pos_step = basic.t_zero @ pencil.c1
         for ell in range(1, cutoff + 1):
             t_stack[ell] = -(pos_step @ t_stack[ell - 1])
-        v_stack = coeff_v(basic, pencil, t_end)
-        det_reg = -_matvec_stack(v_stack, c1c)
         if form == "natural_ns":
             stationary = _difference_series(t_stack, g_causal)
+            kvec = np.zeros(n, dtype=np.complex128)
         else:
             if presample < cutoff:
                 raise TailNotConverged(
@@ -387,20 +404,34 @@ def represent(
                 t_stack, g.values, drop=presample
             )
             kvec = k_vector(basic, pencil, g, presample, tol_tail=tol_tail)
-            k_term = -_matvec_stack(v_stack, pencil.c1 @ kvec)
+        # V_t applied to C_1 c and C_1 k in one batched recursion
+        w_reg = _checked_inverse(np.eye(n) - pos_step, "I - T_0 C_1")
+        both = -_orbit(
+            -(w_reg @ pos_step),
+            w_reg @ basic.t_zero @ pencil.c1 @ np.stack([model.c, kvec], axis=1),
+            horizon,
+        )
+        det_reg, k_term = both[:, :, 0], both[:, :, 1]
     else:
-        depth = t_end + (presample if form == "extended_s" else 0)
-        q_stack = coeff_q(basic, pencil, depth)
-        det_reg = -_matvec_stack(q_stack[: t_end + 1], c1c)
-        if form == "extended_ns":
-            stationary = kernels.causal_stack_apply(q_stack, g_causal)
-        else:
-            stationary = kernels.causal_stack_apply(q_stack, g.values)[presample:]
-            for r in range(1, presample + 1):
-                k_term -= np.einsum(
-                    "tij,j->ti", q_stack[r : r + horizon], g.at(-r)
-                )
-        budgets["convolution_depth"] = float(depth)
+        # Q_s = (P^c S)^s P^c A_0^{-1}: every extended term is a recursion in
+        # the projected step, which is zero on the singular directions
+        a0_inv = _checked_inverse(pencil.a0, "contemporaneous coefficient A_0")
+        gain = basic.t_zero @ pencil.c0 @ a0_inv
+        q_step = -(gain @ pencil.a1)
+        start = 0 if form == "extended_ns" else presample
+        # columns: the drive from -start on; the impulse -Q_0 C_1 c at t = 0;
+        # minus the presample drive alone, which from t = 0 on is the
+        # propagated history -(P^c S)^(t+1) z(-1)
+        rows = g.values[presample - start :] @ gain.T
+        drive = np.zeros(rows.shape + (3,), dtype=np.complex128)
+        drive[:, :, 0] = rows
+        drive[start, :, 1] = -(gain @ c1c)
+        drive[:start, :, 2] = -rows[:start]
+        z = kernels.arma_recursion(
+            q_step, drive, np.zeros((n, 3), dtype=np.complex128)
+        )[start:]
+        stationary, det_reg, k_term = z[:, :, 0], z[:, :, 1], z[:, :, 2]
+        budgets["convolution_depth"] = float(t_end + start)
 
     components = {
         "stochastic_trend": trend,
@@ -557,14 +588,14 @@ def cointegration_probe(
     for i in range(m):
         rng = np.random.default_rng(base_seed + i)
         noise[:, :, i] = rng.standard_normal((length, n)) * sigma
-    drive = np.einsum("ij,tjm->tim", model.f0, noise[1:]) + np.einsum(
-        "ij,tjm->tim", model.f1, noise[:-1]
-    )
+    drive = model.f0 @ noise[1:]
+    drive += model.f1 @ noise[:-1]
+    del noise  # at most three (T, n, m) arrays are alive at once
     a0_inv = _checked_inverse(model.a0, "contemporaneous coefficient A_0")
     step = -(a0_inv @ model.a1)
-    drive = np.einsum("ij,tjm->tim", a0_inv, drive)
+    drive = a0_inv @ drive
     x = kernels.arma_recursion(step, drive, np.zeros((n, m), np.complex128))
-    y = np.real(np.einsum("j,tjm->tm", np.conj(f), x))
+    y = np.real(np.conj(f) @ x)
 
     scales = np.unique(
         np.geomspace(16, max(64, t_end // 4), n_scales).astype(int)

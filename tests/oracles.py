@@ -149,3 +149,26 @@ def report_text(report):
     wherever every float is finite.
     """
     return json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"
+
+
+def causal_stack_apply(stack: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """Causal convolution ``out[t] = sum_{s=0}^{min(t, S-1)} stack[s] @ signal[t-s]``.
+
+    Parameters
+    ----------
+    stack : (S, n, n) complex ndarray
+    signal : (T, n) complex ndarray
+
+    Returns
+    -------
+    (T, n) complex ndarray.
+    """
+    T = signal.shape[0]
+    S = stack.shape[0]
+    out = np.zeros_like(signal)
+    for t in range(T):
+        s_hi = min(t, S - 1)
+        # window of signal[t-s] for s = 0..s_hi, oldest first
+        window = signal[t - s_hi : t + 1][::-1]
+        out[t] = np.einsum("sij,sj->i", stack[: s_hi + 1], window)
+    return out

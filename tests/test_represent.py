@@ -11,15 +11,20 @@ from gjrep import (
     OrderUndefined,
     SingularityClass,
     TailNotConverged,
+    basic_solution,
     cointegration_probe,
+    default_radius,
     integration_order,
+    ma1_g,
     make,
     natural_budget,
     projections,
     represent,
+    simulate_noise,
     split_projection,
 )
 from gjrep.represent import coeff_q, coeff_r, coeff_u, coeff_v
+from oracles import causal_stack_apply
 
 COMPONENTS = ("stochastic_trend", "stationary", "det_sin", "det_reg", "k_term")
 
@@ -38,15 +43,19 @@ def model_from_entry(name, c=None, f1_scale=0.5, **params):
     )
 
 
-def test_random_walk_exact():
+def _random_walk():
     # scalar unit root: x(t) = x(t-1) + g(t), trend is the plain running sum
-    model = ArmaModel(
+    return ArmaModel(
         a0=np.array([[1.0]]),
         a1=np.array([[-1.0]]),
         f0=np.array([[1.0]]),
         f1=np.array([[0.0]]),
         c=np.array([3.0]),
     )
+
+
+def test_random_walk_exact():
+    model = _random_walk()
     spec = NoiseSpec(kind="gaussian", dim=1, seed=5, burn_in=4)
     for form in ("natural_ns", "natural_s", "extended_ns", "extended_s"):
         rep = represent(form, model, spec, 50)
@@ -72,7 +81,7 @@ def test_all_forms_on_jordan_example():
         assert np.abs(sum(rep.components.values()) - rep.xhat).max() <= 1e-12
 
     # trend and det_sin are shared across forms; det_reg and k_term agree
-    # between the series route and the convolution route
+    # between the series route and the projected-recursion route
     for a, b in (("natural_ns", "extended_ns"), ("natural_s", "extended_s")):
         ra, rb = reports[a], reports[b]
         for key in ("stochastic_trend", "det_sin"):
@@ -207,3 +216,96 @@ def test_represent_validation():
         represent("sideways", model, spec, 10)
     with pytest.raises(InputError):
         represent("extended_ns", model, spec, -1)
+
+
+def _unitary(seed, n):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rotated_c0(seed, lam=0.25, n=10):
+    """c0 under a seeded unitary similarity, with its closed-form pieces."""
+    e = make("c0", lam=lam, n=n)
+    q = _unitary(seed, n)
+    a1 = q @ e.pencil.c1 @ q.conj().T
+    a0 = q @ (e.pencil.c0 - e.pencil.c1) @ q.conj().T
+    c = 0.1 * np.arange(1.0, n + 1)
+    model = ArmaModel(a0=a0, a1=a1, f0=np.eye(n), f1=0.5 * np.eye(n), c=c)
+    rates = lam ** np.arange(1, n - 1)
+    p_sin = q[:, :2] @ q[:, :2].conj().T  # T_{-1} C_1: the Jordan coordinates
+    return model, q, rates, p_sin
+
+
+LITERAL_CASES = {
+    "c0": (
+        lambda: model_from_entry("c0", c=0.1 * np.arange(10.0), lam=0.25, n=10)[1],
+        120,
+    ),
+    "random_walk": (_random_walk, 80),
+    "matrix": (
+        lambda: model_from_entry("matrix", c=np.array([1.0, -2.0]), eps=0.5)[1],
+        200,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LITERAL_CASES))
+def test_extended_forms_match_literal_convolution(label):
+    # the projected recursion against the literal sum over Q_s = R_s - U_s
+    build, t_end = LITERAL_CASES[label]
+    model = build()
+    pencil = model.pencil()
+    basic = basic_solution(pencil, radius=default_radius(pencil))
+    spec = NoiseSpec(kind="gaussian", dim=model.dim, seed=4, burn_in=30)
+    g = ma1_g(model, simulate_noise(spec, t_end))
+    presample = -g.start
+    c1c = pencil.c1 @ model.c
+    q_stack = coeff_q(basic, pencil, t_end + presample)
+    history = np.zeros((t_end + 1, model.dim), dtype=np.complex128)
+    for r in range(1, presample + 1):
+        history -= q_stack[r : r + t_end + 1] @ g.at(-r)
+    want = {
+        "extended_ns": {
+            "stationary": causal_stack_apply(q_stack[: t_end + 1], g.window(0, t_end)),
+            "k_term": np.zeros_like(history),
+        },
+        "extended_s": {
+            "stationary": causal_stack_apply(q_stack, g.values)[presample:],
+            "k_term": history,
+        },
+    }
+    for form, parts in want.items():
+        parts["det_reg"] = -(q_stack[: t_end + 1] @ c1c)
+        rep = represent(form, model, spec, t_end, basic=basic)
+        assert rep.passed, (label, form)
+        for key, ref in parts.items():
+            err = np.linalg.norm(rep.components[key] - ref)
+            assert err <= 1e-10 * max(np.linalg.norm(ref), 1.0), (label, form, key, err)
+
+
+@pytest.mark.parametrize("seed", [100, 103])
+def test_det_reg_matches_closed_form_on_rotated_c0(seed):
+    # R_s - U_s cancels to the small regular part; the recursion never forms it
+    model, q, rates, _ = _rotated_c0(seed)
+    t_end = 2000
+    tt = np.arange(t_end + 1)[:, None]
+    local = np.zeros((t_end + 1, model.dim), dtype=np.complex128)
+    local[:, 2:] = rates ** (tt + 1) * (q.conj().T @ model.c)[2:]
+    want = local @ q.T
+    spec = NoiseSpec(kind="gaussian", dim=model.dim, seed=0, burn_in=200)
+    for form in ("extended_ns", "extended_s"):
+        got = represent(form, model, spec, t_end).components["det_reg"]
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err <= 1e-12, (form, err)
+
+
+def test_extended_stationary_stays_regular_on_long_rotated_path():
+    # the projected step is zero on the unit-root directions, so rounding
+    # cannot build up there over a long path
+    model, _, _, p_sin = _rotated_c0(101)
+    spec = NoiseSpec(kind="gaussian", dim=model.dim, seed=1, burn_in=200)
+    stationary = represent("extended_s", model, spec, 20000).components["stationary"]
+    leak = np.linalg.norm(stationary @ p_sin.T)
+    assert leak <= 1e-12 * np.linalg.norm(stationary)
