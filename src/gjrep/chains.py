@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ChainStepError, SingularMatrixError, UnsupportedModelError
-from .pencil import COND_CAP, Array, LinearPencil, as_vector, spectral_norm
+from .errors import ChainStepError
+from .pencil import Array, LinearPencil, as_vector
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class ChainResult:
 def _extend(
     matrix: Array,
     partner: Array,
+    scale: float,
     seed: Array,
     steps: int,
     tol: float,
@@ -47,7 +48,10 @@ def _extend(
 ) -> ChainResult:
     # Each step solves matrix @ x_next = -partner @ x_cur by least squares
     # and rejects inconsistent systems: the chain simply does not extend.
-    scale = max(spectral_norm(matrix), spectral_norm(partner), 1.0)
+    # The matrix is the same at every step, so it is factored once: the
+    # pseudo-inverse with lstsq's default cutoff eps * max(m, n) * s_max
+    # gives lstsq's minimum-norm solution.
+    solver = np.linalg.pinv(matrix, rcond=np.finfo(float).eps * max(matrix.shape))
     vectors = [seed]
     norms = [float(np.linalg.norm(seed))]
     if norms[0] == 0.0:
@@ -55,7 +59,7 @@ def _extend(
     terminated = False
     for _ in range(steps):
         rhs = -(partner @ vectors[-1])
-        x_next, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+        x_next = solver @ rhs
         if project is not None:
             # the coefficients respect the spectral split, so a projected
             # solution still solves; this strips cross-subspace seepage that
@@ -101,7 +105,7 @@ def singular_chain(
     component that later steps amplify.
     """
     seed = as_vector(seed, pencil.dim, "seed")
-    return _extend(pencil.c1, pencil.c0, seed, steps, tol, project)
+    return _extend(pencil.c1, pencil.c0, pencil.scale(), seed, steps, tol, project)
 
 
 def regular_chain(
@@ -122,23 +126,7 @@ def regular_chain(
     can dominate the growth diagnostics.
     """
     seed = as_vector(seed, pencil.dim, "seed")
-    return _extend(pencil.c0, pencil.c1, seed, steps, tol, project)
-
-
-def _slope_matrix(pencil: LinearPencil) -> Array:
-    # M = C_1^{-1} C_0 carries the whole spectral picture: the anchor
-    # singularity is its eigenvalue 0 and every other singularity sits at
-    # offset -mu for an eigenvalue mu.
-    cond = np.linalg.cond(pencil.c1)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise UnsupportedModelError(
-            "chain bases need an invertible slope coefficient "
-            f"(condition estimate {cond:.3e})"
-        )
-    try:
-        return np.linalg.solve(pencil.c1, pencil.c0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond cap fires first
-        raise SingularMatrixError("slope coefficient is singular") from exc
+    return _extend(pencil.c0, pencil.c1, pencil.scale(), seed, steps, tol, project)
 
 
 def sin_basis(pencil: LinearPencil, *, zero_tol: float = 1e-6) -> Array:
@@ -148,8 +136,8 @@ def sin_basis(pencil: LinearPencil, *, zero_tol: float = 1e-6) -> Array:
     ``M = C_1^{-1} C_0`` for the eigenvalue cluster at zero, which is the
     span of all terminating singular chains.
     """
-    m = _slope_matrix(pencil)
-    thr = zero_tol * (1.0 + spectral_norm(m))
+    m, size = pencil.slope
+    thr = zero_tol * size
     _, z, sdim = scipy.linalg.schur(
         m, output="complex", sort=lambda lam: bool(abs(lam) <= thr)
     )
@@ -168,8 +156,8 @@ def reg_basis(
     chains whose growth rate ``1/|mu|`` stays at or below the cap, narrowing
     the subspace to a wider annulus.
     """
-    m = _slope_matrix(pencil)
-    thr = zero_tol * (1.0 + spectral_norm(m))
+    m, size = pencil.slope
+    thr = zero_tol * size
 
     def keep(lam: complex) -> bool:
         if abs(lam) <= thr:

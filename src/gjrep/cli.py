@@ -98,8 +98,11 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpa
         "basic_residuals": residuals,
         "laurent": {str(j): expansion[j] for j in range(J_LO, J_HI + 1)},
         "laurent_norms": {
-            str(j): spectral_norm(expansion[j]) for j in range(J_LO, J_HI + 1)
-        },
+            str(j): spectral_norm(expansion[j])
+            for j in range(J_LO, J_HI + 1)
+            if j not in (-1, 0)  # T_{-1} and T_0: exact norms the checks took
+        }
+        | dict(zip(("-1", "0"), basic.norms)),
         "fundamental": {
             "window": [J_LO + 1, J_HI],
             "max_residual": fund.max_residual,

@@ -8,12 +8,22 @@ pair ``(T_{-1}, T_0)`` determines every other coefficient through a pair of
 one-step recurrences.  This module computes that pair by contour quadrature,
 expands it, verifies the defining identities, classifies the singularity, and
 evaluates the closed-form (partial-fraction) resolvent.
+
+Spectral norms follow one rule.  A norm that a report writes is an exact SVD
+norm (``spectral_norm``), computed once per object where several checks share
+it (``LinearPencil.norms``, ``BasicSolution.norms``).  A norm that only feeds
+a pass/fail verdict is first screened with certified two-sided bounds
+(``_norm_bounds``, O(n^2) work), and the SVD is taken only when the bounds
+straddle the verdict's threshold.  The verdicts are therefore exactly those
+of the all-SVD evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from functools import cached_property
+from itertools import islice
+from math import frexp, gcd, ldexp, sqrt
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +34,7 @@ from .errors import (
     InputError,
     ProjectionError,
     SingularMatrixError,
+    UnsupportedModelError,
 )
 
 Array = np.ndarray
@@ -59,6 +70,67 @@ def spectral_norm(a: Array) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
+# Relative padding of the bounds: covers the rounding in the bounds and in
+# the SVD that the exact route would take.
+_SCREEN_MARGIN = 1e-10
+# Entry magnitudes the screen scales safely; outside, the bounds say "undecided".
+_SCREEN_TINY, _SCREEN_HUGE = 1e-280, 1e280
+
+
+def _norm_bounds(a: Array) -> tuple[float, float]:
+    """Certified ``(lo, hi)`` with ``lo <= spectral_norm(a) <= hi``.
+
+    ``hi = min(||a||_F, sqrt(||a||_1 ||a||_inf))``; ``lo`` is the largest of
+    ``||a||_F / sqrt(min(m, n))``, the largest column norm and one power step
+    ``||a v|| / ||v||`` with ``v = a^H a e_j`` started from that column
+    (Golub & Van Loan, *Matrix Computations*, 2.3).  The entries are scaled
+    by a power of two near ``max |a_ij|`` first, so no squared sum underflows
+    or overflows.  ``(0, inf)`` means undecided: entries outside
+    [1e-280, 1e280] or not finite.  ``lo == hi`` only for the zero matrix.
+    """
+    mag = np.abs(a)
+    top = float(mag.max())
+    if top == 0.0:
+        return 0.0, 0.0
+    if not _SCREEN_TINY <= top <= _SCREEN_HUGE:  # also False for NaN
+        return 0.0, np.inf
+    unit = ldexp(1.0, frexp(top)[1])
+    mag /= unit
+    b = a / unit
+    col2 = np.square(mag).sum(axis=0)
+    j = int(col2.argmax())
+    fro = sqrt(col2.sum())
+    hi = min(fro, sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+    v = (b[:, j].conj() @ b).conj()  # a^H a e_j, up to the scale
+    w = b @ v
+    step = sqrt(np.vdot(w, w).real / np.vdot(v, v).real)
+    lo = max(fro / sqrt(min(a.shape)), sqrt(col2[j]), step)
+    lo *= unit * (1.0 - _SCREEN_MARGIN)
+    hi *= unit * (1.0 + _SCREEN_MARGIN)
+    if not 0.0 <= lo <= hi < np.inf:
+        return 0.0, np.inf
+    return lo, hi
+
+
+def _screened(test, harmful=(), helpful=()) -> bool:
+    """``test(*norms)`` on the spectral norms of ``harmful`` then ``helpful``.
+
+    ``test`` must be monotone: a larger harmful norm or a smaller helpful one
+    can only turn True into False.  Rounded ``*``, ``/`` and ``max`` keep that
+    order in floating point, so evaluating ``test`` at the worst and at the
+    best ends of the bounds certifies the exact verdict; the SVDs are taken
+    only when those two disagree.
+    """
+    bounds = [_norm_bounds(a) for a in harmful]
+    bounds += [_norm_bounds(a)[::-1] for a in helpful]
+    if all(max(b) < np.inf for b in bounds):
+        if test(*(b[1] for b in bounds)):
+            return True
+        if not test(*(b[0] for b in bounds)):
+            return False
+    return bool(test(*(spectral_norm(a) for a in (*harmful, *helpful))))
+
+
 @dataclass(frozen=True)
 class LinearPencil:
     """Anchored pencil ``A(z) = c0 + c1*(z - 1)``."""
@@ -90,8 +162,33 @@ class LinearPencil:
     def evaluate(self, z: complex) -> Array:
         return self.c0 + (z - 1.0) * self.c1
 
+    @cached_property
+    def norms(self) -> tuple[float, float]:
+        """Exact ``(||c0||, ||c1||)``, computed once per pencil."""
+        return spectral_norm(self.c0), spectral_norm(self.c1)
+
     def scale(self) -> float:
-        return max(spectral_norm(self.c0), spectral_norm(self.c1), 1.0)
+        return max(*self.norms, 1.0)
+
+    @cached_property
+    def slope(self) -> tuple[Array, float]:
+        """``(M, 1 + ||M||)`` with ``M = c1^{-1} c0``, computed once per pencil.
+
+        M carries the whole spectral picture: the anchor singularity is its
+        eigenvalue 0 and every other singularity sits at offset -mu for an
+        eigenvalue mu.
+        """
+        cond = np.linalg.cond(self.c1)
+        if not np.isfinite(cond) or cond > COND_CAP:
+            raise UnsupportedModelError(
+                "chain bases need an invertible slope coefficient "
+                f"(condition estimate {cond:.3e})"
+            )
+        try:
+            m = np.linalg.solve(self.c1, self.c0)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond cap fires first
+            raise SingularMatrixError("slope coefficient is singular") from exc
+        return m, 1.0 + spectral_norm(m)
 
 
 @dataclass(frozen=True)
@@ -100,6 +197,11 @@ class BasicSolution:
 
     t_minus_one: Array
     t_zero: Array
+
+    @cached_property
+    def norms(self) -> tuple[float, float]:
+        """Exact ``(||T_{-1}||, ||T_0||)``, computed once per solution."""
+        return spectral_norm(self.t_minus_one), spectral_norm(self.t_zero)
 
 
 @dataclass(frozen=True)
@@ -136,7 +238,8 @@ class SingularityClass:
 
     kind is one of ``removable``, ``pole``, ``essential_at_truncation``,
     ``inconclusive``; ``order`` is the pole order / collapse index where
-    that applies.
+    that applies.  ``power_norms`` are the Frobenius norms ``||N^k||_F``
+    of the powers scanned, computed without underflow.
     """
 
     kind: str
@@ -166,10 +269,12 @@ def solve_at(
         r = np.linalg.solve(a, np.eye(pencil.dim, dtype=np.complex128))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"pencil is singular at z = {z}") from exc
-    residual = spectral_norm(a @ r - np.eye(pencil.dim))
-    if residual > tol * max(1.0, spectral_norm(a) * spectral_norm(r)):
+    defect = a @ r - np.eye(pencil.dim)
+    if not _screened(
+        lambda res, na, nr: res <= tol * max(1.0, na * nr), (defect,), (a, r)
+    ):
         raise SingularMatrixError(
-            f"solve at z = {z} failed residual check: {residual:.3e}"
+            f"solve at z = {z} failed residual check: {spectral_norm(defect):.3e}"
         )
     return r
 
@@ -267,13 +372,16 @@ def contour_coefficients(
         m *= 2
         values = cache.grid(m)
         refined = {j: _trapezoid_coefficient(values, radius, j) for j in js}
-        worst = max(
-            spectral_norm(refined[j] - current[j])
-            / max(1.0, spectral_norm(refined[j]))
+        settled = all(
+            _screened(
+                lambda move, size: move / max(1.0, size) <= tol,
+                (refined[j] - current[j],),
+                (refined[j],),
+            )
             for j in js
         )
         current = refined
-        if worst <= tol:
+        if settled:
             return current, {"radius": radius, "nodes": m}
     raise ContourNotConverged(
         f"contour quadrature did not stabilise within {max_nodes} nodes "
@@ -296,24 +404,32 @@ def contour_coefficient(
     return coeffs[j]
 
 
-def basic_residuals(basic: BasicSolution, pencil: LinearPencil) -> dict[str, float]:
-    """Residual norms of the four identities characterising a basic solution."""
+def _basic_defects(basic: BasicSolution, pencil: LinearPencil) -> dict[str, Array]:
     tm, t0 = basic.t_minus_one, basic.t_zero
     c0, c1 = pencil.c0, pencil.c1
     eye = np.eye(pencil.dim)
     out = {
-        "left_unit": spectral_norm(tm @ c1 + t0 @ c0 - eye),
-        "right_unit": spectral_norm(c1 @ tm + c0 @ t0 - eye),
+        "left_unit": tm @ c1 + t0 @ c0 - eye,
+        "right_unit": c1 @ tm + c0 @ t0 - eye,
     }
     for i, ci in enumerate((c0, c1)):
-        out[f"cross_neg_pos_c{i}"] = spectral_norm(tm @ ci @ t0)
-        out[f"cross_pos_neg_c{i}"] = spectral_norm(t0 @ ci @ tm)
+        out[f"cross_neg_pos_c{i}"] = tm @ ci @ t0
+        out[f"cross_pos_neg_c{i}"] = t0 @ ci @ tm
     return out
 
 
+def basic_residuals(basic: BasicSolution, pencil: LinearPencil) -> dict[str, float]:
+    """Residual norms of the four identities characterising a basic solution."""
+    return {k: spectral_norm(d) for k, d in _basic_defects(basic, pencil).items()}
+
+
 def _basic_scale(basic: BasicSolution, pencil: LinearPencil) -> float:
-    t = max(spectral_norm(basic.t_minus_one), spectral_norm(basic.t_zero))
-    return max(1.0, t * pencil.scale())
+    return max(1.0, max(basic.norms) * pencil.scale())
+
+
+def _all_within(mats, limit: float) -> bool:
+    """``max(spectral_norm(a) for a in mats) <= limit``, screened."""
+    return all(_screened(lambda r: r <= limit, (a,)) for a in mats)
 
 
 def basic_solution(
@@ -332,13 +448,20 @@ def basic_solution(
     """
     coeffs, _ = contour_coefficients(pencil, (-1, 0), radius, tol=tol, start_nodes=nodes)
     basic = BasicSolution(coeffs[-1], coeffs[0])
-    residuals = basic_residuals(basic, pencil)
-    worst = max(residuals.values())
-    if worst > verify_tol * _basic_scale(basic, pencil):
+    limit = verify_tol * _basic_scale(basic, pencil)
+    if not _all_within(_basic_defects(basic, pencil).values(), limit):
         raise FundamentalResidualError(
-            f"basic solution residuals too large: {residuals}"
+            f"basic solution residuals too large: {basic_residuals(basic, pencil)}"
         )
     return basic
+
+
+def _laurent_orbit(step: Array, start: Array):
+    """``start, -(step @ start), step @ step @ start, ...``: one Laurent recurrence."""
+    acc = start
+    while True:
+        yield acc
+        acc = -(step @ acc)
 
 
 def laurent_coefficient(basic: BasicSolution, pencil: LinearPencil, j: int) -> Array:
@@ -352,16 +475,10 @@ def laurent_coefficient(basic: BasicSolution, pencil: LinearPencil, j: int) -> A
     if j == 0:
         return basic.t_zero.copy()
     if j < 0:
-        step = basic.t_minus_one @ pencil.c0
-        acc = basic.t_minus_one
-        for _ in range(-j - 1):
-            acc = -(step @ acc)
-        return acc
-    step = basic.t_zero @ pencil.c1
-    acc = basic.t_zero
-    for _ in range(j):
-        acc = -(step @ acc)
-    return acc
+        orbit = _laurent_orbit(basic.t_minus_one @ pencil.c0, basic.t_minus_one)
+        return next(islice(orbit, -j - 1, None))
+    orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
+    return next(islice(orbit, j, None))
 
 
 def laurent_range(
@@ -373,21 +490,11 @@ def laurent_range(
     """Coefficient table for ``j_lo <= j <= j_hi`` via the recurrences."""
     if j_lo > j_hi:
         raise InputError(f"empty coefficient range [{j_lo}, {j_hi}]")
-    coeffs: dict[int, Array] = {}
     neg_step = basic.t_minus_one @ pencil.c0
     pos_step = basic.t_zero @ pencil.c1
-    if j_lo <= -1:
-        acc = basic.t_minus_one
-        coeffs[-1] = acc
-        for j in range(-2, j_lo - 1, -1):
-            acc = -(neg_step @ acc)
-            coeffs[j] = acc
-    if j_hi >= 0:
-        acc = basic.t_zero
-        coeffs[0] = acc
-        for j in range(1, j_hi + 1):
-            acc = -(pos_step @ acc)
-            coeffs[j] = acc
+    # zip stops on the exhausted range before it asks the orbit for more
+    coeffs = dict(zip(range(-1, j_lo - 1, -1), _laurent_orbit(neg_step, basic.t_minus_one)))
+    coeffs.update(zip(range(0, j_hi + 1), _laurent_orbit(pos_step, basic.t_zero)))
     coeffs = {j: coeffs[j] for j in range(j_lo, j_hi + 1)}
     return LaurentExpansion(coefficients=coeffs, method="recurrence")
 
@@ -409,14 +516,14 @@ def projections(
     q_c = pencil.c0 @ basic.t_zero
     eye = np.eye(pencil.dim)
     scale = _basic_scale(basic, pencil)
-    checks = {
-        "domain_idempotent": spectral_norm(p @ p - p),
-        "domain_complement": spectral_norm(p + p_c - eye),
-        "range_idempotent": spectral_norm(q @ q - q),
-        "range_complement": spectral_norm(q + q_c - eye),
+    defects = {
+        "domain_idempotent": p @ p - p,
+        "domain_complement": p + p_c - eye,
+        "range_idempotent": q @ q - q,
+        "range_complement": q + q_c - eye,
     }
-    worst = max(checks.values())
-    if worst > tol * max(scale, scale**2):
+    if not _all_within(defects.values(), tol * max(scale, scale**2)):
+        checks = {k: spectral_norm(d) for k, d in defects.items()}
         raise ProjectionError(f"projection checks failed: {checks}")
     return SpectralPair(domain_sin=p, domain_reg=p_c, range_sin=q, range_reg=q_c)
 
@@ -486,34 +593,61 @@ def classify_singularity(
     when that happens exactly at the truncation dimension the singular part
     is an essential-singularity truncation, not a genuine pole.  Norms that
     plateau without collapsing by ``k_max`` give ``inconclusive``.
+
+    Each ``a_k = ||N^k||`` is screened: the collapse is ruled out from the
+    bounds of ``a_{k-2..k}`` whenever they decide it, and the exact norms
+    are taken only at the indices where they do not.
     """
     n = pencil.dim
     if k_max is None:
         k_max = n + 2
-    t_scale = max(spectral_norm(basic.t_zero), 1.0)
-    if spectral_norm(basic.t_minus_one) <= tol * t_scale:
+    t_minus_norm, t_zero_norm = basic.norms
+    t_scale = max(t_zero_norm, 1.0)
+    if t_minus_norm <= tol * t_scale:
         return SingularityClass(kind="removable", order=None)
     nil = basic.t_minus_one @ pencil.c0
-    anchor = max(
-        spectral_norm(basic.t_minus_one) * spectral_norm(pencil.c0), np.finfo(float).tiny
-    )
-    norms: list[float] = []
+    anchor = max(t_minus_norm * pencil.norms[0], np.finfo(float).tiny)
+    # a_k = ||N^k|| lies in [lo[k], hi[k]], and a(k) narrows both to the
+    # exact norm on demand; a_0 is the anchor, and only the last three powers
+    # are kept
+    lo, hi, powers = [anchor], [anchor], {}
+
+    def a(k: int) -> float:
+        if lo[k] != hi[k]:
+            lo[k] = hi[k] = spectral_norm(powers[k])
+        return lo[k]
+
+    frobenius: list[float] = []
     power = np.eye(n, dtype=np.complex128)
-    prev_ratio = 1.0
     for k in range(1, k_max + 1):
         power = power @ nil
-        a_k = spectral_norm(power)
-        norms.append(a_k)
-        prev = norms[k - 2] if k >= 2 else anchor
-        ratio = a_k / prev if prev > 0 else 0.0
-        collapsed = a_k <= tol * anchor and ratio <= cliff_factor * prev_ratio
+        powers[k] = power
+        powers.pop(k - 3, None)
+        # BLAS nrm2 scales as it sums: entries near 1e-160 do not underflow
+        frobenius.append(float(scipy.linalg.norm(power.ravel(), check_finite=False)))
+        bounds = _norm_bounds(power)
+        lo.append(bounds[0])
+        hi.append(bounds[1])
+        # Certified no collapse at k: a_{k-1} > 0, and either a_k > tol * anchor
+        # or ratio = a_k / a_{k-1} >= lo_k / hi_{k-1} exceeds the cliff times
+        # prev_ratio = a_{k-1} / a_{k-2} <= hi_{k-1} / lo_{k-2} (1 at k = 1).
+        if lo[k - 1] > 0.0:
+            if lo[k] > tol * anchor:
+                continue
+            if k == 1 or lo[k - 2] > 0.0:
+                prev_ratio_hi = 1.0 if k == 1 else hi[k - 1] / lo[k - 2]
+                if lo[k] / hi[k - 1] > cliff_factor * prev_ratio_hi:
+                    continue
+        prev = a(k - 1)
+        prev_ratio = 1.0 if k == 1 else (prev / a(k - 2) if a(k - 2) > 0 else 0.0)
+        ratio = a(k) / prev if prev > 0 else 0.0
+        collapsed = a(k) <= tol * anchor and ratio <= cliff_factor * prev_ratio
         if prev == 0.0:
             collapsed = True  # already exactly nilpotent at the previous index
         if collapsed:
             kind = "essential_at_truncation" if k == n else "pole"
-            return SingularityClass(kind=kind, order=k, power_norms=tuple(norms))
-        prev_ratio = ratio
-    return SingularityClass(kind="inconclusive", order=None, power_norms=tuple(norms))
+            return SingularityClass(kind=kind, order=k, power_norms=tuple(frobenius))
+    return SingularityClass(kind="inconclusive", order=None, power_norms=tuple(frobenius))
 
 
 def annulus_estimate(
@@ -530,43 +664,63 @@ def annulus_estimate(
     ``1 / max ||T_l||^{1/l}``, each maximised over the top half of the
     sampled index range.  An identically-zero regular part gives
     ``r_hat = inf``; a terminating principal part gives ``s_hat = 0``.
+    Both are exact SVD roots; the norms of the other terms are only screened.
     """
-    neg_norms = []
-    acc = basic.t_minus_one
-    step = basic.t_minus_one @ pencil.c0
-    for _ in range(k_max):
-        neg_norms.append(spectral_norm(acc))
-        acc = -(step @ acc)
-    pos_norms = []
-    acc = basic.t_zero
-    step = basic.t_zero @ pencil.c1
-    for _ in range(l_max + 1):
-        pos_norms.append(spectral_norm(acc))
-        if pos_norms[-1] > 1e200:
+    # terms (index, T_j, lo, hi) with lo <= ||T_j|| <= hi
+    orbit = _laurent_orbit(basic.t_minus_one @ pencil.c0, basic.t_minus_one)
+    neg = [(k, acc, *_norm_bounds(acc)) for k, acc in zip(range(1, k_max + 1), orbit)]
+    pos = []
+    orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
+    for ell, acc in zip(range(l_max + 1), orbit):
+        lo, hi = _norm_bounds(acc)
+        if lo <= 1e200 < hi:
+            lo = hi = spectral_norm(acc)  # the bounds cannot decide the break
+        pos.append((ell, acc, lo, hi))
+        if ell >= 2:
+            pos[ell // 2 - 1] = None  # below every later cut l_top // 2
+        if lo > 1e200:
             break
-        acc = -(step @ acc)
 
     # A principal part that terminates inside the window converges on the
     # whole punctured disc: a vanishing trailing norm forces s_hat = 0.
-    scale = max(neg_norms)
-    if scale == 0.0 or neg_norms[-1] <= 1e-13 * scale:
+    los, his = [t[2] for t in neg], [t[3] for t in neg]
+    if max(his) == 0.0 or his[-1] <= 1e-13 * max(los):
+        terminates = True
+    elif los[-1] > 1e-13 * max(his):
+        terminates = False
+    else:
+        exact = [spectral_norm(t[1]) for t in neg]
+        neg = [(k, acc, v, v) for (k, acc, _, _), v in zip(neg, exact)]
+        terminates = max(exact) == 0.0 or exact[-1] <= 1e-13 * max(exact)
+    if terminates:
         s_hat = 0.0
     else:
-        s_candidates = [
-            neg_norms[k - 1] ** (1.0 / k)
-            for k in range(max(1, k_max // 2), len(neg_norms) + 1)
-            if neg_norms[k - 1] > 0
-        ]
-        s_hat = max(s_candidates) if s_candidates else 0.0
+        s_root = _max_root(neg[max(1, k_max // 2) - 1 :])
+        s_hat = 0.0 if s_root is None else s_root
 
-    l_top = len(pos_norms) - 1
-    r_candidates = [
-        pos_norms[ell] ** (1.0 / ell)
-        for ell in range(max(1, l_top // 2), l_top + 1)
-        if pos_norms[ell] > 0
-    ]
-    r_hat = float("inf") if not r_candidates else 1.0 / max(r_candidates)
+    l_top = len(pos) - 1
+    r_root = _max_root(pos[max(1, l_top // 2) :])
+    r_hat = float("inf") if r_root is None else 1.0 / r_root
     return s_hat, r_hat
+
+
+def _max_root(terms) -> float | None:
+    """Exact ``max ||T_j|| ** (1 / j)`` over terms ``(j, T_j, lo, hi)`` with a
+    non-zero norm, or None when there is none.
+
+    Only terms whose upper-bound root reaches the largest lower-bound root
+    can hold the maximum, so only those need the exact norm; a term whose
+    bounds meet already holds it, and the others take an SVD.
+    """
+    floor = max((lo ** (1.0 / j) for j, _, lo, _ in terms), default=0.0)
+    roots = [
+        v ** (1.0 / j)
+        for j, a, lo, hi in terms
+        if hi > 0.0
+        and hi ** (1.0 / j) >= floor
+        and (v := lo if lo == hi else spectral_norm(a)) > 0
+    ]
+    return max(roots) if roots else None
 
 
 def closed_form_parts(
@@ -640,14 +794,14 @@ def separate(
         off[f"sin_to_reg_c{i}"] = spectral_norm(pair.range_reg @ ci @ pair.domain_sin)
         off[f"reg_to_sin_c{i}"] = spectral_norm(pair.range_sin @ ci @ pair.domain_reg)
         off[f"reassemble_c{i}"] = spectral_norm(sin_blocks[i] + reg_blocks[i] - ci)
-    proj_scale = max(
-        1.0, spectral_norm(pair.domain_sin) * spectral_norm(pair.range_sin)
-    )
     worst = max(off.values())
     return SeparationReport(
         sin_blocks=tuple(sin_blocks),
         reg_blocks=tuple(reg_blocks),
         off_residuals=off,
         tol=tol,
-        passed=bool(worst <= tol * scale * proj_scale),
+        passed=_screened(
+            lambda p, q: worst <= tol * scale * max(1.0, p * q),
+            helpful=(pair.domain_sin, pair.range_sin),
+        ),
     )

@@ -172,3 +172,105 @@ def causal_stack_apply(stack: np.ndarray, signal: np.ndarray) -> np.ndarray:
         window = signal[t - s_hi : t + 1][::-1]
         out[t] = np.einsum("sij,sj->i", stack[: s_hi + 1], window)
     return out
+
+
+def _spectral_norm(a):
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+def classify_singularity_literal(basic, pencil, *, tol=1e-9, k_max=None, cliff_factor=1e-3):
+    """Singularity dichotomy with an SVD for every norm, as ``(kind, order)``.
+
+    The all-SVD classification, kept literally: ``basic`` and ``pencil``
+    only need ``t_minus_one``/``t_zero`` and ``c0`` attributes.
+    """
+    n = pencil.c0.shape[0]
+    if k_max is None:
+        k_max = n + 2
+    t_scale = max(_spectral_norm(basic.t_zero), 1.0)
+    if _spectral_norm(basic.t_minus_one) <= tol * t_scale:
+        return "removable", None
+    nil = basic.t_minus_one @ pencil.c0
+    anchor = max(
+        _spectral_norm(basic.t_minus_one) * _spectral_norm(pencil.c0), np.finfo(float).tiny
+    )
+    norms = []
+    power = np.eye(n, dtype=np.complex128)
+    prev_ratio = 1.0
+    for k in range(1, k_max + 1):
+        power = power @ nil
+        a_k = _spectral_norm(power)
+        norms.append(a_k)
+        prev = norms[k - 2] if k >= 2 else anchor
+        ratio = a_k / prev if prev > 0 else 0.0
+        collapsed = a_k <= tol * anchor and ratio <= cliff_factor * prev_ratio
+        if prev == 0.0:
+            collapsed = True  # already exactly nilpotent at the previous index
+        if collapsed:
+            kind = "essential_at_truncation" if k == n else "pole"
+            return kind, k
+        prev_ratio = ratio
+    return "inconclusive", None
+
+
+def annulus_estimate_literal(basic, pencil, *, k_max=12, l_max=48):
+    """Root-test annulus ``(s_hat, r_hat)`` with an SVD for every norm."""
+    neg_norms = []
+    acc = basic.t_minus_one
+    step = basic.t_minus_one @ pencil.c0
+    for _ in range(k_max):
+        neg_norms.append(_spectral_norm(acc))
+        acc = -(step @ acc)
+    pos_norms = []
+    acc = basic.t_zero
+    step = basic.t_zero @ pencil.c1
+    for _ in range(l_max + 1):
+        pos_norms.append(_spectral_norm(acc))
+        if pos_norms[-1] > 1e200:
+            break
+        acc = -(step @ acc)
+
+    scale = max(neg_norms)
+    if scale == 0.0 or neg_norms[-1] <= 1e-13 * scale:
+        s_hat = 0.0
+    else:
+        s_candidates = [
+            neg_norms[k - 1] ** (1.0 / k)
+            for k in range(max(1, k_max // 2), len(neg_norms) + 1)
+            if neg_norms[k - 1] > 0
+        ]
+        s_hat = max(s_candidates) if s_candidates else 0.0
+
+    l_top = len(pos_norms) - 1
+    r_candidates = [
+        pos_norms[ell] ** (1.0 / ell)
+        for ell in range(max(1, l_top // 2), l_top + 1)
+        if pos_norms[ell] > 0
+    ]
+    r_hat = float("inf") if not r_candidates else 1.0 / max(r_candidates)
+    return s_hat, r_hat
+
+
+def lstsq_chain(matrix, partner, seed, *, steps=16, tol=1e-9, project=None):
+    """Chain ``matrix @ x_next = -partner @ x`` with one ``lstsq`` per step.
+
+    Returns ``(vectors, terminated)``; an inconsistent step raises ValueError.
+    """
+    scale = max(_spectral_norm(matrix), _spectral_norm(partner), 1.0)
+    vectors = [np.asarray(seed, dtype=np.complex128)]
+    norms = [float(np.linalg.norm(vectors[0]))]
+    terminated = False
+    for _ in range(steps):
+        rhs = -(partner @ vectors[-1])
+        x_next, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+        if project is not None:
+            x_next = project @ x_next
+        residual = float(np.linalg.norm(matrix @ x_next - rhs))
+        if residual > tol * scale * max(norms[-1], 1.0):
+            raise ValueError(f"chain step has no solution: residual {residual:.3e}")
+        vectors.append(x_next)
+        norms.append(float(np.linalg.norm(x_next)))
+        if norms[-1] <= tol * norms[0]:
+            terminated = True
+            break
+    return vectors, terminated

@@ -1,0 +1,179 @@
+"""Screened norms: certified bounds, unchanged verdicts, fewer SVDs.
+
+Verdict-only norms go through ``_norm_bounds`` and take an SVD only when the
+bounds straddle the threshold.  The literal all-SVD classification, annulus
+estimate and lstsq chain loop in ``oracles.py`` must give the same answers.
+"""
+
+import importlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gjrep import (
+    LinearPencil,
+    annulus_estimate,
+    basic_solution,
+    classify_singularity,
+    make,
+    regular_chain,
+    singular_chain,
+    spectral_norm,
+)
+from gjrep.cli import main
+from gjrep.io import dump_pencil
+from gjrep.pencil import _norm_bounds, _screened
+from oracles import annulus_estimate_literal, classify_singularity_literal, lstsq_chain
+
+
+def _similarity(n, seed):
+    # C0 = Q blockdiag(J_2(0), diag(mu)) Q^H with a seeded unitary Q, C1 = I
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    block = np.diag(rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n)))
+    block[0, 0] = block[1, 1] = 0.0
+    block[0, 1] = 1.0
+    return LinearPencil(q @ block @ q.conj().T, np.eye(n))
+
+
+def _contour(pencil):
+    return pencil, basic_solution(pencil)
+
+
+def _closed(entry):
+    return entry.pencil, entry.basic
+
+
+CASES = {
+    "matrix": lambda: _closed(make("matrix", eps=0.5)),
+    "c0": lambda: _closed(make("c0")),
+    "hierarchy": lambda: _closed(make("hierarchy")),
+    "volterra16": lambda: _closed(make("volterra", n=16)),
+    "volterra64": lambda: _closed(make("volterra", n=64)),
+    "volterra128": lambda: _closed(make("volterra", n=128)),
+    "volterra64-contour": lambda: _contour(make("volterra", n=64).pencil),
+    "volterra128-contour": lambda: _contour(make("volterra", n=128).pencil),
+    "cascade8-contour": lambda: _contour(make("hierarchy", n=8).pencil),
+    "sim16": lambda: _contour(_similarity(16, 11)),
+    "sim64": lambda: _contour(_similarity(64, 12)),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_screened_classification_and_annulus_match_all_svd(case):
+    pencil, basic = CASES[case]()
+    got = classify_singularity(basic, pencil)
+    assert (got.kind, got.order) == classify_singularity_literal(basic, pencil)
+    # the same floats bit for bit: the annulus roots are exact SVD roots
+    assert annulus_estimate(basic, pencil) == annulus_estimate_literal(basic, pencil)
+
+
+def test_volterra128_is_essential_at_truncation():
+    # powers of N reach 1e-268: squared sums of the raw entries underflow
+    pencil, basic = CASES["volterra128-contour"]()
+    got = classify_singularity(basic, pencil)
+    assert (got.kind, got.order) == ("essential_at_truncation", 128)
+    assert len(got.power_norms) == 128
+    assert 0.0 < got.power_norms[-2] < 1e-260
+
+
+def _chain_cases():
+    for n, seed in ((16, 21), (64, 22)):
+        pencil = _similarity(n, seed)
+        basic = basic_solution(pencil)
+        x = np.random.default_rng(seed).standard_normal(n) + 0j
+        p_sin = basic.t_minus_one @ pencil.c1
+        p_reg = basic.t_zero @ pencil.c0
+        yield pencil, "singular", p_sin @ x, p_sin
+        yield pencil, "regular", p_reg @ x, p_reg
+    e = make("c0")
+    yield e.pencil, "singular", np.eye(10)[1], None
+    yield e.pencil, "regular", np.eye(10)[4], None
+
+
+def test_chains_match_the_lstsq_loop():
+    for pencil, side, seed, project in _chain_cases():
+        if side == "singular":
+            got = singular_chain(pencil, seed, project=project)
+            want, terminated = lstsq_chain(pencil.c1, pencil.c0, seed, project=project)
+        else:
+            got = regular_chain(pencil, seed, project=project)
+            want, terminated = lstsq_chain(pencil.c0, pencil.c1, seed, project=project)
+        assert len(got.vectors) == len(want)
+        assert got.terminated == terminated
+        for x, y in zip(got.vectors, want):
+            assert np.linalg.norm(x - y) <= 1e-12 * max(np.linalg.norm(y), np.linalg.norm(seed))
+
+
+SCALES = (1.0, 1e-160, 1e-300, 5e-320, 1e300)
+
+
+@st.composite
+def matrices(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(("dense", "rank1", "zero", "real")))
+    if kind == "zero":
+        return np.zeros((m, n), dtype=np.complex128)
+    if kind == "rank1":
+        u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        a = np.outer(u, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    elif kind == "real":
+        a = rng.standard_normal((m, n)) + 0j
+    else:
+        a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return a * draw(st.sampled_from(SCALES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.sampled_from((1 - 1e-15, 1 + 1e-15, 0.5, 0.999, 1.001, 2.0)))
+def test_bounds_bracket_and_screened_verdict_is_exact(a, factor):
+    exact = spectral_norm(a)
+    lo, hi = _norm_bounds(a)
+    assert 0.0 <= lo <= exact <= hi
+    for t in (exact * factor, 0.0):
+        assert _screened(lambda r: r <= t, (a,)) == (exact <= t)
+        assert _screened(lambda r: t < r, helpful=(a,)) == (t < exact)
+    if 0.0 < exact and hi < np.inf and abs(factor - 1) < 1e-14:
+        # a threshold within rounding of the norm: the screen must defer to the SVD
+        assert lo <= exact * factor < hi
+
+
+def test_bounds_are_undecided_on_non_finite_entries():
+    a = np.ones((16, 16), dtype=np.complex128)
+    for bad in (np.nan, np.inf):
+        a[3, 4] = bad
+        assert _norm_bounds(a) == (0.0, np.inf)
+
+
+def _svd_module():
+    # np.linalg.norm, cond and pinv call the module-level svd of numpy's
+    # implementation module, so the count is patched there
+    for name in ("numpy.linalg._linalg", "numpy.linalg.linalg"):
+        try:
+            module = importlib.import_module(name)
+        except ImportError:
+            continue
+        if hasattr(module, "svd"):
+            return module
+    raise RuntimeError("numpy's linalg implementation module not found")
+
+
+def test_svd_count_of_volterra64_analyze(tmp_path, monkeypatch):
+    path = tmp_path / "volterra64.json"
+    path.write_text(json.dumps(dump_pencil(make("volterra", n=64).pencil)))
+    module = _svd_module()
+    real = module.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert main(["analyze", "--pencil", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert 0 < len(calls) <= 60
