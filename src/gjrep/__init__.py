@@ -87,7 +87,6 @@ from .pencil import (
     classify_singularity,
     closed_form_parts,
     closed_form_resolvent,
-    contour_coefficient,
     contour_coefficients,
     default_radius,
     laurent_coefficient,
@@ -158,7 +157,6 @@ __all__ = [
     "closed_form_parts",
     "closed_form_resolvent",
     "cointegration_probe",
-    "contour_coefficient",
     "contour_coefficients",
     "default_radius",
     "diff_neg",

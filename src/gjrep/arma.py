@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import InputError, SingularMatrixError
-from .pencil import COND_CAP, Array, LinearPencil, as_matrix, as_vector
+from .errors import InputError
+from .pencil import Array, LinearPencil, _checked_solve, as_matrix, as_vector
 
 
 @dataclass(frozen=True)
@@ -183,16 +183,6 @@ def ma1_g(model: ArmaModel, noise: Trajectory) -> Trajectory:
     return Trajectory(start=noise.start + 1, values=vals)
 
 
-def _solve_factor(a0: Array) -> tuple[Array, Array]:
-    cond = np.linalg.cond(a0)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise SingularMatrixError(
-            f"contemporaneous coefficient is singular (condition {cond:.3e})"
-        )
-    eye = np.eye(a0.shape[0], dtype=np.complex128)
-    return np.linalg.solve(a0, eye), eye
-
-
 def simulate_recursion(model: ArmaModel, g: Trajectory, t_end: int) -> Trajectory:
     """Reference path: iterate ``x(t) = A_0^{-1} (g(t) - A_1 x(t-1))`` from ``x(-1) = c``.
 
@@ -200,7 +190,9 @@ def simulate_recursion(model: ArmaModel, g: Trajectory, t_end: int) -> Trajector
     """
     if g.start > 0 or g.end < t_end:
         raise InputError(f"drive must cover [0, {t_end}], has [{g.start}, {g.end}]")
-    a0_inv, _ = _solve_factor(model.a0)
+    a0_inv = _checked_solve(
+        model.a0, np.eye(model.dim, dtype=np.complex128), "contemporaneous coefficient A_0"
+    )
     step = -(a0_inv @ model.a1)
     drive = g.window(0, t_end) @ a0_inv.T
     path = kernels.arma_recursion(step, drive[:, :, None], model.c[:, None])

@@ -60,7 +60,7 @@ def load_pencil(obj: dict) -> LinearPencil | PolynomialPencil:
         raise InputError("pencil document must be a JSON object")
     if "coeffs" in obj or "degree" in obj:
         coeffs = obj.get("coeffs")
-        if coeffs is None:
+        if not isinstance(coeffs, list):
             raise InputError("polynomial pencil needs a 'coeffs' list")
         degree = obj.get("degree", len(coeffs) - 1)
         if degree != len(coeffs) - 1:
@@ -82,8 +82,14 @@ def load_pencil(obj: dict) -> LinearPencil | PolynomialPencil:
 
 
 def _check_dim(obj: dict, dim: int) -> None:
-    if "n" in obj and int(obj["n"]) != dim:
-        raise InputError(f"declared n={obj['n']} but matrices are {dim}-dimensional")
+    """A declared ``n`` must be a JSON integer equal to ``dim``; no coercion."""
+    if "n" not in obj:
+        return
+    n = obj["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"n must be an integer, got {n!r}")
+    if n != dim:
+        raise InputError(f"declared n={n} but matrices are {dim}-dimensional")
 
 
 def dump_model(model: ArmaModel, noise: NoiseSpec) -> dict:

@@ -9,6 +9,13 @@ one-step recurrences.  This module computes that pair by contour quadrature,
 expands it, verifies the defining identities, classifies the singularity, and
 evaluates the closed-form (partial-fraction) resolvent.
 
+The quadrature is the trapezoid rule on nested grids.  The m-point grid is
+the even half of the 2m-point grid, so node doubling solves only the new odd
+nodes and adds them to one running sum per coefficient; no node value is
+kept between rounds.  Every other inverse goes through one condition-checked
+solve (``_checked_solve``), and every one-step matrix recurrence
+``X_{t+1} = -S X_t`` through one generator (``_laurent_orbit``).
+
 Spectral norms follow one rule.  A norm that a report writes is an exact SVD
 norm (``spectral_norm``), computed once per object where several checks share
 it (``LinearPencil.norms``, ``BasicSolution.norms``).  A norm that only feeds
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from math import frexp, gcd, ldexp, sqrt
+from math import frexp, ldexp, sqrt
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +52,7 @@ TOL_SOLVE = 1e-9
 TOL_CONTOUR = 1e-9
 TOL_FUND = 1e-9
 COND_CAP = 1e12
+MAX_NODES = 1 << 14  # node cap of the contour quadrature
 
 
 def as_matrix(value, name: str = "matrix") -> Array:
@@ -68,6 +76,21 @@ def as_vector(value, dim: int | None = None, name: str = "vector") -> Array:
 
 def spectral_norm(a: Array) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+def _checked_solve(a: Array, b: Array, what: str) -> Array:
+    """``a^{-1} b``, or SingularMatrixError naming ``what``.
+
+    ``a`` counts as singular when its condition estimate is above
+    ``COND_CAP`` or not finite, or when the LU factorisation breaks down.
+    """
+    cond = np.linalg.cond(a)
+    if not np.isfinite(cond) or cond > COND_CAP:
+        raise SingularMatrixError(f"{what} is singular (condition {cond:.3e})")
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"{what} is singular") from exc
 
 
 # Relative padding of the bounds: covers the rounding in the bounds and in
@@ -178,16 +201,10 @@ class LinearPencil:
         eigenvalue 0 and every other singularity sits at offset -mu for an
         eigenvalue mu.
         """
-        cond = np.linalg.cond(self.c1)
-        if not np.isfinite(cond) or cond > COND_CAP:
-            raise UnsupportedModelError(
-                "chain bases need an invertible slope coefficient "
-                f"(condition estimate {cond:.3e})"
-            )
         try:
-            m = np.linalg.solve(self.c1, self.c0)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond cap fires first
-            raise SingularMatrixError("slope coefficient is singular") from exc
+            m = _checked_solve(self.c1, self.c0, "slope coefficient c1")
+        except SingularMatrixError as exc:
+            raise UnsupportedModelError(f"chain bases need an invertible slope: {exc}") from exc
         return m, 1.0 + spectral_norm(m)
 
 
@@ -247,29 +264,16 @@ class SingularityClass:
     power_norms: tuple[float, ...] = field(default=())
 
 
-def solve_at(
-    pencil: LinearPencil,
-    z: complex,
-    *,
-    tol: float = TOL_SOLVE,
-    cond_cap: float = COND_CAP,
-) -> Array:
+def solve_at(pencil: LinearPencil, z: complex, *, tol: float = TOL_SOLVE) -> Array:
     """Resolvent value ``A(z)^{-1}`` with a conditioning guard.
 
     Raises SingularMatrixError when the point is (numerically) singular:
-    condition estimate above ``cond_cap`` or an exactly singular factor.
+    condition estimate above ``COND_CAP`` or an exactly singular factor.
     """
     a = pencil.evaluate(z)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise SingularMatrixError(
-            f"pencil is singular at z = {z}: condition estimate {cond:.3e}"
-        )
-    try:
-        r = np.linalg.solve(a, np.eye(pencil.dim, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"pencil is singular at z = {z}") from exc
-    defect = a @ r - np.eye(pencil.dim)
+    eye = np.eye(pencil.dim, dtype=np.complex128)
+    r = _checked_solve(a, eye, f"pencil at z = {z}")
+    defect = a @ r - eye
     if not _screened(
         lambda res, na, nr: res <= tol * max(1.0, na * nr), (defect,), (a, r)
     ):
@@ -303,48 +307,6 @@ def default_radius(pencil: LinearPencil, *, zero_tol: float = 1e-8) -> float:
     return float(nonzero.min()) / 2.0
 
 
-class _NodeCache:
-    """Resolvent values on contour nodes, shared across node-doubling rounds.
-
-    Keyed by the angle fraction k/m in lowest terms so that every node of an
-    m-point grid is reused by the 2m-point grid.
-    """
-
-    def __init__(self, pencil: LinearPencil, radius: float):
-        self.pencil = pencil
-        self.radius = radius
-        self._values: dict[tuple[int, int], Array] = {}
-
-    def grid(self, m: int) -> list[Array]:
-        out = []
-        for k in range(m):
-            g = gcd(k, m) if k else m
-            key = (k // g, m // g)
-            if key not in self._values:
-                z = 1.0 + self.radius * np.exp(2j * np.pi * k / m)
-                a = self.pencil.evaluate(z)
-                try:
-                    self._values[key] = np.linalg.solve(
-                        a, np.eye(self.pencil.dim, dtype=np.complex128)
-                    )
-                except np.linalg.LinAlgError as exc:
-                    raise SingularMatrixError(
-                        f"contour of radius {self.radius} passes through a "
-                        f"singular point near angle {2 * np.pi * k / m:.4f}"
-                    ) from exc
-            out.append(self._values[key])
-        return out
-
-
-def _trapezoid_coefficient(values: list[Array], radius: float, j: int) -> Array:
-    m = len(values)
-    phases = np.exp(-2j * np.pi * j * np.arange(m) / m)
-    acc = np.zeros_like(values[0])
-    for k in range(m):
-        acc = acc + values[k] * phases[k]
-    return acc * (radius ** (-j) / m)
-
-
 def contour_coefficients(
     pencil: LinearPencil,
     js: tuple[int, ...] | list[int],
@@ -352,26 +314,46 @@ def contour_coefficients(
     *,
     tol: float = TOL_CONTOUR,
     start_nodes: int = 32,
-    max_nodes: int = 1 << 14,
 ) -> tuple[dict[int, Array], dict]:
     """Laurent coefficients by trapezoid quadrature with node doubling.
 
-    Equispaced nodes on the circle ``|z - 1| = radius``; the node count
-    doubles until every requested coefficient moves by no more than
-    ``tol * max(1, ||T_j||)`` between rounds.  Returns the coefficient
-    table and an info dict (radius, node count).
+    Equispaced nodes ``z_k = 1 + radius e^{2 pi i k/m}`` on the circle; the
+    node count m doubles, up to ``MAX_NODES``, until every requested
+    coefficient moves by no more than ``tol * max(1, ||T_j||)`` between
+    rounds.  The grids are nested: the m-point grid is the even half of the
+    2m-point grid, with the same phases ``e^{-2 pi i j k/m}``.  So each
+    round solves only the new odd nodes and adds them to one running sum
+    per ``j``; ``T_j`` is that sum times ``radius^{-j} / m``, and no node
+    value is stored.  Returns the coefficient table and an info dict
+    (radius, node count).
     """
     if radius is None:
         radius = default_radius(pencil)
-    if radius <= 0:
-        raise InputError(f"contour radius must be positive, got {radius}")
-    cache = _NodeCache(pencil, radius)
+    if not 0.0 < radius < np.inf:  # also False for NaN
+        raise InputError(f"contour radius must be finite and positive, got {radius}")
+    eye = np.eye(pencil.dim, dtype=np.complex128)
+    sums = {j: np.zeros_like(eye) for j in js}
+
+    def add_nodes(m: int, ks: range) -> dict[int, Array]:
+        """Add nodes ``ks`` of the m-point grid to the sums; the m-point rule."""
+        for k in ks:
+            angle = 2 * np.pi * k / m
+            try:
+                r = np.linalg.solve(pencil.evaluate(1.0 + radius * np.exp(1j * angle)), eye)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrixError(
+                    f"contour of radius {radius} passes through a "
+                    f"singular point near angle {angle:.4f}"
+                ) from exc
+            for j in js:
+                sums[j] += r * np.exp(-1j * j * angle)
+        return {j: sums[j] * (radius ** (-j) / m) for j in js}
+
     m = max(8, start_nodes)
-    current = {j: _trapezoid_coefficient(cache.grid(m), radius, j) for j in js}
-    while m < max_nodes:
+    current = add_nodes(m, range(m))
+    while m < MAX_NODES:
         m *= 2
-        values = cache.grid(m)
-        refined = {j: _trapezoid_coefficient(values, radius, j) for j in js}
+        refined = add_nodes(m, range(1, m, 2))
         settled = all(
             _screened(
                 lambda move, size: move / max(1.0, size) <= tol,
@@ -384,24 +366,9 @@ def contour_coefficients(
         if settled:
             return current, {"radius": radius, "nodes": m}
     raise ContourNotConverged(
-        f"contour quadrature did not stabilise within {max_nodes} nodes "
+        f"contour quadrature did not stabilise within {MAX_NODES} nodes "
         f"(radius {radius})"
     )
-
-
-def contour_coefficient(
-    pencil: LinearPencil,
-    j: int,
-    radius: float | None = None,
-    *,
-    tol: float = TOL_CONTOUR,
-    start_nodes: int = 32,
-    max_nodes: int = 1 << 14,
-) -> Array:
-    coeffs, _ = contour_coefficients(
-        pencil, (j,), radius, tol=tol, start_nodes=start_nodes, max_nodes=max_nodes
-    )
-    return coeffs[j]
 
 
 def _basic_defects(basic: BasicSolution, pencil: LinearPencil) -> dict[str, Array]:
@@ -724,11 +691,7 @@ def _max_root(terms) -> float | None:
 
 
 def closed_form_parts(
-    basic: BasicSolution,
-    pencil: LinearPencil,
-    z: complex,
-    *,
-    cond_cap: float = COND_CAP,
+    basic: BasicSolution, pencil: LinearPencil, z: complex
 ) -> tuple[Array, Array]:
     """Singular and regular resolvent parts at ``z`` in closed form.
 
@@ -741,25 +704,15 @@ def closed_form_parts(
     w = z - 1.0
     sin_core = w * eye + basic.t_minus_one @ pencil.c0
     reg_core = eye + basic.t_zero @ pencil.c1 * w
-    for name, m in (("singular", sin_core), ("regular", reg_core)):
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > cond_cap:
-            raise SingularMatrixError(
-                f"closed-form {name} factor is singular at z = {z}"
-            )
-    r_sin = np.linalg.solve(sin_core, basic.t_minus_one)
-    r_reg = np.linalg.solve(reg_core, basic.t_zero)
+    r_sin = _checked_solve(
+        sin_core, basic.t_minus_one, f"closed-form singular factor at z = {z}"
+    )
+    r_reg = _checked_solve(reg_core, basic.t_zero, f"closed-form regular factor at z = {z}")
     return r_sin, r_reg
 
 
-def closed_form_resolvent(
-    basic: BasicSolution,
-    pencil: LinearPencil,
-    z: complex,
-    *,
-    cond_cap: float = COND_CAP,
-) -> Array:
-    r_sin, r_reg = closed_form_parts(basic, pencil, z, cond_cap=cond_cap)
+def closed_form_resolvent(basic: BasicSolution, pencil: LinearPencil, z: complex) -> Array:
+    r_sin, r_reg = closed_form_parts(basic, pencil, z)
     return r_sin + r_reg
 
 

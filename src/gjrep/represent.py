@@ -39,7 +39,9 @@ which needs radius above two.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -50,16 +52,16 @@ from .errors import (
     InputError,
     NaturalFormDiverges,
     OrderUndefined,
-    SingularMatrixError,
     TailNotConverged,
 )
 from .pencil import (
-    COND_CAP,
     Array,
     BasicSolution,
     LinearPencil,
     SingularityClass,
     SpectralPair,
+    _checked_solve,
+    _laurent_orbit,
     annulus_estimate,
     basic_solution,
     classify_singularity,
@@ -70,11 +72,9 @@ from .pencil import (
 FORMS = ("natural_ns", "natural_s", "extended_ns", "extended_s")
 
 
-def _checked_inverse(a: Array, what: str) -> Array:
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise SingularMatrixError(f"{what} is singular (condition {cond:.3e})")
-    return np.linalg.solve(a, np.eye(a.shape[0], dtype=np.complex128))
+def _stack(step: Array, start: Array, count: int) -> Array:
+    """The first ``count`` terms of ``_laurent_orbit(step, start)``, stacked."""
+    return np.stack(list(islice(_laurent_orbit(step, start), count)))
 
 
 def coeff_u(basic: BasicSolution, pencil: LinearPencil, t_max: int) -> Array:
@@ -86,15 +86,9 @@ def coeff_u(basic: BasicSolution, pencil: LinearPencil, t_max: int) -> Array:
     """
     if t_max < 0:
         raise InputError("t_max must be >= 0")
-    n = pencil.dim
-    w = _checked_inverse(
-        np.eye(n) - basic.t_minus_one @ pencil.c0, "I - T_{-1} C_0"
-    )
-    out = np.empty((t_max + 1, n, n), dtype=np.complex128)
-    out[0] = -(w @ basic.t_minus_one)
-    for t in range(1, t_max + 1):
-        out[t] = w @ out[t - 1]
-    return out
+    eye = np.eye(pencil.dim, dtype=np.complex128)
+    w = _checked_solve(eye - basic.t_minus_one @ pencil.c0, eye, "I - T_{-1} C_0")
+    return _stack(-w, -(w @ basic.t_minus_one), t_max + 1)
 
 
 def coeff_v(basic: BasicSolution, pencil: LinearPencil, s_max: int) -> Array:
@@ -105,15 +99,10 @@ def coeff_v(basic: BasicSolution, pencil: LinearPencil, s_max: int) -> Array:
     """
     if s_max < 0:
         raise InputError("s_max must be >= 0")
-    n = pencil.dim
+    eye = np.eye(pencil.dim, dtype=np.complex128)
     m = basic.t_zero @ pencil.c1
-    w = _checked_inverse(np.eye(n) - m, "I - T_0 C_1")
-    step = -(w @ m)
-    out = np.empty((s_max + 1, n, n), dtype=np.complex128)
-    out[0] = w @ basic.t_zero
-    for s in range(1, s_max + 1):
-        out[s] = step @ out[s - 1]
-    return out
+    w = _checked_solve(eye - m, eye, "I - T_0 C_1")
+    return _stack(w @ m, w @ basic.t_zero, s_max + 1)
 
 
 def coeff_r(pencil: LinearPencil, s_max: int) -> Array:
@@ -123,13 +112,9 @@ def coeff_r(pencil: LinearPencil, s_max: int) -> Array:
     """
     if s_max < 0:
         raise InputError("s_max must be >= 0")
-    a0_inv = _checked_inverse(pencil.a0, "contemporaneous coefficient A_0")
-    step = -(a0_inv @ pencil.a1)
-    out = np.empty((s_max + 1, pencil.dim, pencil.dim), dtype=np.complex128)
-    out[0] = a0_inv
-    for s in range(1, s_max + 1):
-        out[s] = step @ out[s - 1]
-    return out
+    eye = np.eye(pencil.dim, dtype=np.complex128)
+    a0_inv = _checked_solve(pencil.a0, eye, "contemporaneous coefficient A_0")
+    return _stack(a0_inv @ pencil.a1, a0_inv, s_max + 1)
 
 
 def coeff_q(basic: BasicSolution, pencil: LinearPencil, s_max: int) -> Array:
@@ -162,21 +147,19 @@ def k_vector(
         raise InputError(
             f"presample depth {depth} exceeds available history (start {g.start})"
         )
-    n = pencil.dim
+    eye = np.eye(pencil.dim, dtype=np.complex128)
     m = basic.t_zero @ pencil.c1
-    w = _checked_inverse(np.eye(n) - m, "I - T_0 C_1")
-    step = -(w @ m)
-    coef = -(w @ basic.t_zero)
-    k = np.zeros(n, dtype=np.complex128)
-    norms = []
-    for r in range(1, depth + 1):
+    w = _checked_solve(eye - m, eye, "I - T_0 C_1")
+    k = np.zeros(pencil.dim, dtype=np.complex128)
+    # the tail estimate reads only the norms of the last and fourth-last terms
+    recent = deque(maxlen=4)
+    for r, coef in zip(range(1, depth + 1), _laurent_orbit(w @ m, -(w @ basic.t_zero))):
         k += coef @ g.at(-r)
-        norms.append(spectral_norm(coef))
-        coef = step @ coef
+        recent.append(coef)
     g_scale = max(1.0, float(np.max(np.abs(g.window(-depth, -1)))))
-    last = norms[-1]
-    if len(norms) >= 4:
-        prev = norms[-4]
+    last = spectral_norm(recent[-1])
+    if len(recent) == 4:
+        prev = spectral_norm(recent[0])
         ratio = (last / prev) ** (1.0 / 3.0) if prev > 0 else 0.0
     else:
         ratio = 0.5
@@ -216,11 +199,10 @@ def natural_budget(
             f"regular Laurent series has convergence radius {r_hat:.4f} <= 1; "
             "the natural form does not exist"
         )
-    step = basic.t_zero @ pencil.c1
-    acc = basic.t_zero
     bounds = []
     target = tol_tail
-    for ell in range(l_cap + 1):
+    orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
+    for ell, acc in zip(range(l_cap + 1), orbit):
         bounds.append(spectral_norm(acc) * (2.0**ell) * g_scale)
         if ell >= 4:
             prev, last = bounds[-5], bounds[-1]
@@ -231,7 +213,6 @@ def natural_budget(
                 return ell, last * ratio / (1.0 - ratio), r_hat
         elif bounds[-1] == 0.0:
             return ell, 0.0, r_hat
-        acc = -(step @ acc)
     if r_hat <= 2.0:
         raise TailNotConverged(
             f"convergence radius {r_hat:.4f} <= 2: the worst-case bound on the "
@@ -362,17 +343,16 @@ def represent(
     g_scale = max(1.0, float(np.max(np.abs(g.values))))
 
     trend = np.zeros((horizon, n), dtype=np.complex128)
-    tkm = basic.t_minus_one
     neg_step = basic.t_minus_one @ pencil.c0
     cum = g_causal
-    for k in range(1, trend_depth + 1):
+    for k, tkm in zip(range(1, trend_depth + 1), _laurent_orbit(neg_step, basic.t_minus_one)):
         cum = np.cumsum(cum, axis=0)
         sign = -1.0 if k % 2 else 1.0
         trend += sign * (cum @ tkm.T)
-        tkm = -(neg_step @ tkm)
 
+    eye = np.eye(n, dtype=np.complex128)
     c1c = pencil.c1 @ model.c
-    w_sin = _checked_inverse(np.eye(n) - neg_step, "I - T_{-1} C_0")
+    w_sin = _checked_solve(eye - neg_step, eye, "I - T_{-1} C_0")
     det_sin = _orbit(w_sin, w_sin @ (basic.t_minus_one @ c1c), horizon)
 
     budgets: dict[str, float] = {
@@ -386,11 +366,8 @@ def represent(
         )
         budgets["series_cutoff"] = float(cutoff)
         budgets["tail_estimate"] = tail_est
-        t_stack = np.empty((cutoff + 1, n, n), dtype=np.complex128)
-        t_stack[0] = basic.t_zero
         pos_step = basic.t_zero @ pencil.c1
-        for ell in range(1, cutoff + 1):
-            t_stack[ell] = -(pos_step @ t_stack[ell - 1])
+        t_stack = _stack(pos_step, basic.t_zero, cutoff + 1)
         if form == "natural_ns":
             stationary = _difference_series(t_stack, g_causal)
             kvec = np.zeros(n, dtype=np.complex128)
@@ -405,7 +382,7 @@ def represent(
             )
             kvec = k_vector(basic, pencil, g, presample, tol_tail=tol_tail)
         # V_t applied to C_1 c and C_1 k in one batched recursion
-        w_reg = _checked_inverse(np.eye(n) - pos_step, "I - T_0 C_1")
+        w_reg = _checked_solve(eye - pos_step, eye, "I - T_0 C_1")
         both = -_orbit(
             -(w_reg @ pos_step),
             w_reg @ basic.t_zero @ pencil.c1 @ np.stack([model.c, kvec], axis=1),
@@ -415,7 +392,7 @@ def represent(
     else:
         # Q_s = (P^c S)^s P^c A_0^{-1}: every extended term is a recursion in
         # the projected step, which is zero on the singular directions
-        a0_inv = _checked_inverse(pencil.a0, "contemporaneous coefficient A_0")
+        a0_inv = _checked_solve(pencil.a0, eye, "contemporaneous coefficient A_0")
         gain = basic.t_zero @ pencil.c0 @ a0_inv
         q_step = -(gain @ pencil.a1)
         start = 0 if form == "extended_ns" else presample
@@ -591,7 +568,9 @@ def cointegration_probe(
     drive = model.f0 @ noise[1:]
     drive += model.f1 @ noise[:-1]
     del noise  # at most three (T, n, m) arrays are alive at once
-    a0_inv = _checked_inverse(model.a0, "contemporaneous coefficient A_0")
+    a0_inv = _checked_solve(
+        model.a0, np.eye(n, dtype=np.complex128), "contemporaneous coefficient A_0"
+    )
     step = -(a0_inv @ model.a1)
     drive = a0_inv @ drive
     x = kernels.arma_recursion(step, drive, np.zeros((n, m), np.complex128))

@@ -29,6 +29,29 @@ def trapezoid_laurent(c0, c1, j, radius, nodes=4096):
     return acc / nodes
 
 
+def trapezoid_doubling(c0, c1, js, radius, *, tol=1e-9, nodes=32, max_nodes=1 << 14):
+    """Laurent coefficients ``T_j`` by the trapezoid rule with node doubling.
+
+    Each round sums all ``nodes`` resolvent values afresh (no node is
+    reused) with ``trapezoid_laurent``; the count doubles until every
+    ``T_j`` moves by at most ``tol * max(1, ||T_j||)`` in the spectral
+    norm.  Returns ``(coefficients, nodes)``, or raises ValueError at the
+    node cap.
+    """
+    current = {j: trapezoid_laurent(c0, c1, j, radius, nodes) for j in js}
+    while nodes < max_nodes:
+        nodes *= 2
+        refined = {j: trapezoid_laurent(c0, c1, j, radius, nodes) for j in js}
+        settled = all(
+            _spectral_norm(refined[j] - current[j]) / max(1.0, _spectral_norm(refined[j])) <= tol
+            for j in js
+        )
+        current = refined
+        if settled:
+            return current, nodes
+    raise ValueError(f"trapezoid rule did not settle within {max_nodes} nodes")
+
+
 def binom_diff(y, ell):
     """ell-fold backward difference via the explicit binomial sum.
 
@@ -115,6 +138,19 @@ def random_unit_root_pencil(rng, n, order, mu_min=0.4, mu_max=4.0):
             break
     c0 = c1 @ m
     return c0, c1
+
+
+def j2_similarity(n, seed):
+    """``(C0, C1) = (Q blockdiag(J_2(0), diag(mu)) Q^H, I)`` with a seeded unitary Q.
+
+    A pole of order 2 at the anchor; the other offsets have ``|mu|`` in [1, 3].
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    block = np.diag(rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n)))
+    block[0, 0] = block[1, 1] = 0.0
+    block[0, 1] = 1.0
+    return q @ block @ q.conj().T, np.eye(n)
 
 
 def complex_lists(value):

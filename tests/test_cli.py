@@ -14,7 +14,7 @@ from gjrep import ArmaModel, LinearPencil, NoiseSpec, PolynomialPencil, make
 from gjrep import io as gio
 from gjrep.cli import main
 from gjrep.io import dump_model, dump_pencil
-from oracles import report_text
+from oracles import j2_similarity, report_text
 
 
 @pytest.fixture
@@ -83,13 +83,23 @@ def test_analyze_input_errors(tmp_path):
     assert main(["analyze", "--pencil", str(bad)]) == 3
 
 
-def test_config_validation(matrix_pencil_file):
+def test_config_validation(matrix_pencil_file, matrix_model_file, tmp_path):
     assert main(["analyze", "--pencil", matrix_pencil_file, "--nodes", "24"]) == 3
     assert main(["analyze", "--pencil", matrix_pencil_file, "--nodes", "8"]) == 3
     assert (
         main(["analyze", "--pencil", matrix_pencil_file, "--tol-fund", "-1e-9"]) == 3
     )
     assert main(["analyze", "--pencil", matrix_pencil_file, "--tol-fund", "0"]) == 3
+    # a contour radius that is not finite and positive, for both commands
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
+    for argv in (
+        ["analyze", "--pencil", matrix_pencil_file],
+        ["analyze", "--pencil", str(poly)],
+        ["represent", "--model", matrix_model_file, "--form", "natural_ns", "--T", "20"],
+    ):
+        for radius in ("nan", "inf", "-inf", "0", "-1"):
+            assert main([*argv, f"--radius={radius}"]) == 3, (argv, radius)
 
 
 def test_represent_json_and_csv(matrix_model_file, tmp_path, capsys):
@@ -191,13 +201,7 @@ def test_demo_json_format(tmp_path):
 
 
 def _similarity_pencil(n=8, seed=3):
-    # C0 = Q blockdiag(J_2(0), diag(mu)) Q^H with a seeded unitary Q, C1 = I
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    block = np.diag(rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n)))
-    block[0, 0] = block[1, 1] = 0.0
-    block[0, 1] = 1.0
-    return LinearPencil(q @ block @ q.conj().T, np.eye(n))
+    return LinearPencil(*j2_similarity(n, seed))
 
 
 def _degree2_pencil():
@@ -238,23 +242,37 @@ def test_report_bytes_match_oracle(case, matrix_model_file, tmp_path, monkeypatc
     assert out.read_text() == text
 
 
-MALFORMED_NOISE = {
-    "table_without_values": {"kind": "table", "seed": 0, "params": {"probs": [1.0]}},
-    "string_sigma": {"kind": "gaussian", "seed": 0, "params": {"sigma": "x"}},
-    "negative_seed": {"kind": "gaussian", "seed": -1},
-    "fractional_seed": {"kind": "gaussian", "seed": 2.5},
-    "string_burn_in": {"kind": "gaussian", "seed": 0, "burn_in": "x"},
-    "list_params": {"kind": "gaussian", "seed": 0, "params": [1, 2]},
+# fields patched into the 2x2 matrix model ("model") or pencil ("pencil") file
+MALFORMED_FIELDS = {
+    "table_without_values": (
+        "model",
+        {"noise": {"kind": "table", "seed": 0, "params": {"probs": [1.0]}}},
+    ),
+    "string_sigma": ("model", {"noise": {"kind": "gaussian", "seed": 0, "params": {"sigma": "x"}}}),
+    "negative_seed": ("model", {"noise": {"kind": "gaussian", "seed": -1}}),
+    "fractional_seed": ("model", {"noise": {"kind": "gaussian", "seed": 2.5}}),
+    "string_burn_in": ("model", {"noise": {"kind": "gaussian", "seed": 0, "burn_in": "x"}}),
+    "list_params": ("model", {"noise": {"kind": "gaussian", "seed": 0, "params": [1, 2]}}),
+    "string_n": ("model", {"n": "x"}),
+    "list_n": ("model", {"n": [1]}),
+    "null_n": ("model", {"n": None}),
+    "fractional_n": ("model", {"n": 2.7}),
+    "digit_string_n": ("pencil", {"n": "2"}),
+    "bool_n": ("pencil", {"n": True, "c0": [[[0.0, 0.0]]], "c1": [[[1.0, 0.0]]]}),
+    "scalar_coeffs": ("pencil", {"coeffs": 5}),
 }
 
 
-@pytest.mark.parametrize("noise", MALFORMED_NOISE.values(), ids=list(MALFORMED_NOISE))
-def test_malformed_model_exits_3(noise, matrix_model_file, tmp_path):
-    doc = json.loads(Path(matrix_model_file).read_text())
-    doc["noise"] = noise
-    path = tmp_path / "model.json"
+@pytest.mark.parametrize("kind,patch", MALFORMED_FIELDS.values(), ids=list(MALFORMED_FIELDS))
+def test_malformed_model_exits_3(kind, patch, matrix_model_file, matrix_pencil_file, tmp_path):
+    source = matrix_model_file if kind == "model" else matrix_pencil_file
+    doc = json.loads(Path(source).read_text()) | patch
+    path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    argv = ["represent", "--model", str(path), "--form", "extended_s", "--T", "20"]
+    if kind == "model":
+        argv = ["represent", "--model", str(path), "--form", "extended_s", "--T", "20"]
+    else:
+        argv = ["analyze", "--pencil", str(path)]
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from gjrep.cli import main; sys.exit(main())", *argv],
         capture_output=True,

@@ -1,5 +1,7 @@
 """Laurent machinery against frozen closed forms and a fresh quadrature oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from gjrep import (
     ClassificationInconclusive,
     InputError,
     LinearPencil,
+    PolynomialPencil,
     SingularMatrixError,
     annulus_estimate,
+    augment,
     basic_residuals,
     basic_solution,
     classify_singularity,
     closed_form_resolvent,
+    contour_coefficients,
     default_radius,
     laurent_coefficient,
     laurent_range,
@@ -24,7 +29,13 @@ from gjrep import (
     spectral_norm,
     verify_fundamental,
 )
-from oracles import random_unit_root_pencil, scalar_laurent, trapezoid_laurent
+from oracles import (
+    j2_similarity,
+    random_unit_root_pencil,
+    scalar_laurent,
+    trapezoid_doubling,
+    trapezoid_laurent,
+)
 
 # frozen closed forms for the 2x2 example at eps = 0.5
 MX_C0 = np.array([[0.0, -0.5], [0.0, 0.0]])
@@ -58,6 +69,50 @@ def test_matrix_example_regular_coefficients_law():
         want = block / eps ** (ell + 1)
         got = laurent_coefficient(e.basic, e.pencil, ell)
         assert np.abs(got - want).max() <= 1e-10 * spectral_norm(want)
+
+
+def _degree2_augmented():
+    rng = np.random.default_rng(5)
+    c0 = rng.standard_normal((4, 1)) @ rng.standard_normal((1, 4))
+    poly = PolynomialPencil((c0, rng.standard_normal((4, 4)), 0.3 * np.eye(4)))
+    return augment(poly).pencil
+
+
+CONTOUR_PENCILS = {
+    "volterra64": lambda: make("volterra", n=64).pencil,
+    "cascade8": lambda: make("hierarchy", n=8).pencil,
+    "similarity16": lambda: LinearPencil(*j2_similarity(16, 11)),
+    "degree2": _degree2_augmented,
+}
+
+
+@pytest.mark.parametrize("name", CONTOUR_PENCILS)
+def test_contour_matches_all_node_trapezoid(name):
+    # running sums over the new odd nodes give the all-node rule of each round
+    pencil = CONTOUR_PENCILS[name]()
+    radius = default_radius(pencil)
+    got, info = contour_coefficients(pencil, (-1, 0), radius)
+    want, nodes = trapezoid_doubling(pencil.c0, pencil.c1, (-1, 0), radius)
+    assert info == {"radius": radius, "nodes": nodes}
+    scale = max(spectral_norm(want[j]) for j in want)
+    for j in want:
+        assert spectral_norm(got[j] - want[j]) <= 1e-13 * scale
+
+
+def test_contour_keeps_no_node_values():
+    # a cache of all 64 node values peaks at about 71 blocks (18.6 MB)
+    pencil = make("volterra", n=128).pencil
+    radius = default_radius(pencil)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _, info = contour_coefficients(pencil, (-1, 0), radius)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert info["nodes"] == 64
+    assert peak <= 16 * pencil.dim**2 * 16  # 16 complex n x n blocks, 4.2 MB
 
 
 @pytest.mark.parametrize("name,j_window", [("matrix", (-3, 3)), ("c0", (-3, 3))])

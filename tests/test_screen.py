@@ -26,17 +26,11 @@ from gjrep import (
 from gjrep.cli import main
 from gjrep.io import dump_pencil
 from gjrep.pencil import _norm_bounds, _screened
-from oracles import annulus_estimate_literal, classify_singularity_literal, lstsq_chain
+from oracles import annulus_estimate_literal, classify_singularity_literal, j2_similarity, lstsq_chain
 
 
 def _similarity(n, seed):
-    # C0 = Q blockdiag(J_2(0), diag(mu)) Q^H with a seeded unitary Q, C1 = I
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    block = np.diag(rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n)))
-    block[0, 0] = block[1, 1] = 0.0
-    block[0, 1] = 1.0
-    return LinearPencil(q @ block @ q.conj().T, np.eye(n))
+    return LinearPencil(*j2_similarity(n, seed))
 
 
 def _contour(pencil):
