@@ -335,7 +335,7 @@ def contour_coefficients(
     sums = {j: np.zeros_like(eye) for j in js}
 
     def add_nodes(m: int, ks: range) -> dict[int, Array]:
-        """Add nodes ``ks`` of the m-point grid to the sums; the m-point rule."""
+        """Add nodes ``ks`` of the m-point grid to the sums; return the m-point ``T_j``."""
         for k in ks:
             angle = 2 * np.pi * k / m
             try:
