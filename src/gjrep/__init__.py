@@ -37,7 +37,6 @@ from .augment import (
     direct_recursion,
     reduce_arma,
     unpack_laurent,
-    verify_polynomial_fundamental,
 )
 from .chains import (
     ChainResult,
@@ -190,5 +189,4 @@ __all__ = [
     "split_projection",
     "unpack_laurent",
     "verify_fundamental",
-    "verify_polynomial_fundamental",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arma import ArmaModel, Trajectory
 from .errors import BlockInconsistent, InputError
-from .pencil import Array, FundamentalReport, LinearPencil, as_matrix, spectral_norm
+from .pencil import Array, LinearPencil, _max_norm, as_matrix
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,31 @@ class AugmentedPencil:
     base_dim: int
 
 
+def _block_companion(mats: "tuple[Array, ...] | list[Array]", r: int) -> tuple[Array, Array]:
+    """Block companion pair of ``mats = (M_0, ..., M_k)`` on r consecutive times.
+
+    Block (a, b) of the first matrix is ``M_{a-b}`` for ``0 <= a-b <= k``,
+    and of the second ``M_{r+a-b}`` for ``1 <= r+a-b <= k``; all other
+    blocks are zero.
+    """
+    k, n = len(mats) - 1, mats[0].shape[0]
+    lag0 = np.zeros((r * n, r * n), dtype=np.complex128)
+    lag1 = np.zeros((r * n, r * n), dtype=np.complex128)
+    for a in range(r):
+        for b in range(r):
+            block = np.s_[a * n : (a + 1) * n, b * n : (b + 1) * n]
+            if 0 <= a - b <= k:
+                lag0[block] = mats[a - b]
+            if 1 <= r + a - b <= k:
+                lag1[block] = mats[r + a - b]
+    return lag0, lag1
+
+
 def augment(poly: PolynomialPencil) -> AugmentedPencil:
     """Block linearization of a degree-p polynomial pencil.
 
-    The augmented anchored pair (dimension n*p) is built from the
-    polynomial coefficients ``C_i`` as
+    The augmented anchored pair (dimension n*p) is the block companion pair
+    of the polynomial coefficients ``C_i`` on p times:
 
         aug_c0[a][b] = C_{a-b}          for 0 <= a-b <= p,
         aug_c1[a][b] = C_{p-(b-a)}      for 0 <= b-a <= p-1,
@@ -74,28 +94,11 @@ def augment(poly: PolynomialPencil) -> AugmentedPencil:
     and its Laurent coefficients tile the polynomial's:
     block (a, b) of the augmented ``T_J`` equals ``T_{J p + a - b}``.
     """
-    p, n = poly.degree, poly.dim
+    p = poly.degree
     if p < 1:
         raise InputError("augmentation needs degree >= 1")
-    if p == 1:
-        return AugmentedPencil(
-            pencil=LinearPencil(c0=poly.coeffs[0], c1=poly.coeffs[1]),
-            degree=1,
-            base_dim=n,
-        )
-    c0 = np.zeros((n * p, n * p), dtype=np.complex128)
-    c1 = np.zeros((n * p, n * p), dtype=np.complex128)
-    for a in range(p):
-        for b in range(p):
-            if 0 <= a - b <= p:
-                c0[a * n : (a + 1) * n, b * n : (b + 1) * n] = poly.coeffs[a - b]
-            if 0 <= b - a <= p - 1:
-                c1[a * n : (a + 1) * n, b * n : (b + 1) * n] = poly.coeffs[
-                    p - (b - a)
-                ]
-    return AugmentedPencil(
-        pencil=LinearPencil(c0=c0, c1=c1), degree=p, base_dim=n
-    )
+    c0, c1 = _block_companion(poly.coeffs, p)
+    return AugmentedPencil(pencil=LinearPencil(c0=c0, c1=c1), degree=p, base_dim=poly.dim)
 
 
 def unpack_laurent(
@@ -128,65 +131,17 @@ def unpack_laurent(
                     big[a * n : (a + 1) * n, b * n : (b + 1) * n]
                 )
     tmap: dict[int, Array] = {}
-    worst = 0.0
+    deviations = []
     for m in sorted(copies):
         stack = np.stack(copies[m])
-        mean = stack.mean(axis=0)
-        tmap[m] = mean
-        for one in stack:
-            worst = max(worst, spectral_norm(one - mean))
+        tmap[m] = stack.mean(axis=0)
+        deviations.extend(stack - tmap[m])
+    worst = _max_norm(deviations)
     if tol is not None and worst > tol:
         raise BlockInconsistent(
             f"repeated coefficient blocks disagree by {worst:.3e} > tol {tol:.1e}"
         )
     return tmap, worst
-
-
-def verify_polynomial_fundamental(
-    poly: PolynomialPencil,
-    tmap: dict[int, Array],
-    j_lo: int,
-    j_hi: int,
-    *,
-    tol: float = 1e-9,
-) -> FundamentalReport:
-    """Check the degree-p fundamental identities over a coefficient window.
-
-    Left:  ``sum_{i=0}^{p} T_{j-p+i} C_{p-i} = [j == 0] I``
-    Right: ``sum_{i=0}^{p} C_{p-i} T_{j-p+i} = [j == 0] I``
-
-    Needs the coefficient table to cover ``[j_lo - p, j_hi]``.
-    """
-    p, n = poly.degree, poly.dim
-    need = range(j_lo - p, j_hi + 1)
-    missing = [j for j in need if j not in tmap]
-    if missing:
-        raise InputError(f"coefficient table missing indices {missing}")
-    if j_lo > j_hi:
-        raise InputError(f"empty verification window [{j_lo}, {j_hi}]")
-    eye = np.eye(n)
-    scale = max(
-        [spectral_norm(c) for c in poly.coeffs]
-        + [spectral_norm(tmap[j]) for j in need]
-        + [1.0]
-    )
-    js, lefts, rights = [], [], []
-    for j in range(j_lo, j_hi + 1):
-        target = eye if j == 0 else 0.0
-        left = sum(tmap[j - p + i] @ poly.coeffs[p - i] for i in range(p + 1))
-        right = sum(poly.coeffs[p - i] @ tmap[j - p + i] for i in range(p + 1))
-        js.append(j)
-        lefts.append(spectral_norm(left - target))
-        rights.append(spectral_norm(right - target))
-    worst = max(max(lefts), max(rights))
-    return FundamentalReport(
-        js=tuple(js),
-        left=tuple(lefts),
-        right=tuple(rights),
-        max_residual=worst,
-        tol=tol,
-        passed=worst <= tol * scale,
-    )
 
 
 @dataclass(frozen=True)
@@ -268,21 +223,8 @@ def reduce_arma(
     p, q = len(a_mats) - 1, len(f_mats) - 1
     r = max(p, q, 1)
 
-    def stacked(mats: "list[Array]", order: int) -> tuple[Array, Array]:
-        lag0 = np.zeros((r * n, r * n), dtype=np.complex128)
-        lag1 = np.zeros((r * n, r * n), dtype=np.complex128)
-        for a in range(r):
-            for b in range(r):
-                i = a - b
-                if 0 <= i <= order:
-                    lag0[a * n : (a + 1) * n, b * n : (b + 1) * n] = mats[i]
-                i = r + a - b
-                if 1 <= i <= order:
-                    lag1[a * n : (a + 1) * n, b * n : (b + 1) * n] = mats[i]
-        return lag0, lag1
-
-    big_a0, big_a1 = stacked(a_mats, p)
-    big_f0, big_f1 = stacked(f_mats, q)
+    big_a0, big_a1 = _block_companion(a_mats, r)
+    big_f0, big_f1 = _block_companion(f_mats, r)
     return StackedArma(
         a0=big_a0, a1=big_a1, f0=big_f0, f1=big_f1, block=r, base_dim=n
     )

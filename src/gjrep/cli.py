@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as gio
 from .arma import NoiseSpec
-from .augment import PolynomialPencil, augment, unpack_laurent, verify_polynomial_fundamental
+from .augment import PolynomialPencil, augment, unpack_laurent
 from .corpus import MAKERS, make
 from .errors import GjrepError, InputError, NumericError, VerificationError
 from .pencil import (
@@ -133,9 +133,7 @@ def cmd_analyze(args) -> int:
         aug = augment(pencil)
         report, ok, expansion = _analyze_linear(aug.pencil, args)
         tmap, disagreement = unpack_laurent(aug, expansion.coefficients)
-        pfund = verify_polynomial_fundamental(
-            pencil, tmap, J_LO + pencil.degree, J_HI, tol=args.tol_fund
-        )
+        pfund = verify_fundamental(pencil, tmap, J_LO + pencil.degree, J_HI, tol=args.tol_fund)
         report["polynomial"] = {
             "degree": pencil.degree,
             "base_dim": pencil.dim,
@@ -146,8 +144,6 @@ def cmd_analyze(args) -> int:
         ok = ok and pfund.passed and disagreement <= args.tol_fund
     else:
         report, ok, _ = _analyze_linear(pencil, args)
-    if args.format == "csv":
-        raise InputError("csv output applies to trajectory reports; use --format json")
     _write_out(gio.dumps_report(report), args.out)
     if not ok:
         raise VerificationError("analysis checks failed; see report")
@@ -389,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats):
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     pa = sub.add_parser("analyze", help="Laurent/projection/classification report for a pencil")
     pa.add_argument("--pencil", required=True, help="pencil JSON file")
@@ -400,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--tol-solve", dest="tol_solve", type=float, default=TOL_SOLVE)
     pa.add_argument("--tol-contour", dest="tol_contour", type=float, default=TOL_CONTOUR)
     pa.add_argument("--tol-fund", dest="tol_fund", type=float, default=TOL_FUND)
-    common(pa)
+    common(pa, ("json",))
     pa.set_defaults(func=cmd_analyze)
 
     pr = sub.add_parser("represent", help="decompose a simulated model path")
@@ -416,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--radius", type=float, default=None)
     pr.add_argument("--tol-rep", dest="tol_rep", type=float, default=1e-6)
     pr.add_argument("--tol-tail", dest="tol_tail", type=float, default=1e-10)
-    common(pr)
+    common(pr, ("json", "csv"))
     pr.set_defaults(func=cmd_represent)
 
     pd = sub.add_parser("demo", help="replay a bundled worked example")
@@ -428,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="override an example parameter (repeatable)",
     )
-    pd.add_argument("--out", default=None, help="write the report here instead of stdout")
-    pd.add_argument("--format", choices=("text", "json"), default="text")
+    common(pd, ("text", "json"))
     pd.set_defaults(func=cmd_demo)
     return parser
 

@@ -62,14 +62,10 @@ def load_pencil(obj: dict) -> LinearPencil | PolynomialPencil:
         coeffs = obj.get("coeffs")
         if not isinstance(coeffs, list):
             raise InputError("polynomial pencil needs a 'coeffs' list")
-        degree = obj.get("degree", len(coeffs) - 1)
-        if degree != len(coeffs) - 1:
-            raise InputError(
-                f"degree {degree} inconsistent with {len(coeffs)} coefficients"
-            )
+        _check_declared(obj, "degree", len(coeffs) - 1)
         mats = [decode_complex(c, f"coeffs[{i}]", ndim=2) for i, c in enumerate(coeffs)]
         poly = PolynomialPencil(coeffs=tuple(mats))
-        _check_dim(obj, poly.dim)
+        _check_declared(obj, "n", poly.dim)
         return poly
     for key in ("c0", "c1"):
         if key not in obj:
@@ -77,19 +73,20 @@ def load_pencil(obj: dict) -> LinearPencil | PolynomialPencil:
     pen = LinearPencil(
         c0=decode_complex(obj["c0"], "c0", ndim=2), c1=decode_complex(obj["c1"], "c1", ndim=2)
     )
-    _check_dim(obj, pen.dim)
+    _check_declared(obj, "n", pen.dim)
     return pen
 
 
-def _check_dim(obj: dict, dim: int) -> None:
-    """A declared ``n`` must be a JSON integer equal to ``dim``; no coercion."""
-    if "n" not in obj:
+def _check_declared(obj: dict, key: str, actual: int) -> None:
+    """A declared ``key`` (``n`` or ``degree``) must be a JSON integer equal
+    to ``actual``, the value the matrices give; no coercion."""
+    if key not in obj:
         return
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if n != dim:
-        raise InputError(f"declared n={n} but matrices are {dim}-dimensional")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{key} must be an integer, got {value!r}")
+    if value != actual:
+        raise InputError(f"declared {key}={value} but the matrices give {key}={actual}")
 
 
 def dump_model(model: ArmaModel, noise: NoiseSpec) -> dict:
@@ -123,7 +120,7 @@ def load_model(obj: dict) -> tuple[ArmaModel, NoiseSpec]:
         f1=decode_complex(obj["f1"], "f1", ndim=2),
         c=decode_complex(obj["c"], "c", ndim=1),
     )
-    _check_dim(obj, model.dim)
+    _check_declared(obj, "n", model.dim)
     nz = obj["noise"]
     if not isinstance(nz, dict) or "kind" not in nz or "seed" not in nz:
         raise InputError("noise spec needs at least 'kind' and 'seed'")

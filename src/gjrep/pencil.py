@@ -22,13 +22,15 @@ it (``LinearPencil.norms``, ``BasicSolution.norms``).  A norm that only feeds
 a pass/fail verdict is first screened with certified two-sided bounds
 (``_norm_bounds``, O(n^2) work), and the SVD is taken only when the bounds
 straddle the verdict's threshold.  The verdicts are therefore exactly those
-of the all-SVD evaluation.
+of the all-SVD evaluation.  A written maximum over many terms
+(``_screened_max``) is exact too: only the terms whose upper bound reaches
+the largest lower bound can hold it, so only those take an SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
 from math import frexp, ldexp, sqrt
 
@@ -154,6 +156,32 @@ def _screened(test, harmful=(), helpful=()) -> bool:
     return bool(test(*(spectral_norm(a) for a in (*harmful, *helpful))))
 
 
+def _screened_max(terms) -> float:
+    """Exact ``max ||a|| ** (1 / j)`` over terms ``(j, a, lo, hi)`` with
+    ``lo <= ||a|| <= hi`` and ``j >= 1``; 0.0 when there is no term.
+
+    ``j = 1`` gives the plain maximum norm.  Only terms whose upper-bound
+    root reaches the largest lower-bound root can hold the maximum, so only
+    those need the exact norm; a term whose bounds meet already holds it,
+    and the others take an SVD.
+    """
+    terms = list(terms)
+    floor = max((lo ** (1.0 / j) for j, _, lo, _ in terms), default=0.0)
+    return max(
+        (
+            (lo if lo == hi else spectral_norm(a)) ** (1.0 / j)
+            for j, a, lo, hi in terms
+            if hi ** (1.0 / j) >= floor
+        ),
+        default=0.0,
+    )
+
+
+def _max_norm(mats) -> float:
+    """Exact ``max(spectral_norm(a) for a in mats)``, 0.0 for none, screened."""
+    return _screened_max((1, a, *_norm_bounds(a)) for a in mats)
+
+
 @dataclass(frozen=True)
 class LinearPencil:
     """Anchored pencil ``A(z) = c0 + c1*(z - 1)``."""
@@ -181,6 +209,11 @@ class LinearPencil:
     @property
     def a1(self) -> Array:
         return self.c1
+
+    @property
+    def coeffs(self) -> tuple[Array, Array]:
+        """``(c0, c1)``: the degree-1 case of ``PolynomialPencil.coeffs``."""
+        return self.c0, self.c1
 
     def evaluate(self, z: complex) -> Array:
         return self.c0 + (z - 1.0) * self.c1
@@ -497,48 +530,57 @@ def projections(
 
 @dataclass(frozen=True)
 class FundamentalReport:
-    """Residuals of the left/right fundamental identities over a j-window."""
+    """The largest residual of the fundamental identities over a j-window."""
 
     js: tuple[int, ...]
-    left: tuple[float, ...]
-    right: tuple[float, ...]
     max_residual: float
     tol: float
     passed: bool
 
 
 def verify_fundamental(
-    pencil: LinearPencil,
+    pencil,
     coefficients: dict[int, Array],
     j_lo: int,
     j_hi: int,
     *,
     tol: float = TOL_FUND,
 ) -> FundamentalReport:
-    """Check ``T_{j-1} C_1 + T_j C_0 = [j = 0] I`` and its right-hand twin.
+    """Check ``sum_{i=0}^{p} T_{j-p+i} C_{p-i} = [j = 0] I`` and its right-hand twin.
 
-    Needs ``T_{j-1}`` for the lowest j, i.e. the table must cover
-    ``[j_lo - 1, j_hi]``.
+    ``pencil`` is any pencil with ``coeffs = (C_0, ..., C_p)``: a
+    LinearPencil (p = 1) or a PolynomialPencil.  The table must cover
+    ``[j_lo - p, j_hi]``.  The window passes when its largest residual norm
+    is at most ``tol * max(1, max_i ||C_i|| * max_j ||T_j||)`` over the
+    coefficients and the table entries it reads: each residual is a sum of
+    products ``T_j C_i``, so it keeps its size when every ``C_i`` is scaled
+    by s and every ``T_j`` by 1/s, and so does the bound.
     """
-    for j in range(j_lo - 1, j_hi + 1):
-        if j not in coefficients:
-            raise InputError(f"coefficient table is missing T_{j}")
+    rev = pencil.coeffs[::-1]  # C_p, ..., C_0
+    p = len(rev) - 1
+    if j_lo > j_hi:
+        raise InputError(f"empty verification window [{j_lo}, {j_hi}]")
+    need = range(j_lo - p, j_hi + 1)
+    missing = [j for j in need if j not in coefficients]
+    if missing:
+        raise InputError(f"coefficient table is missing indices {missing}")
     eye = np.eye(pencil.dim)
-    js, left, right = [], [], []
-    for j in range(j_lo, j_hi + 1):
+    js = range(j_lo, j_hi + 1)
+    defects = []
+    for j in js:
         target = eye if j == 0 else 0.0
-        prev, cur = coefficients[j - 1], coefficients[j]
-        left.append(spectral_norm(prev @ pencil.c1 + cur @ pencil.c0 - target))
-        right.append(spectral_norm(pencil.c1 @ prev + pencil.c0 @ cur - target))
-        js.append(j)
-    worst = max(max(left), max(right))
+        ts = [coefficients[j - p + i] for i in range(p + 1)]
+        defects.append(reduce(np.add, map(np.matmul, ts, rev)) - target)
+        defects.append(reduce(np.add, map(np.matmul, rev, ts)) - target)
+    worst = _max_norm(defects)
     return FundamentalReport(
         js=tuple(js),
-        left=tuple(left),
-        right=tuple(right),
         max_residual=worst,
         tol=tol,
-        passed=bool(worst <= tol),
+        passed=_screened(
+            lambda *norms: worst <= tol * max(1.0, max(norms[: p + 1]) * max(norms[p + 1 :])),
+            helpful=(*rev, *(coefficients[j] for j in need)),
+        ),
     )
 
 
@@ -659,35 +701,12 @@ def annulus_estimate(
         exact = [spectral_norm(t[1]) for t in neg]
         neg = [(k, acc, v, v) for (k, acc, _, _), v in zip(neg, exact)]
         terminates = max(exact) == 0.0 or exact[-1] <= 1e-13 * max(exact)
-    if terminates:
-        s_hat = 0.0
-    else:
-        s_root = _max_root(neg[max(1, k_max // 2) - 1 :])
-        s_hat = 0.0 if s_root is None else s_root
+    s_hat = 0.0 if terminates else _screened_max(neg[max(1, k_max // 2) - 1 :])
 
     l_top = len(pos) - 1
-    r_root = _max_root(pos[max(1, l_top // 2) :])
-    r_hat = float("inf") if r_root is None else 1.0 / r_root
+    r_root = _screened_max(pos[max(1, l_top // 2) :])
+    r_hat = 1.0 / r_root if r_root else float("inf")
     return s_hat, r_hat
-
-
-def _max_root(terms) -> float | None:
-    """Exact ``max ||T_j|| ** (1 / j)`` over terms ``(j, T_j, lo, hi)`` with a
-    non-zero norm, or None when there is none.
-
-    Only terms whose upper-bound root reaches the largest lower-bound root
-    can hold the maximum, so only those need the exact norm; a term whose
-    bounds meet already holds it, and the others take an SVD.
-    """
-    floor = max((lo ** (1.0 / j) for j, _, lo, _ in terms), default=0.0)
-    roots = [
-        v ** (1.0 / j)
-        for j, a, lo, hi in terms
-        if hi > 0.0
-        and hi ** (1.0 / j) >= floor
-        and (v := lo if lo == hi else spectral_norm(a)) > 0
-    ]
-    return max(roots) if roots else None
 
 
 def closed_form_parts(

@@ -236,35 +236,23 @@ def _orbit(step: Array, first: Array, horizon: int) -> Array:
     return out.reshape((horizon,) + first.shape)
 
 
-def _difference_series(
-    t_stack: Array,
-    signal: Array,
-    *,
-    drop: int = 0,
-) -> Array:
+def _difference_series(t_stack: Array, signal: Array, *, drop: int) -> Array:
     """Accumulate ``sum_l (-1)^l T_l (diff^l signal)`` at the last rows.
 
     ``signal`` holds the drive from some start time; differences shrink the
     front by one row each order.  ``drop`` rows are discarded from the
     front of the order-0 signal alignment, so the output has
-    ``signal.shape[0] - drop`` rows.  With drop >= cutoff every difference
-    window exists (full mode); drop = 0 with a causal signal reproduces the
-    zero-padded (truncated) differences via in-place prepend.
+    ``signal.shape[0] - drop`` rows; ``drop`` must reach the cutoff, so that
+    every difference window exists.  Zero-padded (truncated) differences of
+    a causal signal are those of the signal with ``cutoff`` zero rows
+    prepended.
     """
     cutoff = t_stack.shape[0] - 1
-    out = np.zeros((signal.shape[0] - drop, signal.shape[1]), np.complex128)
-    if drop == 0:
-        d = signal
-        for ell in range(cutoff + 1):
-            sign = -1.0 if ell % 2 else 1.0
-            out += sign * (d @ t_stack[ell].T)
-            if ell < cutoff:
-                d = np.diff(d, axis=0, prepend=np.zeros((1, d.shape[1])))
-        return out
     if drop < cutoff:
         raise InputError(
             f"presample depth {drop} is shallower than the series cutoff {cutoff}"
         )
+    out = np.zeros((signal.shape[0] - drop, signal.shape[1]), np.complex128)
     d = signal
     for ell in range(cutoff + 1):
         sign = -1.0 if ell % 2 else 1.0
@@ -369,7 +357,11 @@ def represent(
         pos_step = basic.t_zero @ pencil.c1
         t_stack = _stack(pos_step, basic.t_zero, cutoff + 1)
         if form == "natural_ns":
-            stationary = _difference_series(t_stack, g_causal)
+            # cutoff zero rows before t = 0 give the truncated differences; the
+            # padded copy is passed inline so it is freed before the recursions
+            stationary = _difference_series(
+                t_stack, np.concatenate([np.zeros((cutoff, n), np.complex128), g_causal]), drop=cutoff
+            )
             kvec = np.zeros(n, dtype=np.complex128)
         else:
             if presample < cutoff:
@@ -377,9 +369,7 @@ def represent(
                     f"stationary-history form needs presample depth >= series "
                     f"cutoff {cutoff}, got {presample}"
                 )
-            stationary = _difference_series(
-                t_stack, g.values, drop=presample
-            )
+            stationary = _difference_series(t_stack, g.values, drop=presample)
             kvec = k_vector(basic, pencil, g, presample, tol_tail=tol_tail)
         # V_t applied to C_1 c and C_1 k in one batched recursion
         w_reg = _checked_solve(eye - pos_step, eye, "I - T_0 C_1")

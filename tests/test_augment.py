@@ -17,7 +17,7 @@ from gjrep import (
     reduce_arma,
     simulate_recursion,
     unpack_laurent,
-    verify_polynomial_fundamental,
+    verify_fundamental,
 )
 from oracles import arma_pq_path, trapezoid_laurent
 
@@ -79,9 +79,24 @@ def test_unpack_and_polynomial_fundamental():
     assert disagreement <= 1e-9
     # coverage: indices j*p + a - b for j in [-3, 4], p = 2
     assert min(tmap) == -7 and max(tmap) == 9
-    rep = verify_polynomial_fundamental(poly, tmap, -1, 4)
+    rep = verify_fundamental(poly, tmap, -1, 4)
     assert rep.passed
     assert rep.max_residual <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_polynomial_fundamental_catches_a_relative_error_at_any_scale(scale):
+    poly = unit_root_poly()
+    aug = augment(poly)
+    basic = basic_solution(aug.pencil)
+    tmap, _ = unpack_laurent(aug, laurent_range(basic, aug.pencil, -3, 4).coefficients)
+    scaled = PolynomialPencil(tuple(c * scale for c in poly.coeffs))
+    clean = {j: t / scale for j, t in tmap.items()}
+    assert verify_fundamental(scaled, clean, -1, 4).passed
+    for j in (-1, 0, 1, 2):
+        planted = dict(clean)
+        planted[j] = clean[j] * (1 + 1e-6)
+        assert not verify_fundamental(scaled, planted, -1, 4).passed, j
 
 
 def test_unpacked_blocks_match_direct_quadrature():

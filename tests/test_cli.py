@@ -11,6 +11,7 @@ import pytest
 
 import gjrep
 from gjrep import ArmaModel, LinearPencil, NoiseSpec, PolynomialPencil, make
+from gjrep import cli
 from gjrep import io as gio
 from gjrep.cli import main
 from gjrep.io import dump_model, dump_pencil
@@ -65,6 +66,13 @@ def test_analyze_polynomial(tmp_path):
     assert rep["polynomial"]["degree"] == 2
     assert rep["polynomial"]["fundamental_passed"] is True
     assert rep["polynomial"]["unpack_disagreement"] <= 1e-9
+
+
+def test_analyze_rejects_csv_before_any_work(matrix_pencil_file, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "basic_solution", lambda *a, **k: calls.append(a))
+    assert main(["analyze", "--pencil", matrix_pencil_file, "--format", "csv"]) == 3
+    assert calls == []
 
 
 def test_analyze_deterministic(matrix_pencil_file, tmp_path):
@@ -260,6 +268,13 @@ MALFORMED_FIELDS = {
     "digit_string_n": ("pencil", {"n": "2"}),
     "bool_n": ("pencil", {"n": True, "c0": [[[0.0, 0.0]]], "c1": [[[1.0, 0.0]]]}),
     "scalar_coeffs": ("pencil", {"coeffs": 5}),
+    # 1x1 pencils that analyze cleanly when the degree is coerced
+    "bool_degree": ("pencil", {"n": 1, "degree": True, "coeffs": [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]}),
+    "float_degree": ("pencil", {"n": 1, "degree": 1.0, "coeffs": [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]}),
+    "float_degree_2": (
+        "pencil",
+        {"n": 1, "degree": 2.0, "coeffs": [[[[0.0, 0.0]]], [[[1.0, 0.0]]], [[[1.0, 0.0]]]]},
+    ),
 }
 
 

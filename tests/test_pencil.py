@@ -229,6 +229,28 @@ def test_fundamental_window():
         verify_fundamental(e.pencil, exp.coefficients, -4, 6)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_fundamental_catches_a_relative_error_at_any_scale(scale):
+    # every C_i times scale and every T_j over it leave the identities and
+    # the relative size of a planted error unchanged
+    e = make("c0")
+    pencil = LinearPencil(e.pencil.c0 * scale, e.pencil.c1 * scale)
+    table = laurent_range(e.basic, e.pencil, -3, 6).coefficients
+    clean = {j: t / scale for j, t in table.items()}
+    assert verify_fundamental(pencil, clean, -2, 6).passed
+    for j in (-2, -1, 0, 1, 2):
+        planted = dict(clean)
+        planted[j] = clean[j] * (1 + 1e-6)
+        assert not verify_fundamental(pencil, planted, -2, 6).passed, j
+
+
+def test_fundamental_rejects_an_empty_window():
+    e = make("c0")
+    table = laurent_range(e.basic, e.pencil, -3, 6).coefficients
+    with pytest.raises(InputError):
+        verify_fundamental(e.pencil, table, 3, 2)
+
+
 def test_laurent_range_rejects_empty():
     e = make("matrix")
     with pytest.raises(InputError):

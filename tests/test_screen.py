@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gjrep import (
     LinearPencil,
+    PolynomialPencil,
     annulus_estimate,
     basic_solution,
     classify_singularity,
@@ -156,9 +157,10 @@ def _svd_module():
     raise RuntimeError("numpy's linalg implementation module not found")
 
 
-def test_svd_count_of_volterra64_analyze(tmp_path, monkeypatch):
-    path = tmp_path / "volterra64.json"
-    path.write_text(json.dumps(dump_pencil(make("volterra", n=64).pencil)))
+def _analyze_svd_calls(pencil, tmp_path, monkeypatch) -> int:
+    """SVD calls made by one ``analyze`` of ``pencil``, which must pass."""
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(dump_pencil(pencil)))
     module = _svd_module()
     real = module.svd
     calls = []
@@ -170,4 +172,17 @@ def test_svd_count_of_volterra64_analyze(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "svd", counting)
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert main(["analyze", "--pencil", str(path), "--out", str(tmp_path / "r.json")]) == 0
-    assert 0 < len(calls) <= 60
+    return len(calls)
+
+
+def test_svd_count_of_volterra64_analyze(tmp_path, monkeypatch):
+    assert 0 < _analyze_svd_calls(make("volterra", n=64).pencil, tmp_path, monkeypatch) <= 60
+
+
+def test_svd_count_of_degree2_analyze(tmp_path, monkeypatch):
+    # the fundamental check and the unpacking take exact norms only where
+    # the maximum can sit: 33 calls here, 117 with an SVD of every term
+    rng = np.random.default_rng(5)
+    c0 = np.array([[1.0], [0.5]]) @ np.array([[1.0, -1.0]])
+    poly = PolynomialPencil((c0, rng.standard_normal((2, 2)), 0.3 * np.eye(2)))
+    assert 0 < _analyze_svd_calls(poly, tmp_path, monkeypatch) <= 40
