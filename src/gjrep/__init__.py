@@ -56,7 +56,6 @@ from .corpus import (
     make_volterra_example,
 )
 from .errors import (
-    BlockInconsistent,
     ChainStepError,
     ClassificationInconclusive,
     ContourNotConverged,
@@ -88,7 +87,6 @@ from .pencil import (
     closed_form_resolvent,
     contour_coefficients,
     default_radius,
-    laurent_coefficient,
     laurent_range,
     projections,
     separate,
@@ -116,7 +114,6 @@ __all__ = [
     "ArmaModel",
     "AugmentedPencil",
     "BasicSolution",
-    "BlockInconsistent",
     "ChainResult",
     "ChainStepError",
     "ClassificationInconclusive",
@@ -163,7 +160,6 @@ __all__ = [
     "direct_recursion",
     "integration_order",
     "k_vector",
-    "laurent_coefficient",
     "laurent_range",
     "ma1_g",
     "make",

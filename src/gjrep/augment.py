@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma import ArmaModel, Trajectory
-from .errors import BlockInconsistent, InputError
+from .errors import InputError
 from .pencil import Array, LinearPencil, _max_norm, as_matrix
 
 
@@ -102,10 +102,7 @@ def augment(poly: PolynomialPencil) -> AugmentedPencil:
 
 
 def unpack_laurent(
-    aug: AugmentedPencil,
-    coefficients: dict[int, Array],
-    *,
-    tol: float | None = None,
+    aug: AugmentedPencil, coefficients: dict[int, Array]
 ) -> tuple[dict[int, Array], float]:
     """Polynomial Laurent coefficients from augmented ones.
 
@@ -113,8 +110,7 @@ def unpack_laurent(
     of every augmented coefficient J that reaches it; the returned table
     averages the copies and the second value is the largest spectral-norm
     deviation of any copy from its average, a consistency measure of the
-    linearization.  When ``tol`` is given, a deviation beyond it raises
-    :class:`~gjrep.errors.BlockInconsistent`.
+    linearization that the caller judges.
     """
     p, n = aug.degree, aug.base_dim
     copies: dict[int, list[Array]] = {}
@@ -136,12 +132,7 @@ def unpack_laurent(
         stack = np.stack(copies[m])
         tmap[m] = stack.mean(axis=0)
         deviations.extend(stack - tmap[m])
-    worst = _max_norm(deviations)
-    if tol is not None and worst > tol:
-        raise BlockInconsistent(
-            f"repeated coefficient blocks disagree by {worst:.3e} > tol {tol:.1e}"
-        )
-    return tmap, worst
+    return tmap, _max_norm(deviations)
 
 
 @dataclass(frozen=True)

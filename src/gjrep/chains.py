@@ -19,6 +19,14 @@ import scipy.linalg
 from .errors import ChainStepError
 from .pencil import Array, LinearPencil, as_vector
 
+# a chain step solves when its residual is at most CHAIN_TOL times the
+# pencil scale and the current norm; a chain terminates at CHAIN_TOL times
+# its seed norm
+CHAIN_TOL = 1e-9
+# eigenvalues of M = C_1^{-1} C_0 at most ZERO_TOL * (1 + ||M||) form the
+# zero cluster
+ZERO_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ChainResult:
@@ -43,7 +51,6 @@ def _extend(
     scale: float,
     seed: Array,
     steps: int,
-    tol: float,
     project: Array | None,
 ) -> ChainResult:
     # Each step solves matrix @ x_next = -partner @ x_cur by least squares
@@ -66,7 +73,7 @@ def _extend(
             # the ladder directions would otherwise amplify without bound
             x_next = project @ x_next
         residual = float(np.linalg.norm(matrix @ x_next - rhs))
-        if residual > tol * scale * max(norms[-1], 1.0):
+        if residual > CHAIN_TOL * scale * max(norms[-1], 1.0):
             raise ChainStepError(
                 f"chain step has no solution: residual {residual:.3e} "
                 f"at chain position {len(vectors)}"
@@ -74,7 +81,7 @@ def _extend(
         nrm = float(np.linalg.norm(x_next))
         vectors.append(x_next)
         norms.append(nrm)
-        if nrm <= tol * norms[0]:
+        if nrm <= CHAIN_TOL * norms[0]:
             terminated = True
             break
     root_rates = tuple(norms[n] ** (1.0 / n) for n in range(1, len(norms)))
@@ -95,7 +102,6 @@ def singular_chain(
     seed,
     *,
     steps: int = 16,
-    tol: float = 1e-9,
     project: Array | None = None,
 ) -> ChainResult:
     """Extend ``seed = x_{-1}`` through ``C_0 x_{-n} + C_1 x_{-n-1} = 0``.
@@ -105,7 +111,7 @@ def singular_chain(
     component that later steps amplify.
     """
     seed = as_vector(seed, pencil.dim, "seed")
-    return _extend(pencil.c1, pencil.c0, pencil.scale(), seed, steps, tol, project)
+    return _extend(pencil.c1, pencil.c0, pencil.scale(), seed, steps, project)
 
 
 def regular_chain(
@@ -113,7 +119,6 @@ def regular_chain(
     seed,
     *,
     steps: int = 16,
-    tol: float = 1e-9,
     project: Array | None = None,
 ) -> ChainResult:
     """Extend ``seed = x_1`` through ``C_1 x_n + C_0 x_{n+1} = 0``.
@@ -126,46 +131,36 @@ def regular_chain(
     can dominate the growth diagnostics.
     """
     seed = as_vector(seed, pencil.dim, "seed")
-    return _extend(pencil.c0, pencil.c1, pencil.scale(), seed, steps, tol, project)
+    return _extend(pencil.c0, pencil.c1, pencil.scale(), seed, steps, project)
 
 
-def sin_basis(pencil: LinearPencil, *, zero_tol: float = 1e-6) -> Array:
-    """Orthonormal basis of the singular subspace (columns).
-
-    Computed as the reordered-Schur invariant subspace of
-    ``M = C_1^{-1} C_0`` for the eigenvalue cluster at zero, which is the
-    span of all terminating singular chains.
-    """
+def _schur_basis(pencil: LinearPencil, singular: bool) -> Array:
+    """Reordered-Schur basis of ``M = C_1^{-1} C_0`` for its zero cluster
+    (``singular``) or for the complement of that cluster."""
     m, size = pencil.slope
-    thr = zero_tol * size
+    thr = ZERO_TOL * size
     _, z, sdim = scipy.linalg.schur(
-        m, output="complex", sort=lambda lam: bool(abs(lam) <= thr)
+        m, output="complex", sort=lambda lam: bool(abs(lam) <= thr) == singular
     )
     return z[:, :sdim]
 
 
-def reg_basis(
-    pencil: LinearPencil,
-    *,
-    zero_tol: float = 1e-6,
-    rate_cap: float | None = None,
-) -> Array:
+def sin_basis(pencil: LinearPencil) -> Array:
+    """Orthonormal basis of the singular subspace (columns).
+
+    The invariant subspace of ``M = C_1^{-1} C_0`` for the eigenvalue
+    cluster at zero, which is the span of all terminating singular chains.
+    """
+    return _schur_basis(pencil, True)
+
+
+def reg_basis(pencil: LinearPencil) -> Array:
     """Orthonormal basis of the regular subspace (columns).
 
-    Complementary cluster to sin_basis.  ``rate_cap`` optionally keeps only
-    chains whose growth rate ``1/|mu|`` stays at or below the cap, narrowing
-    the subspace to a wider annulus.
+    The invariant subspace of ``M`` for every eigenvalue outside the zero
+    cluster: the complement of sin_basis.
     """
-    m, size = pencil.slope
-    thr = zero_tol * size
-
-    def keep(lam: complex) -> bool:
-        if abs(lam) <= thr:
-            return False
-        return rate_cap is None or 1.0 / abs(lam) <= rate_cap
-
-    _, z, sdim = scipy.linalg.schur(m, output="complex", sort=keep)
-    return z[:, :sdim]
+    return _schur_basis(pencil, False)
 
 
 def max_principal_angle(a: Array, b: Array) -> float:

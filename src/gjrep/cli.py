@@ -71,11 +71,7 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpa
     auto_radius = default_radius(pencil)
     radius = args.radius if args.radius is not None else auto_radius
     basic = basic_solution(
-        pencil,
-        radius=radius,
-        nodes=args.nodes,
-        tol=args.tol_contour,
-        verify_tol=args.tol_fund,
+        pencil, radius=radius, tol=args.tol_contour, verify_tol=args.tol_fund
     )
     residuals = basic_residuals(basic, pencil)
     expansion = laurent_range(basic, pencil, J_LO, J_HI)
@@ -122,8 +118,8 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpa
         "annulus": {"inner": s_hat, "outer": r_hat},
         "closed_form_error": closed_err,
     }
-    ok = fund.passed and sep.passed and max(residuals.values()) <= args.tol_fund * 10
-    return report, ok, expansion
+    # basic_solution has already held the basic residuals to its relative rule
+    return report, fund.passed and sep.passed, expansion
 
 
 def cmd_analyze(args) -> int:
@@ -141,7 +137,10 @@ def cmd_analyze(args) -> int:
             "fundamental_max_residual": pfund.max_residual,
             "fundamental_passed": pfund.passed,
         }
-        ok = ok and pfund.passed and disagreement <= args.tol_fund
+        # the block copies are rounded copies of one another: their spread
+        # scales with the augmented coefficients
+        t_size = max(report["laurent_norms"].values())
+        ok = ok and pfund.passed and disagreement <= args.tol_fund * t_size
     else:
         report, ok, _ = _analyze_linear(pencil, args)
     _write_out(gio.dumps_report(report), args.out)
@@ -212,43 +211,27 @@ def _demo_checks(entry) -> list[dict]:
             err = abs(observed - expected)
         else:
             err = float(np.max(np.abs(np.asarray(observed) - np.asarray(expected))))
+        checks.append({"check": name, "passed": bool(err <= tol), "error": err, "tol": tol})
+
+    def match(name: str, passed: bool, observed, expected) -> None:
         checks.append(
-            {
-                "check": name,
-                "passed": bool(err <= tol),
-                "error": err,
-                "tol": tol,
-            }
+            {"check": name, "passed": bool(passed), "observed": observed, "expected": expected}
         )
 
-    res = basic_residuals(basic, pencil)
-    checks.append(
-        {
-            "check": "basic_residuals",
-            "passed": max(res.values()) <= 1e-10,
-            "error": max(res.values()),
-            "tol": 1e-10,
-        }
-    )
+    add("basic_residuals", max(basic_residuals(basic, pencil).values()), 0.0, 1e-10)
     sclass = classify_singularity(basic, pencil)
+    found = f"{sclass.kind}({sclass.order})"
     if "pole_order" in exp:
-        checks.append(
-            {
-                "check": "pole_order",
-                "passed": sclass.kind == "pole" and sclass.order == exp["pole_order"],
-                "observed": f"{sclass.kind}({sclass.order})",
-                "expected": f"pole({exp['pole_order']})",
-            }
-        )
+        order = exp["pole_order"]
+        is_pole = sclass.kind == "pole" and sclass.order == order
+        match("pole_order", is_pole, found, f"pole({order})")
     if "collapse_index" in exp:
-        checks.append(
-            {
-                "check": "collapse_index",
-                "passed": sclass.kind == "essential_at_truncation"
-                and sclass.order == exp["collapse_index"],
-                "observed": f"{sclass.kind}({sclass.order})",
-                "expected": f"essential_at_truncation({exp['collapse_index']})",
-            }
+        index = exp["collapse_index"]
+        match(
+            "collapse_index",
+            sclass.kind == "essential_at_truncation" and sclass.order == index,
+            found,
+            f"essential_at_truncation({index})",
         )
     if "default_radius" in exp:
         add("default_radius", default_radius(pencil), exp["default_radius"], 1e-9)
@@ -261,54 +244,38 @@ def _demo_checks(entry) -> list[dict]:
         add("range_reg_projection", pair.range_reg, exp["range_reg"], 1e-10)
     if "range_reg_rank" in exp:
         rank = int(round(np.trace(pair.domain_reg).real))
-        checks.append(
-            {
-                "check": "reg_projection_rank",
-                "passed": rank == exp["range_reg_rank"],
-                "observed": rank,
-                "expected": exp["range_reg_rank"],
-            }
-        )
+        match("reg_projection_rank", rank == exp["range_reg_rank"], rank, exp["range_reg_rank"])
+    table = laurent_range(basic, pencil, -3, 3)
     if "t_neg" in exp:
-        from .pencil import laurent_coefficient
-
-        err = max(
-            float(
-                np.abs(laurent_coefficient(basic, pencil, -k) - exp["t_neg"](k)).max()
-            )
-            for k in range(1, 4)
-        )
-        checks.append(
-            {"check": "principal_coefficients", "passed": err <= 1e-9, "error": err, "tol": 1e-9}
+        ks = range(1, 4)
+        add(
+            "principal_coefficients",
+            np.stack([table[-k] for k in ks]),
+            np.stack([exp["t_neg"](k) for k in ks]),
+            1e-9,
         )
     if "t_pos" in exp:
-        from .pencil import laurent_coefficient
-
-        err = max(
-            float(
-                np.abs(laurent_coefficient(basic, pencil, ell) - exp["t_pos"](ell)).max()
-            )
-            for ell in range(0, 4)
-        )
-        checks.append(
-            {"check": "regular_coefficients", "passed": err <= 1e-9, "error": err, "tol": 1e-9}
+        ells = range(0, 4)
+        add(
+            "regular_coefficients",
+            np.stack([table[ell] for ell in ells]),
+            np.stack([exp["t_pos"](ell) for ell in ells]),
+            1e-9,
         )
     if "resolvent" in exp:
         rho = default_radius(pencil)
         zs = [1.0 + rho, 1.0 + 1j * rho, 1.0 - 0.5 * rho, 1.0 + rho * (0.6 + 0.8j), 1.0 - 1j * rho]
-        err = max(
-            float(np.abs(exp["resolvent"](z) - solve_at(pencil, z)).max()) for z in zs
-        )
-        checks.append(
-            {"check": "resolvent_law", "passed": err <= 1e-9, "error": err, "tol": 1e-9}
+        add(
+            "resolvent_law",
+            np.stack([exp["resolvent"](z) for z in zs]),
+            np.stack([solve_at(pencil, z) for z in zs]),
+            1e-9,
         )
     if "eigenpair" in exp:
         v, sig = exp["eigenpair"]
-        err = float(np.abs(pencil.c0 @ v - sig * v).max())
-        checks.append(
-            {"check": "aggregate_eigenpair", "passed": err <= 1e-10, "error": err, "tol": 1e-10}
-        )
+        add("aggregate_eigenpair", pencil.c0 @ v, sig * v, 1e-10)
     if "operator_norm_limit" in exp:
+        # the one check that reports both the values and the error
         err = abs(spectral_norm(pencil.c0) - exp["operator_norm_limit"])
         checks.append(
             {
@@ -325,14 +292,7 @@ def _demo_checks(entry) -> list[dict]:
         inner, outer = exp["annulus"]
         ok_in = s_hat <= inner + 0.1 * max(inner, 1e-6)
         ok_out = np.isinf(outer) or abs(r_hat - outer) <= 0.1 * outer
-        checks.append(
-            {
-                "check": "annulus_estimate",
-                "passed": bool(ok_in and ok_out),
-                "observed": [s_hat, r_hat],
-                "expected": [inner, outer],
-            }
-        )
+        match("annulus_estimate", ok_in and ok_out, [s_hat, r_hat], [inner, outer])
     return checks
 
 
@@ -392,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="Laurent/projection/classification report for a pencil")
     pa.add_argument("--pencil", required=True, help="pencil JSON file")
     pa.add_argument("--radius", type=float, default=None)
-    pa.add_argument("--nodes", type=int, default=32)
     pa.add_argument("--tol-solve", dest="tol_solve", type=float, default=TOL_SOLVE)
     pa.add_argument("--tol-contour", dest="tol_contour", type=float, default=TOL_CONTOUR)
     pa.add_argument("--tol-fund", dest="tol_fund", type=float, default=TOL_FUND)
@@ -437,9 +396,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the input-error code
         return 0 if exc.code in (0, None) else 3
     try:
-        nodes = getattr(args, "nodes", 16)
-        if nodes < 16 or nodes & (nodes - 1):
-            raise InputError("--nodes must be a power of two >= 16")
         for name in ("tol_solve", "tol_contour", "tol_fund", "tol_rep", "tol_tail"):
             tol = getattr(args, name, None)
             if tol is not None and not tol > 0:

@@ -32,10 +32,6 @@ class ProjectionError(VerificationError):
     """Candidate projections are not idempotent or not complementary."""
 
 
-class BlockInconsistent(VerificationError):
-    """Repeated blocks of an augmented coefficient disagree beyond tolerance."""
-
-
 class NumericError(GjrepError):
     """A numeric procedure failed or did not converge."""
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import islice
 from math import frexp, ldexp, sqrt
 
 import numpy as np
@@ -54,7 +53,13 @@ TOL_SOLVE = 1e-9
 TOL_CONTOUR = 1e-9
 TOL_FUND = 1e-9
 COND_CAP = 1e12
+START_NODES = 32  # first grid of the contour quadrature; doubling sets the rest
 MAX_NODES = 1 << 14  # node cap of the contour quadrature
+# offsets below ANCHOR_TOL * (1 + max |mu|) belong to the anchor's cluster
+ANCHOR_TOL = 1e-8
+# a pole shows as ||N^k|| dropping by this factor more than the step before
+CLIFF_FACTOR = 1e-3
+INNER_TERMS = 12  # principal coefficients the annulus root test samples
 
 
 def as_matrix(value, name: str = "matrix") -> Array:
@@ -270,13 +275,9 @@ class SpectralPair:
 
 @dataclass
 class LaurentExpansion:
-    """Coefficient table ``j -> T_j`` plus how it was obtained."""
+    """Coefficient table ``j -> T_j``."""
 
     coefficients: dict[int, Array]
-    method: str  # "contour" or "recurrence"
-    radius: float | None = None
-    inner_radius: float | None = None
-    outer_radius: float | None = None
 
     def __getitem__(self, j: int) -> Array:
         return self.coefficients[j]
@@ -323,10 +324,11 @@ def singular_offsets(pencil: LinearPencil) -> Array:
     return mu[np.isfinite(mu)]
 
 
-def default_radius(pencil: LinearPencil, *, zero_tol: float = 1e-8) -> float:
+def default_radius(pencil: LinearPencil) -> float:
     """Contour radius: half the distance to the nearest other singularity.
 
-    The anchor itself appears as a (cluster of) zero offsets and is ignored.
+    The anchor itself appears as a (cluster of) zero offsets and is ignored:
+    every offset at or below ``ANCHOR_TOL * (1 + max |mu|)``.
     When no other finite singularity exists the resolvent is analytic on the
     whole punctured plane and any radius works; 1.0 is returned.
     """
@@ -334,7 +336,7 @@ def default_radius(pencil: LinearPencil, *, zero_tol: float = 1e-8) -> float:
     if mu.size == 0:
         return 1.0
     mags = np.abs(mu)
-    nonzero = mags[mags > zero_tol * (1.0 + mags.max())]
+    nonzero = mags[mags > ANCHOR_TOL * (1.0 + mags.max())]
     if nonzero.size == 0:
         return 1.0
     return float(nonzero.min()) / 2.0
@@ -346,12 +348,12 @@ def contour_coefficients(
     radius: float | None = None,
     *,
     tol: float = TOL_CONTOUR,
-    start_nodes: int = 32,
 ) -> tuple[dict[int, Array], dict]:
     """Laurent coefficients by trapezoid quadrature with node doubling.
 
     Equispaced nodes ``z_k = 1 + radius e^{2 pi i k/m}`` on the circle; the
-    node count m doubles, up to ``MAX_NODES``, until every requested
+    node count m starts at ``START_NODES`` and doubles, up to ``MAX_NODES``,
+    until every requested
     coefficient moves by no more than ``tol * max(1, ||T_j||)`` between
     rounds.  The grids are nested: the m-point grid is the even half of the
     2m-point grid, with the same phases ``e^{-2 pi i j k/m}``.  So each
@@ -382,7 +384,7 @@ def contour_coefficients(
                 sums[j] += r * np.exp(-1j * j * angle)
         return {j: sums[j] * (radius ** (-j) / m) for j in js}
 
-    m = max(8, start_nodes)
+    m = START_NODES
     current = add_nodes(m, range(m))
     while m < MAX_NODES:
         m *= 2
@@ -436,7 +438,6 @@ def basic_solution(
     pencil: LinearPencil,
     radius: float | None = None,
     *,
-    nodes: int = 32,
     tol: float = TOL_CONTOUR,
     verify_tol: float = TOL_FUND,
 ) -> BasicSolution:
@@ -446,7 +447,7 @@ def basic_solution(
     four cross-annihilation products; failure raises
     FundamentalResidualError rather than returning doubtful data.
     """
-    coeffs, _ = contour_coefficients(pencil, (-1, 0), radius, tol=tol, start_nodes=nodes)
+    coeffs, _ = contour_coefficients(pencil, (-1, 0), radius, tol=tol)
     basic = BasicSolution(coeffs[-1], coeffs[0])
     limit = verify_tol * _basic_scale(basic, pencil)
     if not _all_within(_basic_defects(basic, pencil).values(), limit):
@@ -464,30 +465,17 @@ def _laurent_orbit(step: Array, start: Array):
         acc = -(step @ acc)
 
 
-def laurent_coefficient(basic: BasicSolution, pencil: LinearPencil, j: int) -> Array:
-    """Single coefficient ``T_j`` from the one-step recurrences.
-
-    ``T_{-k} = (-1)^{k-1} (T_{-1} C_0)^{k-1} T_{-1}`` for the principal part
-    and ``T_l = (-1)^l (T_0 C_1)^l T_0`` for the regular part.
-    """
-    if j == -1:
-        return basic.t_minus_one.copy()
-    if j == 0:
-        return basic.t_zero.copy()
-    if j < 0:
-        orbit = _laurent_orbit(basic.t_minus_one @ pencil.c0, basic.t_minus_one)
-        return next(islice(orbit, -j - 1, None))
-    orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
-    return next(islice(orbit, j, None))
-
-
 def laurent_range(
     basic: BasicSolution,
     pencil: LinearPencil,
     j_lo: int,
     j_hi: int,
 ) -> LaurentExpansion:
-    """Coefficient table for ``j_lo <= j <= j_hi`` via the recurrences."""
+    """Coefficient table for ``j_lo <= j <= j_hi`` via the one-step recurrences.
+
+    ``T_{-k} = (-1)^{k-1} (T_{-1} C_0)^{k-1} T_{-1}`` for the principal part
+    and ``T_l = (-1)^l (T_0 C_1)^l T_0`` for the regular part.
+    """
     if j_lo > j_hi:
         raise InputError(f"empty coefficient range [{j_lo}, {j_hi}]")
     neg_step = basic.t_minus_one @ pencil.c0
@@ -496,7 +484,7 @@ def laurent_range(
     coeffs = dict(zip(range(-1, j_lo - 1, -1), _laurent_orbit(neg_step, basic.t_minus_one)))
     coeffs.update(zip(range(0, j_hi + 1), _laurent_orbit(pos_step, basic.t_zero)))
     coeffs = {j: coeffs[j] for j in range(j_lo, j_hi + 1)}
-    return LaurentExpansion(coefficients=coeffs, method="recurrence")
+    return LaurentExpansion(coefficients=coeffs)
 
 
 def projections(
@@ -584,35 +572,27 @@ def verify_fundamental(
     )
 
 
-def classify_singularity(
-    basic: BasicSolution,
-    pencil: LinearPencil,
-    *,
-    tol: float = TOL_FUND,
-    k_max: int | None = None,
-    cliff_factor: float = 1e-3,
-) -> SingularityClass:
+def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> SingularityClass:
     """Dichotomy at the anchor from powers of ``N = T_{-1} C_0``.
 
     A pole of order d means N is nilpotent with index d.  Numerically the
-    collapse shows as a cliff: ``||N^k||`` drops by orders of magnitude in
-    one step AND lands below ``tol * ||T_{-1}|| * ||C_0||``.  A smooth decay
-    that only crosses the tolerance without a cliff (quadrature-style
-    quasi-nilpotent truncations) is scanned further for the hard collapse;
-    when that happens exactly at the truncation dimension the singular part
-    is an essential-singularity truncation, not a genuine pole.  Norms that
-    plateau without collapsing by ``k_max`` give ``inconclusive``.
+    collapse shows as a cliff: the ratio ``||N^k|| / ||N^{k-1}||`` drops
+    below ``CLIFF_FACTOR`` times the ratio before it AND ``||N^k||`` lands
+    below ``TOL_FUND * ||T_{-1}|| * ||C_0||``.  A smooth decay that only
+    crosses the tolerance without a cliff (quadrature-style quasi-nilpotent
+    truncations) is scanned further for the hard collapse; when that
+    happens exactly at the truncation dimension the singular part is an
+    essential-singularity truncation, not a genuine pole.  Norms that
+    plateau without collapsing by ``k = n + 2`` give ``inconclusive``.
 
     Each ``a_k = ||N^k||`` is screened: the collapse is ruled out from the
     bounds of ``a_{k-2..k}`` whenever they decide it, and the exact norms
     are taken only at the indices where they do not.
     """
     n = pencil.dim
-    if k_max is None:
-        k_max = n + 2
     t_minus_norm, t_zero_norm = basic.norms
     t_scale = max(t_zero_norm, 1.0)
-    if t_minus_norm <= tol * t_scale:
+    if t_minus_norm <= TOL_FUND * t_scale:
         return SingularityClass(kind="removable", order=None)
     nil = basic.t_minus_one @ pencil.c0
     anchor = max(t_minus_norm * pencil.norms[0], np.finfo(float).tiny)
@@ -628,7 +608,7 @@ def classify_singularity(
 
     frobenius: list[float] = []
     power = np.eye(n, dtype=np.complex128)
-    for k in range(1, k_max + 1):
+    for k in range(1, n + 3):
         power = power @ nil
         powers[k] = power
         powers.pop(k - 3, None)
@@ -637,20 +617,21 @@ def classify_singularity(
         bounds = _norm_bounds(power)
         lo.append(bounds[0])
         hi.append(bounds[1])
-        # Certified no collapse at k: a_{k-1} > 0, and either a_k > tol * anchor
-        # or ratio = a_k / a_{k-1} >= lo_k / hi_{k-1} exceeds the cliff times
-        # prev_ratio = a_{k-1} / a_{k-2} <= hi_{k-1} / lo_{k-2} (1 at k = 1).
+        # Certified no collapse at k: a_{k-1} > 0, and either
+        # a_k > TOL_FUND * anchor or ratio = a_k / a_{k-1} >= lo_k / hi_{k-1}
+        # exceeds the cliff times prev_ratio = a_{k-1} / a_{k-2}
+        # <= hi_{k-1} / lo_{k-2} (1 at k = 1).
         if lo[k - 1] > 0.0:
-            if lo[k] > tol * anchor:
+            if lo[k] > TOL_FUND * anchor:
                 continue
             if k == 1 or lo[k - 2] > 0.0:
                 prev_ratio_hi = 1.0 if k == 1 else hi[k - 1] / lo[k - 2]
-                if lo[k] / hi[k - 1] > cliff_factor * prev_ratio_hi:
+                if lo[k] / hi[k - 1] > CLIFF_FACTOR * prev_ratio_hi:
                     continue
         prev = a(k - 1)
         prev_ratio = 1.0 if k == 1 else (prev / a(k - 2) if a(k - 2) > 0 else 0.0)
         ratio = a(k) / prev if prev > 0 else 0.0
-        collapsed = a(k) <= tol * anchor and ratio <= cliff_factor * prev_ratio
+        collapsed = a(k) <= TOL_FUND * anchor and ratio <= CLIFF_FACTOR * prev_ratio
         if prev == 0.0:
             collapsed = True  # already exactly nilpotent at the previous index
         if collapsed:
@@ -663,7 +644,6 @@ def annulus_estimate(
     basic: BasicSolution,
     pencil: LinearPencil,
     *,
-    k_max: int = 12,
     l_max: int = 48,
 ) -> tuple[float, float]:
     """Root-test estimates of the annulus of convergence.
@@ -671,13 +651,15 @@ def annulus_estimate(
     Returns ``(s_hat, r_hat)``: the inner radius estimate
     ``max ||T_{-k}||^{1/k}`` and the outer radius estimate
     ``1 / max ||T_l||^{1/l}``, each maximised over the top half of the
-    sampled index range.  An identically-zero regular part gives
-    ``r_hat = inf``; a terminating principal part gives ``s_hat = 0``.
+    sampled index range: k up to ``INNER_TERMS``, l up to ``l_max``.  An
+    identically-zero regular part gives ``r_hat = inf``; a terminating
+    principal part gives ``s_hat = 0``.
     Both are exact SVD roots; the norms of the other terms are only screened.
     """
     # terms (index, T_j, lo, hi) with lo <= ||T_j|| <= hi
     orbit = _laurent_orbit(basic.t_minus_one @ pencil.c0, basic.t_minus_one)
-    neg = [(k, acc, *_norm_bounds(acc)) for k, acc in zip(range(1, k_max + 1), orbit)]
+    ks = range(1, INNER_TERMS + 1)
+    neg = [(k, acc, *_norm_bounds(acc)) for k, acc in zip(ks, orbit)]
     pos = []
     orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
     for ell, acc in zip(range(l_max + 1), orbit):
@@ -701,7 +683,7 @@ def annulus_estimate(
         exact = [spectral_norm(t[1]) for t in neg]
         neg = [(k, acc, v, v) for (k, acc, _, _), v in zip(neg, exact)]
         terminates = max(exact) == 0.0 or exact[-1] <= 1e-13 * max(exact)
-    s_hat = 0.0 if terminates else _screened_max(neg[max(1, k_max // 2) - 1 :])
+    s_hat = 0.0 if terminates else _screened_max(neg[INNER_TERMS // 2 - 1 :])
 
     l_top = len(pos) - 1
     r_root = _screened_max(pos[max(1, l_top // 2) :])

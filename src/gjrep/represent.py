@@ -46,7 +46,7 @@ from itertools import islice
 import numpy as np
 
 from . import kernels
-from .arma import ArmaModel, NoiseSpec, Trajectory, diff_neg, ma1_g, simulate_noise, simulate_recursion
+from .arma import ArmaModel, NoiseSpec, Trajectory, ma1_g, simulate_noise, simulate_recursion
 from .errors import (
     ClassificationInconclusive,
     InputError,
@@ -70,6 +70,10 @@ from .pencil import (
 )
 
 FORMS = ("natural_ns", "natural_s", "extended_ns", "extended_s")
+L_CAP = 400  # deepest cutoff of the natural difference series
+SPLIT_TOL = 1e-8  # largest leak the projection split allows
+PROBE_SCALES = 10  # window lengths on the probe's geometric grid
+PROBE_THRESHOLDS = (0.3, 0.6, 1.4)  # variance-slope cuts between the probe's labels
 
 
 def _stack(step: Array, start: Array, count: int) -> Array:
@@ -182,7 +186,6 @@ def natural_budget(
     *,
     g_scale: float = 1.0,
     tol_tail: float = 1e-10,
-    l_cap: int = 400,
 ) -> tuple[int, float, float]:
     """Truncation depth for the natural difference series.
 
@@ -190,8 +193,8 @@ def natural_budget(
     ``||T_l|| 2^l g_scale`` summed past the cutoff stays below tol_tail.
     Raises NaturalFormDiverges when the regular series has convergence
     radius at or below one, TailNotConverged when the radius is too small
-    for the difference-operator bound to close (at or below two) or the cap
-    is hit.
+    for the difference-operator bound to close (at or below two) or the
+    cutoff cap ``L_CAP`` is hit.
     """
     _, r_hat = annulus_estimate(basic, pencil, l_max=32)
     if r_hat <= 1.0:
@@ -202,7 +205,7 @@ def natural_budget(
     bounds = []
     target = tol_tail
     orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
-    for ell, acc in zip(range(l_cap + 1), orbit):
+    for ell, acc in zip(range(L_CAP + 1), orbit):
         bounds.append(spectral_norm(acc) * (2.0**ell) * g_scale)
         if ell >= 4:
             prev, last = bounds[-5], bounds[-1]
@@ -219,7 +222,7 @@ def natural_budget(
             "truncated difference operator does not contract"
         )
     raise TailNotConverged(
-        f"series bound still {bounds[-1]:.3e} > {target:.3e} at cutoff cap {l_cap}"
+        f"series bound still {bounds[-1]:.3e} > {target:.3e} at cutoff cap {L_CAP}"
     )
 
 
@@ -441,16 +444,11 @@ class SplitReport:
     passed: bool
 
 
-def split_projection(
-    report: RepresentationReport,
-    pair: SpectralPair,
-    *,
-    tol: float = 1e-8,
-) -> SplitReport:
+def split_projection(report: RepresentationReport, pair: SpectralPair) -> SplitReport:
     """Check that trend + det_sin and the rest live in complementary subspaces.
 
     The singular half must be annihilated by the regular domain projection
-    and vice versa, uniformly over the sample path.
+    and vice versa, uniformly over the sample path, up to ``SPLIT_TOL``.
     """
     comp = report.components
     x_sin = comp["stochastic_trend"] + comp["det_sin"]
@@ -466,8 +464,8 @@ def split_projection(
         x_reg=x_reg,
         max_reg_leak=reg_leak,
         max_sin_leak=sin_leak,
-        tol=tol,
-        passed=max(reg_leak, sin_leak) <= tol,
+        tol=SPLIT_TOL,
+        passed=max(reg_leak, sin_leak) <= SPLIT_TOL,
     )
 
 
@@ -529,20 +527,23 @@ def cointegration_probe(
     t_end: int = 2000,
     n_seeds: int = 100,
     base_seed: int = 0,
-    sigma: float = 1.0,
-    n_scales: int = 10,
-    thresholds: tuple[float, float, float] = (0.3, 0.6, 1.4),
 ) -> ProbeReport:
     """Estimate the integration order of ``f . x(t)`` by variance growth.
 
-    Drives the state equation with seeded gaussian noise (zero initial
-    state), one path per seed, and fits the growth rate of the window
-    sample variance of the functional against the window length on a
-    geometric scale grid: the variance is flat for a stationary
-    functional, grows linearly for a once-integrated one, and at least
-    quadratically beyond that.  Slopes below the first threshold read as
-    I(0); between the second and third as I(1); above the third, with the
-    differenced series reading I(1), as I(2).
+    Drives the state equation with seeded standard gaussian noise (zero
+    initial state), one path per seed, and fits the growth rate of the
+    window sample variance of the functional against the window length on
+    a geometric grid of ``PROBE_SCALES`` lengths: the variance is flat for
+    a stationary functional, grows linearly for a once-integrated one, and
+    at least quadratically beyond that.  Slopes below the first of
+    ``PROBE_THRESHOLDS`` read as I(0); between the second and third as
+    I(1); above the third, with the differenced series reading I(1), as
+    I(2).
+
+    The probe takes no noise scale.  The state is linear in the noise, so
+    scaling the noise by s scales every window variance by s^2, which adds
+    the constant ``2 log s`` to each log-variance; the slope of a line
+    fitted to them does not change, and neither do the labels.
     """
     f = np.asarray(functional, dtype=np.complex128).reshape(-1)
     if f.shape[0] != model.dim:
@@ -554,7 +555,7 @@ def cointegration_probe(
     noise = np.empty((length, n, m), dtype=np.complex128)
     for i in range(m):
         rng = np.random.default_rng(base_seed + i)
-        noise[:, :, i] = rng.standard_normal((length, n)) * sigma
+        noise[:, :, i] = rng.standard_normal((length, n))
     drive = model.f0 @ noise[1:]
     drive += model.f1 @ noise[:-1]
     del noise  # at most three (T, n, m) arrays are alive at once
@@ -567,12 +568,12 @@ def cointegration_probe(
     y = np.real(np.conj(f) @ x)
 
     scales = np.unique(
-        np.geomspace(16, max(64, t_end // 4), n_scales).astype(int)
+        np.geomspace(16, max(64, t_end // 4), PROBE_SCALES).astype(int)
     )
     level = _variance_time_slopes(y, scales)
     diff = _variance_time_slopes(np.diff(y, axis=0), scales)
 
-    t0, t1, t2 = thresholds
+    t0, t1, t2 = PROBE_THRESHOLDS
     labels = []
     for sl, sd in zip(level, diff):
         if sl < t0:
@@ -596,5 +597,5 @@ def cointegration_probe(
         labels=tuple(labels),
         counts=counts,
         majority=majority,
-        thresholds=thresholds,
+        thresholds=PROBE_THRESHOLDS,
     )

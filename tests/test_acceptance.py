@@ -24,7 +24,6 @@ from gjrep import (
     closed_form_resolvent,
     cointegration_probe,
     direct_recursion,
-    laurent_coefficient,
     laurent_range,
     ma1_g,
     make,
@@ -130,7 +129,7 @@ def test_criterion_2_cascade_example():
     pair = projections(basic, pencil)
     want_p = np.diag([1.0, 1.0] + [0.0] * 8)
     sclass = classify_singularity(basic, pencil)
-    t_m2 = laurent_coefficient(basic, pencil, -2)
+    t_m2 = laurent_range(basic, pencil, -2, -2)[-2]
     want_t_m2 = np.zeros((10, 10))
     want_t_m2[0, 1] = 1.0
     closed_err = 0.0
@@ -169,7 +168,7 @@ def test_criterion_3_averaging_kernel():
     pair = projections(basic, pencil)
     sclass = classify_singularity(basic, pencil)
     reg_norm = max(
-        spectral_norm(laurent_coefficient(basic, pencil, ell)) for ell in range(4)
+        spectral_norm(laurent_range(basic, pencil, ell, ell)[ell]) for ell in range(4)
     )
     roots = []
     power = v.copy()
@@ -253,7 +252,7 @@ def test_criterion_7_spectral_split(natural_runs, extended_runs):
         basic = basic_solution(entry.pencil)
         pair = projections(basic, entry.pencil)
         for form, rep in reports.items():
-            split = split_projection(rep, pair, tol=1e-8)
+            split = split_projection(rep, pair)
             checks[f"{tag}_{form}_reg_leak"] = split.max_reg_leak <= 1e-8
             checks[f"{tag}_{form}_sin_leak"] = split.max_sin_leak <= 1e-8
         q_stack = coeff_q(basic, entry.pencil, 50)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gjrep import (
-    BlockInconsistent,
     InputError,
     LinearPencil,
     PolynomialPencil,
@@ -126,9 +125,7 @@ def test_unpack_inconsistent_blocks_raise():
     exp = laurent_range(basic, aug.pencil, -2, 2)
     coeffs = {j: m.copy() for j, m in exp.coefficients.items()}
     coeffs[0][0, 0] += 1.0  # corrupt one copy of a repeated block
-    with pytest.raises(BlockInconsistent):
-        unpack_laurent(aug, coeffs, tol=1e-9)
-    # without a tolerance the disagreement is only reported
+    # the disagreement is reported; analyze judges it
     _, disagreement = unpack_laurent(aug, coeffs)
     assert disagreement > 0.1
 

@@ -100,18 +100,6 @@ def test_reg_basis_complementary():
         assert sv[-1] > 1e-8, name
 
 
-def test_reg_basis_rate_cap_filters():
-    lam, n = 0.25, 10
-    e = make("c0", lam=lam, n=n)
-    full = reg_basis(e.pencil)
-    assert full.shape[1] == n - 2
-    # chain with diagonal index m grows at rate lam^m/(1-lam^m); cap at the
-    # m = 2 rate and only chains m >= 2 survive
-    cap = lam**2 / (1.0 - lam**2) + 1e-12
-    capped = reg_basis(e.pencil, rate_cap=cap)
-    assert capped.shape[1] == n - 3
-
-
 def test_chain_zero_seed_rejected():
     e = make("matrix")
     with pytest.raises(ChainStepError):

@@ -92,8 +92,6 @@ def test_analyze_input_errors(tmp_path):
 
 
 def test_config_validation(matrix_pencil_file, matrix_model_file, tmp_path):
-    assert main(["analyze", "--pencil", matrix_pencil_file, "--nodes", "24"]) == 3
-    assert main(["analyze", "--pencil", matrix_pencil_file, "--nodes", "8"]) == 3
     assert (
         main(["analyze", "--pencil", matrix_pencil_file, "--tol-fund", "-1e-9"]) == 3
     )
@@ -108,6 +106,101 @@ def test_config_validation(matrix_pencil_file, matrix_model_file, tmp_path):
     ):
         for radius in ("nan", "inf", "-inf", "0", "-1"):
             assert main([*argv, f"--radius={radius}"]) == 3, (argv, radius)
+
+
+def test_one_value_settings_are_gone(matrix_pencil_file):
+    # each of these keywords had one value in use; it is a module constant now
+    # or, for the probe's noise scale, gone because it changed no result
+    removed = {
+        gjrep.basic_solution: ("nodes",),
+        gjrep.contour_coefficients: ("start_nodes",),
+        gjrep.default_radius: ("zero_tol",),
+        gjrep.classify_singularity: ("tol", "k_max", "cliff_factor"),
+        gjrep.annulus_estimate: ("k_max",),
+        gjrep.LaurentExpansion: ("method", "radius", "inner_radius", "outer_radius"),
+        gjrep.singular_chain: ("tol",),
+        gjrep.regular_chain: ("tol",),
+        gjrep.sin_basis: ("zero_tol",),
+        gjrep.reg_basis: ("zero_tol", "rate_cap"),
+        gjrep.natural_budget: ("l_cap",),
+        gjrep.split_projection: ("tol",),
+        gjrep.cointegration_probe: ("sigma", "n_scales", "thresholds"),
+        gjrep.unpack_laurent: ("tol",),
+    }
+    for fn, keywords in removed.items():
+        for keyword in keywords:
+            # an unknown keyword fails the call before the missing positional
+            # arguments are counted and before the body runs
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+                fn(**{keyword: None})
+    assert not hasattr(gjrep, "laurent_coefficient")
+    assert not hasattr(gjrep, "BlockInconsistent")
+    # an unknown flag is a usage error, whatever its value
+    assert main(["analyze", "--pencil", matrix_pencil_file, "--nodes", "32"]) == 3
+
+
+def _scaled(pencil, s):
+    """The same pencil with every coefficient times s: its resolvent is R / s."""
+    if isinstance(pencil, PolynomialPencil):
+        return PolynomialPencil(tuple(s * c for c in pencil.coeffs))
+    return LinearPencil(s * pencil.c0, s * pencil.c1)
+
+
+def _analyze_code(pencil, tmp_path) -> int:
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(dump_pencil(pencil)))
+    return main(["analyze", "--pencil", str(path), "--out", str(tmp_path / "report.json")])
+
+
+def _plant(mat):
+    """``mat`` with a relative 1e-6 error in its (0, 0) entry."""
+    out = mat.copy()
+    out[0, 0] += 1e-6 * np.linalg.norm(mat, 2)
+    return out
+
+
+SCALES = (1e-8, 1.0, 1e6)
+
+
+@pytest.mark.parametrize("make_pencil", [lambda: make("c0").pencil, lambda: _degree2_pencil()])
+@pytest.mark.parametrize("scale", [1e-8, 1e6])
+def test_analyze_passes_at_any_pencil_scale(make_pencil, scale, tmp_path):
+    assert _analyze_code(_scaled(make_pencil(), scale), tmp_path) == 0
+
+
+@pytest.mark.parametrize("j", [-1, 0])
+def test_analyze_fails_a_planted_laurent_error_at_any_scale(j, tmp_path, monkeypatch):
+    real = gjrep.pencil.contour_coefficients
+
+    def planted(*args, **kwargs):
+        coeffs, info = real(*args, **kwargs)
+        return {**coeffs, j: _plant(coeffs[j])}, info
+
+    monkeypatch.setattr(gjrep.pencil, "contour_coefficients", planted)
+    for scale in SCALES:
+        assert _analyze_code(_scaled(make("c0").pencil, scale), tmp_path) == 2, scale
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_analyze_fails_a_planted_block_disagreement_at_any_scale(
+    balanced, tmp_path, monkeypatch
+):
+    real = cli.unpack_laurent
+
+    def planted(aug, coefficients):
+        n = aug.base_dim
+        big = coefficients[0].copy()
+        # blocks (0, 0) and (1, 1) are the two copies of T_0; the balanced
+        # error leaves their average, and so the fundamental check, as it was
+        error = _plant(big[:n, :n]) - big[:n, :n]
+        big[:n, :n] += error
+        if balanced:
+            big[n:, n:] -= error
+        return real(aug, {**coefficients, 0: big})
+
+    monkeypatch.setattr(cli, "unpack_laurent", planted)
+    for scale in SCALES:
+        assert _analyze_code(_scaled(_degree2_pencil(), scale), tmp_path) == 2, scale
 
 
 def test_represent_json_and_csv(matrix_model_file, tmp_path, capsys):
