@@ -89,14 +89,21 @@ def _noise_law(spec: NoiseSpec) -> tuple:
             sigma = np.asarray(params.get("sigma", 1.0), dtype=float)
             if sigma.ndim > 1 or sigma.size not in (1, spec.dim):
                 raise InputError(f"sigma must be a scalar or {spec.dim} values, not {sigma.shape}")
+            if not np.isfinite(sigma).all():
+                raise InputError(f"sigma must be finite, got {sigma}")
             return (sigma,)
         if spec.kind == "bernoulli_scaled":
             p = float(params.get("p", 0.5))
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"p must be a probability, got {p}")
-            return p, float(params.get("eps", 1.0)), bool(params.get("centered", True))
+            eps = float(params.get("eps", 1.0))
+            if not np.isfinite(eps):
+                raise InputError(f"eps must be finite, got {eps}")
+            return p, eps, bool(params.get("centered", True))
         if spec.kind == "table":
             values = np.asarray(params["values"], dtype=np.complex128).reshape(-1)
+            if not np.isfinite(values).all():
+                raise InputError("table values must be finite")
             probs = np.asarray(params["probs"], dtype=float).reshape(-1)
             if values.shape != probs.shape or (probs < 0).any() or not np.isclose(probs.sum(), 1.0):
                 raise InputError("table noise needs matching values/probs, probs >= 0 summing to 1")

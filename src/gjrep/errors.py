@@ -45,7 +45,7 @@ class ContourNotConverged(NumericError):
 
 
 class ClassificationInconclusive(NumericError):
-    """Power norms neither collapse nor settle; singularity type unresolved."""
+    """The principal part is not nilpotent: the contour may enclose another singularity."""
 
 
 class ChainStepError(NumericError):

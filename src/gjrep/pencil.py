@@ -40,6 +40,7 @@ from .errors import (
     ContourNotConverged,
     FundamentalResidualError,
     InputError,
+    NumericError,
     ProjectionError,
     SingularMatrixError,
     UnsupportedModelError,
@@ -82,6 +83,9 @@ def as_vector(value, dim: int | None = None, name: str = "vector") -> Array:
 
 
 def spectral_norm(a: Array) -> float:
+    """The largest singular value of ``a``; NumericError if an entry is not finite."""
+    if not np.isfinite(a).all():
+        raise NumericError("spectral norm of a matrix with non-finite entries (overflow)")
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
@@ -425,10 +429,6 @@ def basic_residuals(basic: BasicSolution, pencil: LinearPencil) -> dict[str, flo
     return {k: spectral_norm(d) for k, d in _basic_defects(basic, pencil).items()}
 
 
-def _basic_scale(basic: BasicSolution, pencil: LinearPencil) -> float:
-    return max(1.0, max(basic.norms) * pencil.scale())
-
-
 def _all_within(mats, limit: float) -> bool:
     """``max(spectral_norm(a) for a in mats) <= limit``, screened."""
     return all(_screened(lambda r: r <= limit, (a,)) for a in mats)
@@ -445,12 +445,21 @@ def basic_solution(
 
     The verification covers the unit identities on both sides and the
     four cross-annihilation products; failure raises
-    FundamentalResidualError rather than returning doubtful data.
+    FundamentalResidualError rather than returning doubtful data.  With
+    ``t = max ||T_j||`` and ``c = max ||C_i||``, a unit identity (a sum of
+    products ``T C``) is held to ``verify_tol * t * c`` and a cross product
+    ``T C T`` to ``verify_tol * t^2 * c``: both bounds keep their ratio to
+    the residual when the pencil is scaled, whatever its size.
     """
     coeffs, _ = contour_coefficients(pencil, (-1, 0), radius, tol=tol)
     basic = BasicSolution(coeffs[-1], coeffs[0])
-    limit = verify_tol * _basic_scale(basic, pencil)
-    if not _all_within(_basic_defects(basic, pencil).values(), limit):
+    t_size, c_size = max(basic.norms), max(pencil.norms)
+    defects = _basic_defects(basic, pencil)
+    units = [defects.pop(k) for k in ("left_unit", "right_unit")]
+    unit_limit = verify_tol * t_size * c_size
+    if not (
+        _all_within(units, unit_limit) and _all_within(defects.values(), unit_limit * t_size)
+    ):
         raise FundamentalResidualError(
             f"basic solution residuals too large: {basic_residuals(basic, pencil)}"
         )
@@ -503,7 +512,7 @@ def projections(
     q = pencil.c1 @ basic.t_minus_one
     q_c = pencil.c0 @ basic.t_zero
     eye = np.eye(pencil.dim)
-    scale = _basic_scale(basic, pencil)
+    scale = max(1.0, max(basic.norms) * pencil.scale())
     defects = {
         "domain_idempotent": p @ p - p,
         "domain_complement": p + p_c - eye,

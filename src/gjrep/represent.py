@@ -11,6 +11,15 @@ the stationary part inverts the regular directions, the deterministic terms
 carry the initial state split across the two spectral subspaces, and the
 k-term accounts for presample drive history in the ``_s`` variants.
 
+The trend is the whole principal series ``sum_k (-1)^k T_{-k} cum^k g``
+summed in closed form: with ``N = T_{-1} C_0`` and ``W = (I - N)^{-1}`` it is
+the causal filter ``h(t) = W h(t-1) - W T_{-1} g(t)``.  The series is a
+Neumann series in the nilpotent or quasinilpotent ``N``, so the filter needs
+no cumulation depth and is exact for poles of any order and for truncations
+of an essential singularity.  The singularity classification only guards
+that the pair belongs to the unit root alone: a principal part that is not
+nilpotent raises ClassificationInconclusive.
+
 Forms:
   * ``natural_ns``: stationary part as a difference series in the regular
     Laurent coefficients, drive treated as zero before t = 0.
@@ -28,8 +37,7 @@ Forms:
 
 The deterministic and history terms are vector recursions of the
 coefficient sequences ``U_t``, ``V_t`` and ``Q_t`` applied to one vector;
-``coeff_u``, ``coeff_v``, ``coeff_r`` and ``coeff_q`` build the literal
-coefficient stacks for inspection and testing.
+no coefficient stack of them is built.
 
 The natural variants require the regular Laurent series to converge on a
 disc of radius above one (divergence raises NaturalFormDiverges) and
@@ -79,55 +87,6 @@ PROBE_THRESHOLDS = (0.3, 0.6, 1.4)  # variance-slope cuts between the probe's la
 def _stack(step: Array, start: Array, count: int) -> Array:
     """The first ``count`` terms of ``_laurent_orbit(step, start)``, stacked."""
     return np.stack(list(islice(_laurent_orbit(step, start), count)))
-
-
-def coeff_u(basic: BasicSolution, pencil: LinearPencil, t_max: int) -> Array:
-    """Stack ``U_t = -(I - T_{-1} C_0)^{-(t+1)} T_{-1}`` for t = 0..t_max.
-
-    These carry the singular-direction response to the initial state; for a
-    pole of order d the factor is a nilpotent resolvent and U_t grows like
-    t^(d-1).
-    """
-    if t_max < 0:
-        raise InputError("t_max must be >= 0")
-    eye = np.eye(pencil.dim, dtype=np.complex128)
-    w = _checked_solve(eye - basic.t_minus_one @ pencil.c0, eye, "I - T_{-1} C_0")
-    return _stack(-w, -(w @ basic.t_minus_one), t_max + 1)
-
-
-def coeff_v(basic: BasicSolution, pencil: LinearPencil, s_max: int) -> Array:
-    """Stack ``V_s = (-1)^s (I - T_0 C_1)^{-(s+1)} (T_0 C_1)^s T_0``.
-
-    The causal moving-average weights of the regular directions: the
-    binomial resummation of the regular Laurent coefficients.
-    """
-    if s_max < 0:
-        raise InputError("s_max must be >= 0")
-    eye = np.eye(pencil.dim, dtype=np.complex128)
-    m = basic.t_zero @ pencil.c1
-    w = _checked_solve(eye - m, eye, "I - T_0 C_1")
-    return _stack(w @ m, w @ basic.t_zero, s_max + 1)
-
-
-def coeff_r(pencil: LinearPencil, s_max: int) -> Array:
-    """Companion power weights ``R_s = (-1)^s (A_0^{-1} A_1)^s A_0^{-1}``.
-
-    Requires an invertible contemporaneous coefficient ``A_0 = C_0 - C_1``.
-    """
-    if s_max < 0:
-        raise InputError("s_max must be >= 0")
-    eye = np.eye(pencil.dim, dtype=np.complex128)
-    a0_inv = _checked_solve(pencil.a0, eye, "contemporaneous coefficient A_0")
-    return _stack(a0_inv @ pencil.a1, a0_inv, s_max + 1)
-
-
-def coeff_q(basic: BasicSolution, pencil: LinearPencil, s_max: int) -> Array:
-    """Decaying component ``Q_s = R_s - U_s`` of the companion powers.
-
-    Annihilated on the left by the singular domain projection; agrees with
-    the V weights wherever both converge.
-    """
-    return coeff_r(pencil, s_max) - coeff_u(basic, pencil, s_max)
 
 
 def k_vector(
@@ -226,19 +185,6 @@ def natural_budget(
     )
 
 
-def _orbit(step: Array, first: Array, horizon: int) -> Array:
-    """Rows ``step^t first`` for t = 0..horizon-1, by vector recursion.
-
-    ``first`` is one vector (n,) or a batch of columns (n, m); the result
-    has shape (horizon, n) or (horizon, n, m) accordingly.
-    """
-    cols = first.reshape(first.shape[0], -1)
-    drive = np.zeros((horizon,) + cols.shape, dtype=np.complex128)
-    drive[0] = cols
-    out = kernels.arma_recursion(step, drive, np.zeros_like(drive[0]))
-    return out.reshape((horizon,) + first.shape)
-
-
 def _difference_series(t_stack: Array, signal: Array, *, drop: int) -> Array:
     """Accumulate ``sum_l (-1)^l T_l (diff^l signal)`` at the last rows.
 
@@ -316,14 +262,10 @@ def represent(
     oracle = simulate_recursion(model, g, t_end)
 
     sclass = classify_singularity(basic, pencil)
-    if sclass.kind == "removable":
-        trend_depth = 0
-    elif sclass.kind in ("pole", "essential_at_truncation"):
-        trend_depth = int(sclass.order)
-    else:
+    if sclass.kind == "inconclusive":
         raise ClassificationInconclusive(
-            "cannot pick the cumulation depth: singularity classification "
-            f"came back {sclass.kind!r}"
+            "the principal part T_{-1} C_0 is not nilpotent: the contour may "
+            "enclose a singularity other than the unit root"
         )
     s_hat, r_hat = annulus_estimate(basic, pencil)
 
@@ -333,23 +275,20 @@ def represent(
     g_causal = g.window(0, t_end)
     g_scale = max(1.0, float(np.max(np.abs(g.values))))
 
-    trend = np.zeros((horizon, n), dtype=np.complex128)
-    neg_step = basic.t_minus_one @ pencil.c0
-    cum = g_causal
-    for k, tkm in zip(range(1, trend_depth + 1), _laurent_orbit(neg_step, basic.t_minus_one)):
-        cum = np.cumsum(cum, axis=0)
-        sign = -1.0 if k % 2 else 1.0
-        trend += sign * (cum @ tkm.T)
-
+    # The whole principal series -cum (I - N cum)^{-1} T_{-1} g, with N = T_{-1} C_0
+    # and cum the causal running sum, is the filter h(t) = W h(t-1) - W T_{-1} g(t)
+    # with W = (I - N)^{-1}; det_sin is W^(t+1) T_{-1} C_1 c, the same recursion
+    # from one impulse.  No cumulation depth enters, and nothing cancels.
     eye = np.eye(n, dtype=np.complex128)
     c1c = pencil.c1 @ model.c
-    w_sin = _checked_solve(eye - neg_step, eye, "I - T_{-1} C_0")
-    det_sin = _orbit(w_sin, w_sin @ (basic.t_minus_one @ c1c), horizon)
+    w_sin = _checked_solve(eye - basic.t_minus_one @ pencil.c0, eye, "I - T_{-1} C_0")
+    drive = np.zeros((horizon, n, 2), dtype=np.complex128)
+    drive[:, :, 0] = -(g_causal @ (w_sin @ basic.t_minus_one).T)
+    drive[0, :, 1] = w_sin @ (basic.t_minus_one @ c1c)
+    sin = kernels.arma_recursion(w_sin, drive, np.zeros((n, 2), dtype=np.complex128))
+    trend, det_sin = sin[:, :, 0], sin[:, :, 1]
 
-    budgets: dict[str, float] = {
-        "trend_depth": float(trend_depth),
-        "presample": float(presample),
-    }
+    budgets: dict[str, float] = {"presample": float(presample)}
 
     if form.startswith("natural"):
         cutoff, tail_est, _ = natural_budget(
@@ -376,10 +315,10 @@ def represent(
             kvec = k_vector(basic, pencil, g, presample, tol_tail=tol_tail)
         # V_t applied to C_1 c and C_1 k in one batched recursion
         w_reg = _checked_solve(eye - pos_step, eye, "I - T_0 C_1")
-        both = -_orbit(
-            -(w_reg @ pos_step),
-            w_reg @ basic.t_zero @ pencil.c1 @ np.stack([model.c, kvec], axis=1),
-            horizon,
+        drive = np.zeros((horizon, n, 2), dtype=np.complex128)
+        drive[0] = -(w_reg @ basic.t_zero @ pencil.c1 @ np.stack([model.c, kvec], axis=1))
+        both = kernels.arma_recursion(
+            -(w_reg @ pos_step), drive, np.zeros((n, 2), dtype=np.complex128)
         )
         det_reg, k_term = both[:, :, 0], both[:, :, 1]
     else:

@@ -310,3 +310,69 @@ def lstsq_chain(matrix, partner, seed, *, steps=16, tol=1e-9, project=None):
             terminated = True
             break
     return vectors, terminated
+
+
+def _orbit_stack(step, first, count):
+    """``[first, step @ first, step @ step @ first, ...]``, ``count`` terms stacked."""
+    out = [np.asarray(first, dtype=np.complex128)]
+    for _ in range(count - 1):
+        out.append(step @ out[-1])
+    return np.stack(out)
+
+
+def coeff_u(basic, pencil, t_max):
+    """Stack ``U_t = -(I - T_{-1} C_0)^{-(t+1)} T_{-1}`` for t = 0..t_max.
+
+    The singular-direction response to the initial state; for a pole of
+    order d the factor is a nilpotent resolvent and U_t grows like t^(d-1).
+    """
+    eye = np.eye(pencil.c0.shape[0])
+    w = np.linalg.inv(eye - basic.t_minus_one @ pencil.c0)
+    return _orbit_stack(w, -(w @ basic.t_minus_one), t_max + 1)
+
+
+def coeff_v(basic, pencil, s_max):
+    """Stack ``V_s = (-1)^s (I - T_0 C_1)^{-(s+1)} (T_0 C_1)^s T_0`` for s = 0..s_max.
+
+    The causal moving-average weights of the regular directions: the
+    binomial resummation of the regular Laurent coefficients.
+    """
+    eye = np.eye(pencil.c0.shape[0])
+    m = basic.t_zero @ pencil.c1
+    w = np.linalg.inv(eye - m)
+    return _orbit_stack(-(w @ m), w @ basic.t_zero, s_max + 1)
+
+
+def coeff_r(pencil, s_max):
+    """Companion power weights ``R_s = (-1)^s (A_0^{-1} A_1)^s A_0^{-1}``, A_0 = C_0 - C_1."""
+    a0_inv = np.linalg.inv(pencil.c0 - pencil.c1)
+    return _orbit_stack(-(a0_inv @ pencil.c1), a0_inv, s_max + 1)
+
+
+def coeff_q(basic, pencil, s_max):
+    """Decaying component ``Q_s = R_s - U_s`` of the companion powers.
+
+    Annihilated on the left by the singular domain projection; agrees with
+    the V weights wherever both converge.
+    """
+    return coeff_r(pencil, s_max) - coeff_u(basic, pencil, s_max)
+
+
+def cumulation_trend(t_minus_one, c0, g, depth):
+    """Stochastic trend ``sum_{k=1}^{depth} (-1)^k T_{-k} cum^k g`` by literal cumulation.
+
+    ``g`` holds the drive rows from t = 0 on, taken as zero before; ``cum``
+    is the running sum and ``T_{-k} = (-1)^{k-1} (T_{-1} C_0)^{k-1} T_{-1}``.
+    The k-th cumulation grows like t^k / k!, so the sum loses digits for
+    deep poles on long paths.
+    """
+    g = np.asarray(g, dtype=np.complex128)
+    nil = t_minus_one @ c0
+    coef = np.asarray(t_minus_one, dtype=np.complex128)
+    cum = g
+    trend = np.zeros_like(g)
+    for k in range(1, depth + 1):
+        cum = np.cumsum(cum, axis=0)
+        trend += (-1) ** k * (cum @ coef.T)
+        coef = -(nil @ coef)
+    return trend

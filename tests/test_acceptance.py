@@ -38,7 +38,7 @@ from gjrep import (
     unpack_laurent,
     verify_fundamental,
 )
-from gjrep.represent import coeff_q
+from oracles import coeff_q
 
 
 def verdict(num, label, checks, elapsed=None):

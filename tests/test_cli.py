@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import gjrep
-from gjrep import ArmaModel, LinearPencil, NoiseSpec, PolynomialPencil, make
+from gjrep import (
+    ArmaModel,
+    FundamentalResidualError,
+    LinearPencil,
+    NoiseSpec,
+    PolynomialPencil,
+    make,
+)
 from gjrep import cli
 from gjrep import io as gio
 from gjrep.cli import main
@@ -168,8 +175,8 @@ def test_analyze_passes_at_any_pencil_scale(make_pencil, scale, tmp_path):
     assert _analyze_code(_scaled(make_pencil(), scale), tmp_path) == 0
 
 
-@pytest.mark.parametrize("j", [-1, 0])
-def test_analyze_fails_a_planted_laurent_error_at_any_scale(j, tmp_path, monkeypatch):
+def _plant_in_contour(monkeypatch, j):
+    """Make the contour return ``T_j`` with a relative 1e-6 error in one entry."""
     real = gjrep.pencil.contour_coefficients
 
     def planted(*args, **kwargs):
@@ -177,8 +184,25 @@ def test_analyze_fails_a_planted_laurent_error_at_any_scale(j, tmp_path, monkeyp
         return {**coeffs, j: _plant(coeffs[j])}, info
 
     monkeypatch.setattr(gjrep.pencil, "contour_coefficients", planted)
+
+
+@pytest.mark.parametrize("j", [-1, 0])
+def test_analyze_fails_a_planted_laurent_error_at_any_scale(j, tmp_path, monkeypatch):
+    _plant_in_contour(monkeypatch, j)
     for scale in SCALES:
         assert _analyze_code(_scaled(make("c0").pencil, scale), tmp_path) == 2, scale
+
+
+@pytest.mark.parametrize("j", [-1, 0])
+@pytest.mark.parametrize("scale", SCALES)
+def test_basic_solution_fails_a_planted_laurent_error_at_any_scale(j, scale, monkeypatch):
+    # represent has no fundamental window behind basic_solution: its own
+    # identity check has to catch the error at every pencil scale
+    pencil = _scaled(make("c0").pencil, scale)
+    radius = gjrep.default_radius(pencil)
+    _plant_in_contour(monkeypatch, j)
+    with pytest.raises(FundamentalResidualError):
+        gjrep.basic_solution(pencil, radius=radius)
 
 
 @pytest.mark.parametrize("balanced", [False, True])
@@ -354,6 +378,24 @@ MALFORMED_FIELDS = {
     "fractional_seed": ("model", {"noise": {"kind": "gaussian", "seed": 2.5}}),
     "string_burn_in": ("model", {"noise": {"kind": "gaussian", "seed": 0, "burn_in": "x"}}),
     "list_params": ("model", {"noise": {"kind": "gaussian", "seed": 0, "params": [1, 2]}}),
+    "nan_sigma": (
+        "model",
+        {"noise": {"kind": "gaussian", "seed": 0, "params": {"sigma": float("nan")}}},
+    ),
+    "inf_eps": (
+        "model",
+        {"noise": {"kind": "bernoulli_scaled", "seed": 0, "params": {"eps": float("inf")}}},
+    ),
+    "nan_table_value": (
+        "model",
+        {
+            "noise": {
+                "kind": "table",
+                "seed": 0,
+                "params": {"values": [1.0, float("nan")], "probs": [0.5, 0.5]},
+            }
+        },
+    ),
     "string_n": ("model", {"n": "x"}),
     "list_n": ("model", {"n": [1]}),
     "null_n": ("model", {"n": None}),
@@ -391,3 +433,32 @@ def test_malformed_model_exits_3(kind, patch, matrix_model_file, matrix_pencil_f
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+def test_overflowing_model_is_a_numeric_failure(matrix_model_file, tmp_path, capsys):
+    # finite entries whose products overflow: a typed error, not a LinAlgError
+    doc = json.loads(Path(matrix_model_file).read_text())
+    doc["a0"] = gio.encode_complex(1e308 * np.eye(2))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    argv = ["represent", "--model", str(path), "--form", "extended_ns", "--T", "20"]
+    with pytest.warns(RuntimeWarning):
+        assert main(argv) == 4
+    assert "NumericError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["5", "1.5"])
+def test_represent_refuses_a_contour_around_a_second_root(radius, tmp_path, capsys):
+    # a0 + a1 (z - 1) is also singular at z = 2: a contour of radius 1.5 or 5
+    # around the unit root encloses it, and the pair no longer belongs to the
+    # unit root alone
+    model = ArmaModel(
+        a0=np.eye(2), a1=np.diag([-1.0, -0.5]), f0=np.eye(2), f1=0.5 * np.eye(2), c=np.zeros(2)
+    )
+    path = tmp_path / "model.json"
+    spec = NoiseSpec(kind="gaussian", dim=2, seed=0, burn_in=10)
+    path.write_text(json.dumps(dump_model(model, spec)))
+    argv = ["represent", "--model", str(path), "--form", "extended_ns", "--T", "50"]
+    assert main(argv) == 0
+    assert main([*argv, f"--radius={radius}"]) == 4
+    assert "ClassificationInconclusive" in capsys.readouterr().err

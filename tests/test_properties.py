@@ -29,8 +29,7 @@ from gjrep import (
     spectral_norm,
     verify_fundamental,
 )
-from gjrep.represent import coeff_q, coeff_r, coeff_u, coeff_v
-from oracles import arma_pq_path, random_unit_root_pencil
+from oracles import arma_pq_path, coeff_q, coeff_r, coeff_u, coeff_v, random_unit_root_pencil
 
 # contour radius safely inside [0, mu_min) for the engineered pencils
 RADIUS = 0.2

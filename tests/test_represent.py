@@ -23,8 +23,7 @@ from gjrep import (
     simulate_noise,
     split_projection,
 )
-from gjrep.represent import coeff_q, coeff_r, coeff_u, coeff_v
-from oracles import causal_stack_apply
+from oracles import causal_stack_apply, coeff_q, coeff_r, coeff_u, coeff_v, cumulation_trend
 
 COMPONENTS = ("stochastic_trend", "stationary", "det_sin", "det_reg", "k_term")
 
@@ -309,3 +308,54 @@ def test_extended_stationary_stays_regular_on_long_rotated_path():
     stationary = represent("extended_s", model, spec, 20000).components["stationary"]
     leak = np.linalg.norm(stationary @ p_sin.T)
     assert leak <= 1e-12 * np.linalg.norm(stationary)
+
+
+def _volterra_model(n):
+    """``a0 = I`` and ``a1 = -(I - V)`` with the Volterra matrix ``V = tril(ones, -1) / n``.
+
+    Its principal part ``T_{-1} C_0`` is nilpotent of index n: the finite
+    section of an operator whose resolvent has an essential singularity at
+    the unit root, so the pole deepens with n.
+    """
+    v = np.tril(np.ones((n, n)), -1) / n
+    return ArmaModel(
+        a0=np.eye(n), a1=-(np.eye(n) - v), f0=np.eye(n), f1=0.5 * np.eye(n), c=0.1 * np.arange(n)
+    )
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_trend_filter_is_exact_on_deep_volterra_poles(n):
+    # a cumulation series of depth n loses every digit here; the filter has
+    # no depth and sums the series exactly
+    model = _volterra_model(n)
+    pencil = model.pencil()
+    basic = basic_solution(pencil, radius=default_radius(pencil))
+    spec = NoiseSpec(kind="gaussian", dim=n, seed=0)
+    short = represent("extended_ns", model, spec, 200, basic=basic)
+    assert short.passed, short.residual_max
+    assert short.singularity.kind == "essential_at_truncation"
+    long = represent("extended_ns", model, spec, 2000, basic=basic)
+    assert long.residual_max <= 1e-13 * np.abs(long.oracle).max()
+
+
+TREND_ORACLE_CASES = {
+    "c0": (lambda: model_from_entry("c0", c=0.1 * np.arange(10.0), lam=0.25, n=10)[1], 1e-13),
+    "volterra_8": (lambda: _volterra_model(8), 1e-13),
+    # the cumulation oracle itself is off by about 9e-12 here
+    "volterra_16": (lambda: _volterra_model(16), 1e-10),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TREND_ORACLE_CASES))
+def test_trend_matches_literal_cumulation(label):
+    build, bound = TREND_ORACLE_CASES[label]
+    model = build()
+    pencil = model.pencil()
+    basic = basic_solution(pencil, radius=default_radius(pencil))
+    spec = NoiseSpec(kind="gaussian", dim=model.dim, seed=3, burn_in=20)
+    t_end = 200
+    rep = represent("extended_ns", model, spec, t_end, basic=basic)
+    g = ma1_g(model, simulate_noise(spec, t_end)).window(0, t_end)
+    want = cumulation_trend(basic.t_minus_one, pencil.c0, g, rep.singularity.order)
+    trend = rep.components["stochastic_trend"]
+    assert np.abs(trend - want).max() <= bound * np.abs(trend).max()
