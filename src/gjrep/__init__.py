@@ -9,7 +9,7 @@ The package splits into:
 - :mod:`gjrep.chains` -- vector chain extension and basis construction
   for the singular/regular subspaces.
 - :mod:`gjrep.arma` -- model containers, noise simulation, the direct
-  recursion oracle, difference helpers.
+  recursion oracle.
 - :mod:`gjrep.represent` -- the four trajectory decompositions, the
   projection split, and the variance-slope integration-order probe.
 - :mod:`gjrep.augment` -- reduction of higher-degree polynomial pencils
@@ -23,8 +23,6 @@ from .arma import (
     ArmaModel,
     NoiseSpec,
     Trajectory,
-    diff_neg,
-    diff_pos,
     ma1_g,
     simulate_noise,
     simulate_recursion,
@@ -67,7 +65,6 @@ from .errors import (
     OrderUndefined,
     ProjectionError,
     SingularMatrixError,
-    TailNotConverged,
     UnsupportedModelError,
     VerificationError,
 )
@@ -102,8 +99,6 @@ from .represent import (
     SplitReport,
     cointegration_probe,
     integration_order,
-    k_vector,
-    natural_budget,
     represent,
     split_projection,
 )
@@ -141,7 +136,6 @@ __all__ = [
     "SpectralPair",
     "SplitReport",
     "StackedArma",
-    "TailNotConverged",
     "Trajectory",
     "UnsupportedModelError",
     "VerificationError",
@@ -155,11 +149,8 @@ __all__ = [
     "cointegration_probe",
     "contour_coefficients",
     "default_radius",
-    "diff_neg",
-    "diff_pos",
     "direct_recursion",
     "integration_order",
-    "k_vector",
     "laurent_range",
     "ma1_g",
     "make",
@@ -168,7 +159,6 @@ __all__ = [
     "make_matrix_example",
     "make_volterra_example",
     "max_principal_angle",
-    "natural_budget",
     "projections",
     "reduce_arma",
     "reg_basis",

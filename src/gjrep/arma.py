@@ -1,4 +1,4 @@
-"""ARMA(1,1) state equations, driving noise, and discrete difference calculus.
+"""ARMA(1,1) state equations, driving noise, and the plain recursion oracle.
 
 The state equation is ``A_0 x(t) + A_1 x(t-1) = g(t)`` with the MA(1) drive
 ``g(t) = F_0 n(t) + F_1 n(t-1)`` and initial state ``x(-1) = c``.  Its pencil
@@ -204,49 +204,3 @@ def simulate_recursion(model: ArmaModel, g: Trajectory, t_end: int) -> Trajector
     drive = g.window(0, t_end) @ a0_inv.T
     path = kernels.arma_recursion(step, drive[:, :, None], model.c[:, None])
     return Trajectory(start=0, values=path[:, :, 0])
-
-
-def diff_neg(g: Trajectory, k: int) -> Trajectory:
-    """k-fold cumulative sum of the causal part, on ``[0, g.end]``.
-
-    Realises the order ``-k`` backward-difference power applied to the path
-    zeroed out before t = 0: iterated running sums, equivalently the
-    binomial-weighted window sum of depth t.
-    """
-    if k < 0:
-        raise InputError(f"k must be >= 0, got {k}")
-    if g.start > 0:
-        raise InputError("causal part undefined: trajectory starts after 0")
-    vals = g.window(0, g.end)
-    for _ in range(k):
-        vals = np.cumsum(vals, axis=0)
-    return Trajectory(start=0, values=vals)
-
-
-def diff_pos(g: Trajectory, ell: int, mode: str = "truncated") -> Trajectory:
-    """Order ``ell`` backward difference of the path.
-
-    ``truncated`` applies the difference to the causal part (values before
-    t = 0 treated as zero) and is defined on ``[0, g.end]``.  ``full`` uses
-    the actual presample values, so the result is only defined where the
-    whole difference window exists: ``[g.start + ell, g.end]``.
-    """
-    if ell < 0:
-        raise InputError(f"ell must be >= 0, got {ell}")
-    if mode == "truncated":
-        if g.start > 0:
-            raise InputError("causal part undefined: trajectory starts after 0")
-        vals = g.window(0, g.end)
-        for _ in range(ell):
-            vals = np.diff(vals, axis=0, prepend=np.zeros((1, g.dim)))
-        return Trajectory(start=0, values=vals)
-    if mode == "full":
-        vals = g.values
-        if vals.shape[0] <= ell:
-            raise InputError(
-                f"difference order {ell} needs more than {ell} samples"
-            )
-        for _ in range(ell):
-            vals = np.diff(vals, axis=0)
-        return Trajectory(start=g.start + ell, values=vals)
-    raise InputError(f"unknown mode {mode!r}")

@@ -162,7 +162,6 @@ def cmd_represent(args) -> int:
         spec,
         args.T,
         tol_rep=args.tol_rep,
-        tol_tail=args.tol_tail,
         radius=args.radius,
     )
     summary = {
@@ -180,7 +179,6 @@ def cmd_represent(args) -> int:
             "order": report.singularity.order,
         },
         "tol_rep": report.tol_rep,
-        "tol_tail": report.tol_tail,
     }
     if args.format == "csv":
         tables = dict(report.components)
@@ -370,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=None)
     pr.add_argument("--radius", type=float, default=None)
     pr.add_argument("--tol-rep", dest="tol_rep", type=float, default=1e-6)
-    pr.add_argument("--tol-tail", dest="tol_tail", type=float, default=1e-10)
     common(pr, ("json", "csv"))
     pr.set_defaults(func=cmd_represent)
 
@@ -396,7 +393,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the input-error code
         return 0 if exc.code in (0, None) else 3
     try:
-        for name in ("tol_solve", "tol_contour", "tol_fund", "tol_rep", "tol_tail"):
+        for name in ("tol_solve", "tol_contour", "tol_fund", "tol_rep"):
             tol = getattr(args, name, None)
             if tol is not None and not tol > 0:
                 flag = "--" + name.replace("_", "-")

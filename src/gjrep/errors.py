@@ -52,10 +52,6 @@ class ChainStepError(NumericError):
     """A chain extension step has no solution within tolerance."""
 
 
-class TailNotConverged(NumericError):
-    """A truncated series tail exceeds its budget at the given depth."""
-
-
 class NaturalFormDiverges(NumericError):
     """Natural representation requested but the regular series has radius <= 1."""
 

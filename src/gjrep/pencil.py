@@ -61,6 +61,7 @@ ANCHOR_TOL = 1e-8
 # a pole shows as ||N^k|| dropping by this factor more than the step before
 CLIFF_FACTOR = 1e-3
 INNER_TERMS = 12  # principal coefficients the annulus root test samples
+OUTER_TERMS = 48  # highest regular coefficient index the annulus root test samples
 
 
 def as_matrix(value, name: str = "matrix") -> Array:
@@ -649,18 +650,13 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
     return SingularityClass(kind="inconclusive", order=None, power_norms=tuple(frobenius))
 
 
-def annulus_estimate(
-    basic: BasicSolution,
-    pencil: LinearPencil,
-    *,
-    l_max: int = 48,
-) -> tuple[float, float]:
+def annulus_estimate(basic: BasicSolution, pencil: LinearPencil) -> tuple[float, float]:
     """Root-test estimates of the annulus of convergence.
 
     Returns ``(s_hat, r_hat)``: the inner radius estimate
     ``max ||T_{-k}||^{1/k}`` and the outer radius estimate
     ``1 / max ||T_l||^{1/l}``, each maximised over the top half of the
-    sampled index range: k up to ``INNER_TERMS``, l up to ``l_max``.  An
+    sampled index range: k up to ``INNER_TERMS``, l up to ``OUTER_TERMS``.  An
     identically-zero regular part gives ``r_hat = inf``; a terminating
     principal part gives ``s_hat = 0``.
     Both are exact SVD roots; the norms of the other terms are only screened.
@@ -671,7 +667,7 @@ def annulus_estimate(
     neg = [(k, acc, *_norm_bounds(acc)) for k, acc in zip(ks, orbit)]
     pos = []
     orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
-    for ell, acc in zip(range(l_max + 1), orbit):
+    for ell, acc in zip(range(OUTER_TERMS + 1), orbit):
         lo, hi = _norm_bounds(acc)
         if lo <= 1e200 < hi:
             lo = hi = spectral_norm(acc)  # the bounds cannot decide the break

@@ -20,195 +20,68 @@ of an essential singularity.  The singularity classification only guards
 that the pair belongs to the unit root alone: a principal part that is not
 nilpotent raises ClassificationInconclusive.
 
+The stationary part is the other half of the same idea.  The natural forms
+write it as the paper's series ``sum_l (-1)^l T_l diff^l g`` of backward
+differences; since ``(-1)^l T_l = M^l T_0`` with ``M = T_0 C_1``, the series
+sums to ``(I - M diff)^{-1} T_0 g``, the causal filter
+``y(t) = S y(t-1) + G g(t)`` with ``W = (I - M)^{-1}``, ``S = -W M`` and
+``G = W T_0``.  The extended forms use the projected recursion
+``z(t) = (P^c S_A) z(t-1) + P^c A_0^{-1} g(t)`` instead, with the companion
+step ``S_A = -A_0^{-1} A_1`` and the key projection ``P^c = T_0 C_0``.  Its
+impulse response is the decaying component ``Q_s = R_s - U_s`` of the
+companion powers, and the projected step has eigenvalue zero on the
+singular directions, so rounding cannot build up there.  So every form runs
+one batched recursion in its own ``(step, gain)``, with three columns: the
+drive, the impulse ``-gain C_1 c`` at t = 0 that gives det_reg, and minus
+the presample drive alone, which from t = 0 on is the propagated history
+in the k-term.
+
 Forms:
-  * ``natural_ns``: stationary part as a difference series in the regular
-    Laurent coefficients, drive treated as zero before t = 0.
-  * ``natural_s``: same series on actual (full) differences of the
-    presample history, plus a history correction through the k vector.
-  * ``extended_ns``: stationary part as a causal filter in the regular
-    directions: the recursion ``z(t) = (P^c S) z(t-1) + P^c A_0^{-1} g(t)``
-    with ``S = -A_0^{-1} A_1`` and the key projection ``P^c = T_0 C_0``.
-    Its impulse response is the decaying component ``Q_s = R_s - U_s`` of
-    the companion powers; the projected step has eigenvalue zero on the
-    singular directions, so rounding cannot build up there.
-  * ``extended_s``: the same recursion started at the head of the
-    presample, with the presample's propagated state subtracted in the
-    k-term; algebraically identical to ``extended_ns``.
+  * ``natural_ns``: the series filter, drive treated as zero before t = 0.
+  * ``natural_s``: the series filter started at the head of the presample,
+    with the presample's propagated state subtracted in the k-term.
+  * ``extended_ns``: the projected recursion, drive treated as zero before
+    t = 0.
+  * ``extended_s``: the projected recursion started at the head of the
+    presample; algebraically identical to ``extended_ns``.
 
-The deterministic and history terms are vector recursions of the
-coefficient sequences ``U_t``, ``V_t`` and ``Q_t`` applied to one vector;
-no coefficient stack of them is built.
-
-The natural variants require the regular Laurent series to converge on a
-disc of radius above one (divergence raises NaturalFormDiverges) and
-certify their truncation with the worst-case difference-operator bound,
-which needs radius above two.
+The natural forms need the regular Laurent series to converge on a disc of
+radius above one: the drive is zero before the head of the presample, and
+on such drive the series converges exactly when ``M`` has spectral radius
+below one, the weight of ``g(t-i)`` being ``M^i (I - M)^{-(i+1)}`` summed
+over every difference order.  An outer annulus estimate at or below one
+raises NaturalFormDiverges.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from . import kernels
-from .arma import ArmaModel, NoiseSpec, Trajectory, ma1_g, simulate_noise, simulate_recursion
+from .arma import ArmaModel, NoiseSpec, ma1_g, simulate_noise, simulate_recursion
 from .errors import (
     ClassificationInconclusive,
     InputError,
     NaturalFormDiverges,
     OrderUndefined,
-    TailNotConverged,
 )
 from .pencil import (
     Array,
     BasicSolution,
-    LinearPencil,
     SingularityClass,
     SpectralPair,
     _checked_solve,
-    _laurent_orbit,
     annulus_estimate,
     basic_solution,
     classify_singularity,
-    default_radius,
-    spectral_norm,
 )
 
 FORMS = ("natural_ns", "natural_s", "extended_ns", "extended_s")
-L_CAP = 400  # deepest cutoff of the natural difference series
 SPLIT_TOL = 1e-8  # largest leak the projection split allows
 PROBE_SCALES = 10  # window lengths on the probe's geometric grid
 PROBE_THRESHOLDS = (0.3, 0.6, 1.4)  # variance-slope cuts between the probe's labels
-
-
-def _stack(step: Array, start: Array, count: int) -> Array:
-    """The first ``count`` terms of ``_laurent_orbit(step, start)``, stacked."""
-    return np.stack(list(islice(_laurent_orbit(step, start), count)))
-
-
-def k_vector(
-    basic: BasicSolution,
-    pencil: LinearPencil,
-    g: Trajectory,
-    depth: int,
-    *,
-    tol_tail: float = 1e-10,
-) -> Array:
-    """History aggregate ``k = sum_r (-1)^r (I-T_0C_1)^{-r} (T_0C_1)^{r-1} T_0 g(-r)``.
-
-    Truncated at r = depth; the dropped tail is estimated from the decay of
-    the coefficient norms and must fall below tol_tail (relative to the
-    presample scale), otherwise TailNotConverged.  Lives in the regular
-    domain subspace.
-    """
-    if depth < 1:
-        raise InputError("k vector needs at least one presample value")
-    if g.start > -depth:
-        raise InputError(
-            f"presample depth {depth} exceeds available history (start {g.start})"
-        )
-    eye = np.eye(pencil.dim, dtype=np.complex128)
-    m = basic.t_zero @ pencil.c1
-    w = _checked_solve(eye - m, eye, "I - T_0 C_1")
-    k = np.zeros(pencil.dim, dtype=np.complex128)
-    # the tail estimate reads only the norms of the last and fourth-last terms
-    recent = deque(maxlen=4)
-    for r, coef in zip(range(1, depth + 1), _laurent_orbit(w @ m, -(w @ basic.t_zero))):
-        k += coef @ g.at(-r)
-        recent.append(coef)
-    g_scale = max(1.0, float(np.max(np.abs(g.window(-depth, -1)))))
-    last = spectral_norm(recent[-1])
-    if len(recent) == 4:
-        prev = spectral_norm(recent[0])
-        ratio = (last / prev) ** (1.0 / 3.0) if prev > 0 else 0.0
-    else:
-        ratio = 0.5
-    if ratio >= 1.0:
-        raise TailNotConverged(
-            f"history coefficients do not decay (ratio {ratio:.3f})"
-        )
-    tail = last * ratio / (1.0 - ratio) * g_scale
-    if tail > tol_tail * g_scale * 1e3:
-        raise TailNotConverged(
-            f"history tail estimate {tail:.3e} too large at depth {depth}; "
-            "increase the presample burn-in"
-        )
-    return k
-
-
-def natural_budget(
-    basic: BasicSolution,
-    pencil: LinearPencil,
-    *,
-    g_scale: float = 1.0,
-    tol_tail: float = 1e-10,
-) -> tuple[int, float, float]:
-    """Truncation depth for the natural difference series.
-
-    Returns ``(cutoff, tail_estimate, r_hat)`` where the worst-case bound
-    ``||T_l|| 2^l g_scale`` summed past the cutoff stays below tol_tail.
-    Raises NaturalFormDiverges when the regular series has convergence
-    radius at or below one, TailNotConverged when the radius is too small
-    for the difference-operator bound to close (at or below two) or the
-    cutoff cap ``L_CAP`` is hit.
-    """
-    _, r_hat = annulus_estimate(basic, pencil, l_max=32)
-    if r_hat <= 1.0:
-        raise NaturalFormDiverges(
-            f"regular Laurent series has convergence radius {r_hat:.4f} <= 1; "
-            "the natural form does not exist"
-        )
-    bounds = []
-    target = tol_tail
-    orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
-    for ell, acc in zip(range(L_CAP + 1), orbit):
-        bounds.append(spectral_norm(acc) * (2.0**ell) * g_scale)
-        if ell >= 4:
-            prev, last = bounds[-5], bounds[-1]
-            ratio = (last / prev) ** 0.25 if prev > 0 else 0.0
-            if last == 0.0:
-                return ell, 0.0, r_hat
-            if ratio < 1.0 and last * ratio / (1.0 - ratio) <= target:
-                return ell, last * ratio / (1.0 - ratio), r_hat
-        elif bounds[-1] == 0.0:
-            return ell, 0.0, r_hat
-    if r_hat <= 2.0:
-        raise TailNotConverged(
-            f"convergence radius {r_hat:.4f} <= 2: the worst-case bound on the "
-            "truncated difference operator does not contract"
-        )
-    raise TailNotConverged(
-        f"series bound still {bounds[-1]:.3e} > {target:.3e} at cutoff cap {L_CAP}"
-    )
-
-
-def _difference_series(t_stack: Array, signal: Array, *, drop: int) -> Array:
-    """Accumulate ``sum_l (-1)^l T_l (diff^l signal)`` at the last rows.
-
-    ``signal`` holds the drive from some start time; differences shrink the
-    front by one row each order.  ``drop`` rows are discarded from the
-    front of the order-0 signal alignment, so the output has
-    ``signal.shape[0] - drop`` rows; ``drop`` must reach the cutoff, so that
-    every difference window exists.  Zero-padded (truncated) differences of
-    a causal signal are those of the signal with ``cutoff`` zero rows
-    prepended.
-    """
-    cutoff = t_stack.shape[0] - 1
-    if drop < cutoff:
-        raise InputError(
-            f"presample depth {drop} is shallower than the series cutoff {cutoff}"
-        )
-    out = np.zeros((signal.shape[0] - drop, signal.shape[1]), np.complex128)
-    d = signal
-    for ell in range(cutoff + 1):
-        sign = -1.0 if ell % 2 else 1.0
-        out += sign * (d[drop - ell :] @ t_stack[ell].T)
-        if ell < cutoff:
-            d = np.diff(d, axis=0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -227,7 +100,6 @@ class RepresentationReport:
     r_hat: float
     singularity: SingularityClass
     tol_rep: float
-    tol_tail: float
     passed: bool
 
 
@@ -239,7 +111,6 @@ def represent(
     *,
     basic: BasicSolution | None = None,
     tol_rep: float = 1e-6,
-    tol_tail: float = 1e-10,
     radius: float | None = None,
 ) -> RepresentationReport:
     """Decompose the simulated path per ``form`` and verify the reconstruction.
@@ -254,8 +125,7 @@ def represent(
         raise InputError("t_end must be >= 0")
     pencil = model.pencil()
     if basic is None:
-        rho = default_radius(pencil) if radius is None else radius
-        basic = basic_solution(pencil, radius=rho)
+        basic = basic_solution(pencil, radius=radius)
 
     path = simulate_noise(noise, t_end)
     g = ma1_g(model, path)  # covers [-burn_in, t_end]
@@ -273,7 +143,6 @@ def represent(
     horizon = t_end + 1
     presample = -g.start
     g_causal = g.window(0, t_end)
-    g_scale = max(1.0, float(np.max(np.abs(g.values))))
 
     # The whole principal series -cum (I - N cum)^{-1} T_{-1} g, with N = T_{-1} C_0
     # and cum the causal running sum, is the filter h(t) = W h(t-1) - W T_{-1} g(t)
@@ -289,58 +158,34 @@ def represent(
     trend, det_sin = sin[:, :, 0], sin[:, :, 1]
 
     budgets: dict[str, float] = {"presample": float(presample)}
-
+    start = presample if form.endswith("_s") else 0
     if form.startswith("natural"):
-        cutoff, tail_est, _ = natural_budget(
-            basic, pencil, g_scale=g_scale, tol_tail=tol_tail
-        )
-        budgets["series_cutoff"] = float(cutoff)
-        budgets["tail_estimate"] = tail_est
-        pos_step = basic.t_zero @ pencil.c1
-        t_stack = _stack(pos_step, basic.t_zero, cutoff + 1)
-        if form == "natural_ns":
-            # cutoff zero rows before t = 0 give the truncated differences; the
-            # padded copy is passed inline so it is freed before the recursions
-            stationary = _difference_series(
-                t_stack, np.concatenate([np.zeros((cutoff, n), np.complex128), g_causal]), drop=cutoff
+        if r_hat <= 1.0:
+            raise NaturalFormDiverges(
+                f"regular Laurent series has convergence radius {r_hat:.4f} <= 1; "
+                "the natural form does not exist"
             )
-            kvec = np.zeros(n, dtype=np.complex128)
-        else:
-            if presample < cutoff:
-                raise TailNotConverged(
-                    f"stationary-history form needs presample depth >= series "
-                    f"cutoff {cutoff}, got {presample}"
-                )
-            stationary = _difference_series(t_stack, g.values, drop=presample)
-            kvec = k_vector(basic, pencil, g, presample, tol_tail=tol_tail)
-        # V_t applied to C_1 c and C_1 k in one batched recursion
-        w_reg = _checked_solve(eye - pos_step, eye, "I - T_0 C_1")
-        drive = np.zeros((horizon, n, 2), dtype=np.complex128)
-        drive[0] = -(w_reg @ basic.t_zero @ pencil.c1 @ np.stack([model.c, kvec], axis=1))
-        both = kernels.arma_recursion(
-            -(w_reg @ pos_step), drive, np.zeros((n, 2), dtype=np.complex128)
-        )
-        det_reg, k_term = both[:, :, 0], both[:, :, 1]
+        # sum_l (-1)^l T_l diff^l g = (I - M diff)^{-1} T_0 g with M = T_0 C_1:
+        # the filter in S = -W M and G = W T_0, W = (I - M)^{-1}
+        m = basic.t_zero @ pencil.c1
+        w_reg = _checked_solve(eye - m, eye, "I - T_0 C_1")
+        step, gain = -(w_reg @ m), w_reg @ basic.t_zero
     else:
-        # Q_s = (P^c S)^s P^c A_0^{-1}: every extended term is a recursion in
+        # Q_s = (P^c S_A)^s P^c A_0^{-1}: every extended term is a recursion in
         # the projected step, which is zero on the singular directions
         a0_inv = _checked_solve(pencil.a0, eye, "contemporaneous coefficient A_0")
         gain = basic.t_zero @ pencil.c0 @ a0_inv
-        q_step = -(gain @ pencil.a1)
-        start = 0 if form == "extended_ns" else presample
-        # columns: the drive from -start on; the impulse -Q_0 C_1 c at t = 0;
-        # minus the presample drive alone, which from t = 0 on is the
-        # propagated history -(P^c S)^(t+1) z(-1)
-        rows = g.values[presample - start :] @ gain.T
-        drive = np.zeros(rows.shape + (3,), dtype=np.complex128)
-        drive[:, :, 0] = rows
-        drive[start, :, 1] = -(gain @ c1c)
-        drive[:start, :, 2] = -rows[:start]
-        z = kernels.arma_recursion(
-            q_step, drive, np.zeros((n, 3), dtype=np.complex128)
-        )[start:]
-        stationary, det_reg, k_term = z[:, :, 0], z[:, :, 1], z[:, :, 2]
+        step = -(gain @ pencil.a1)
         budgets["convolution_depth"] = float(t_end + start)
+    # columns: the drive from -start on; the impulse -gain C_1 c at t = 0;
+    # minus the presample drive alone, which from t = 0 on is the
+    # propagated history -step^(t+1) z(-1)
+    drive = np.zeros((horizon + start, n, 3), dtype=np.complex128)
+    drive[:, :, 0] = g.values[presample - start :] @ gain.T
+    drive[start, :, 1] = -(gain @ c1c)
+    drive[:start, :, 2] = -drive[:start, :, 0]
+    z = kernels.arma_recursion(step, drive, np.zeros((n, 3), dtype=np.complex128))[start:]
+    stationary, det_reg, k_term = z[:, :, 0], z[:, :, 1], z[:, :, 2]
 
     components = {
         "stochastic_trend": trend,
@@ -366,7 +211,6 @@ def represent(
         r_hat=r_hat,
         singularity=sclass,
         tol_rep=tol_rep,
-        tol_tail=tol_tail,
         passed=residual_max <= tol_rep,
     )
 

@@ -67,6 +67,45 @@ def binom_diff(y, ell):
     return out
 
 
+def diff_neg(values, start, k):
+    """k-fold running sum of the causal part of a path.
+
+    ``values[i]`` is the path at time ``start + i``; the rows before t = 0
+    are dropped, and the result holds t = 0 .. end.
+    """
+    if k < 0 or start > 0:
+        raise ValueError(f"need k >= 0 and a path from t <= 0, got k={k}, start={start}")
+    vals = np.asarray(values)[-start:]
+    for _ in range(k):
+        vals = np.cumsum(vals, axis=0)
+    return vals
+
+
+def diff_pos(values, start, ell, mode="truncated"):
+    """Order ``ell`` backward difference of a path whose first row is time ``start``.
+
+    ``truncated`` differences the causal part with the values before t = 0
+    taken as zero, on t = 0 .. end.  ``full`` uses the actual presample
+    rows, so the result starts where the whole window exists, at
+    ``start + ell``.
+    """
+    if ell < 0:
+        raise ValueError(f"ell must be >= 0, got {ell}")
+    vals = np.asarray(values)
+    if mode == "truncated":
+        vals = diff_neg(vals, start, 0)
+        for _ in range(ell):
+            vals = np.diff(vals, axis=0, prepend=np.zeros((1,) + vals.shape[1:]))
+        return vals
+    if mode == "full":
+        if vals.shape[0] <= ell:
+            raise ValueError(f"difference order {ell} needs more than {ell} samples")
+        for _ in range(ell):
+            vals = np.diff(vals, axis=0)
+        return vals
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def arma_pq_path(a_coeffs, f_coeffs, w_values, w_start, t_end):
     """Direct ARMA(p, q) recursion with zero presample state.
 
@@ -376,3 +415,24 @@ def cumulation_trend(t_minus_one, c0, g, depth):
         trend += (-1) ** k * (cum @ coef.T)
         coef = -(nil @ coef)
     return trend
+
+
+def regular_series(t_zero, c1, g, cutoff):
+    """Stationary part ``sum_{l=0}^{cutoff} (-1)^l T_l diff^l g`` by literal differences.
+
+    ``g`` holds the drive rows from some head on, taken as zero before it,
+    so every difference is the truncated one.  ``T_l = -(T_0 C_1) T_{l-1}``
+    from ``T_0``.  The l-th difference can grow like 2^l, so the cutoff
+    must outrun ``(2 / r)^l`` for an outer radius r; with ``r <= 2`` the
+    terms shrink only through the cancellation of the binomial weights.
+    """
+    g = np.asarray(g, dtype=np.complex128)
+    step = np.asarray(t_zero, dtype=np.complex128) @ c1
+    coef = np.asarray(t_zero, dtype=np.complex128)
+    diff = g
+    out = np.zeros_like(g)
+    for ell in range(cutoff + 1):
+        out += (-1) ** ell * (diff @ coef.T)
+        coef = -(step @ coef)
+        diff = diff_pos(diff, 0, 1)
+    return out

@@ -1,5 +1,7 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -123,13 +125,12 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
         gjrep.contour_coefficients: ("start_nodes",),
         gjrep.default_radius: ("zero_tol",),
         gjrep.classify_singularity: ("tol", "k_max", "cliff_factor"),
-        gjrep.annulus_estimate: ("k_max",),
+        gjrep.annulus_estimate: ("k_max", "l_max"),
         gjrep.LaurentExpansion: ("method", "radius", "inner_radius", "outer_radius"),
         gjrep.singular_chain: ("tol",),
         gjrep.regular_chain: ("tol",),
         gjrep.sin_basis: ("zero_tol",),
         gjrep.reg_basis: ("zero_tol", "rate_cap"),
-        gjrep.natural_budget: ("l_cap",),
         gjrep.split_projection: ("tol",),
         gjrep.cointegration_probe: ("sigma", "n_scales", "thresholds"),
         gjrep.unpack_laurent: ("tol",),
@@ -144,6 +145,27 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
     assert not hasattr(gjrep, "BlockInconsistent")
     # an unknown flag is a usage error, whatever its value
     assert main(["analyze", "--pencil", matrix_pencil_file, "--nodes", "32"]) == 3
+
+
+def test_literal_regular_series_is_gone(matrix_model_file, tmp_path):
+    # the natural forms sum the regular series in closed form: no cutoff, no
+    # tail budget, no truncated differences and no history loop are left
+    for name in ("natural_budget", "k_vector", "TailNotConverged", "diff_neg", "diff_pos"):
+        assert not hasattr(gjrep, name), name
+    for short in ("represent", "arma", "errors"):
+        module = importlib.import_module(f"gjrep.{short}")
+        for name in ("natural_budget", "k_vector", "L_CAP", "TailNotConverged", "diff_neg", "diff_pos"):
+            assert not hasattr(module, name), (short, name)
+    assert "tol_tail" not in {f.name for f in dataclasses.fields(gjrep.RepresentationReport)}
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tol_tail'"):
+        gjrep.represent(tol_tail=None)
+    out = tmp_path / "rep.json"
+    base = ["represent", "--model", matrix_model_file, "--form", "extended_s", "--T", "20"]
+    assert main([*base, "--tol-tail", "1e-10"]) == 3
+    assert main([*base, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert "tol_tail" not in rep
+    assert set(rep["budgets"]) == {"presample", "convolution_depth"}
 
 
 def _scaled(pencil, s):

@@ -10,20 +10,26 @@ from gjrep import (
     NoiseSpec,
     OrderUndefined,
     SingularityClass,
-    TailNotConverged,
     basic_solution,
     cointegration_probe,
     default_radius,
     integration_order,
     ma1_g,
     make,
-    natural_budget,
     projections,
     represent,
     simulate_noise,
     split_projection,
 )
-from oracles import causal_stack_apply, coeff_q, coeff_r, coeff_u, coeff_v, cumulation_trend
+from oracles import (
+    causal_stack_apply,
+    coeff_q,
+    coeff_r,
+    coeff_u,
+    coeff_v,
+    cumulation_trend,
+    regular_series,
+)
 
 COMPONENTS = ("stochastic_trend", "stationary", "det_sin", "det_reg", "k_term")
 
@@ -88,10 +94,10 @@ def test_all_forms_on_jordan_example():
         assert np.abs(ra.components["det_reg"] - rb.components["det_reg"]).max() <= 1e-8
         assert np.abs(ra.components["k_term"] - rb.components["k_term"]).max() <= 1e-7
 
-    # documented budgets are present per route
-    assert "series_cutoff" in reports["natural_s"].budgets
-    assert "presample" in reports["natural_s"].budgets
-    assert "convolution_depth" in reports["extended_s"].budgets
+    # the natural forms sum their series in closed form: no cutoff to report
+    assert set(reports["natural_s"].budgets) == {"presample"}
+    assert set(reports["extended_s"].budgets) == {"presample", "convolution_depth"}
+    assert abs(reports["natural_ns"].r_hat - 3.0) <= 0.3
 
 
 def test_natural_needs_wide_annulus():
@@ -111,12 +117,15 @@ def test_extended_on_narrow_annulus():
         assert rep.residual_max <= 1e-10
 
 
-def test_natural_s_requires_presample_depth():
-    # the stationary series needs B >= cutoff full differences
+def test_natural_s_needs_no_presample_depth():
+    # the summed series has no cutoff for the presample to reach
     _, model = model_from_entry("c0", lam=0.25, n=10)
     spec = NoiseSpec(kind="gaussian", dim=10, seed=12, burn_in=10)
-    with pytest.raises(TailNotConverged):
-        represent("natural_s", model, spec, 40)
+    rep = represent("natural_s", model, spec, 40)
+    assert rep.passed, rep.residual_max
+    ext = represent("extended_s", model, spec, 40)
+    for key in COMPONENTS:
+        assert np.abs(rep.components[key] - ext.components[key]).max() <= 1e-12, key
 
 
 def test_zero_noise_all_zero():
@@ -163,18 +172,6 @@ def test_stationary_weights_equal_convolution_weights():
     r = coeff_r(e.pencil, 30)
     u = coeff_u(e.basic, e.pencil, 30)
     assert np.abs(r - (q + u)).max() <= 1e-11
-
-
-def test_natural_budget_values():
-    e = make("c0", lam=0.25, n=10)
-    cutoff, tail, r_hat = natural_budget(e.basic, e.pencil, tol_tail=1e-10)
-    assert abs(r_hat - 3.0) <= 0.3
-    assert 40 <= cutoff <= 120
-    assert tail <= 1e-10
-
-    e = make("matrix", eps=0.5)
-    with pytest.raises(NaturalFormDiverges):
-        natural_budget(e.basic, e.pencil)
 
 
 def test_integration_order_labels():
@@ -359,3 +356,63 @@ def test_trend_matches_literal_cumulation(label):
     want = cumulation_trend(basic.t_minus_one, pencil.c0, g, rep.singularity.order)
     trend = rep.components["stochastic_trend"]
     assert np.abs(trend - want).max() <= bound * np.abs(trend).max()
+
+
+@pytest.mark.parametrize("eps", [1.2, 1.5, 1.9])
+def test_natural_forms_inside_the_difference_bound_gap(eps):
+    # 1 < r_hat <= 2: the worst-case bound ||diff|| <= 2 does not close, but
+    # on drive that is zero before the presample head the series converges
+    # whenever r_hat > 1, and its sum is the extended forms' recursion
+    _, model = model_from_entry("matrix", c=np.array([1.0, -2.0]), eps=eps)
+    spec = NoiseSpec(kind="gaussian", dim=2, seed=3, burn_in=60)
+    for nat, ext in (("natural_ns", "extended_ns"), ("natural_s", "extended_s")):
+        rn = represent(nat, model, spec, 200)
+        re = represent(ext, model, spec, 200)
+        assert rn.passed, (nat, rn.residual_max)
+        scale = max(1.0, np.abs(re.xhat).max())
+        for key in COMPONENTS:
+            err = np.abs(rn.components[key] - re.components[key]).max()
+            assert err <= 1e-12 * scale, (nat, key, err)
+
+
+SERIES_CASES = {
+    "c0": lambda: model_from_entry("c0", c=0.1 * np.arange(10.0), lam=0.25, n=10)[1],
+    "matrix_eps_3": lambda: model_from_entry("matrix", c=np.array([1.0, -2.0]), eps=3.0)[1],
+}
+
+
+@pytest.mark.parametrize("label", sorted(SERIES_CASES))
+def test_natural_stationary_matches_literal_series(label):
+    # outer radius 3: terms shrink like (2/3)^l, so 150 difference orders
+    # reach rounding; V_s = S^s G are the filter's weights written out
+    model = SERIES_CASES[label]()
+    pencil = model.pencil()
+    basic = basic_solution(pencil)
+    spec = NoiseSpec(kind="gaussian", dim=model.dim, seed=6, burn_in=15)
+    t_end = 40
+    g = ma1_g(model, simulate_noise(spec, t_end))
+    presample = -g.start
+    for form, signal, drop in (
+        ("natural_ns", g.window(0, t_end), 0),
+        ("natural_s", g.values, presample),
+    ):
+        got = represent(form, model, spec, t_end, basic=basic).components["stationary"]
+        series = regular_series(basic.t_zero, pencil.c1, signal, 150)[drop:]
+        weights = causal_stack_apply(coeff_v(basic, pencil, signal.shape[0]), signal)[drop:]
+        scale = np.abs(got).max()
+        assert np.abs(got - series).max() <= 1e-12 * scale, form
+        assert np.abs(got - weights).max() <= 1e-12 * scale, form
+
+
+def test_literal_series_reaches_the_filter_inside_the_gap():
+    # at r_hat = 1.5 the difference terms first grow like (2/1.5)^l and then
+    # cancel; the literal sum settles on the filter, up to the rounding of
+    # its largest terms (about 3e-8 here)
+    model = model_from_entry("matrix", c=np.array([1.0, -2.0]), eps=1.5)[1]
+    pencil = model.pencil()
+    basic = basic_solution(pencil)
+    spec = NoiseSpec(kind="gaussian", dim=2, seed=3, burn_in=10)
+    g = ma1_g(model, simulate_noise(spec, 30)).window(0, 30)
+    got = represent("natural_ns", model, spec, 30, basic=basic).components["stationary"]
+    series = regular_series(basic.t_zero, pencil.c1, g, 400)
+    assert np.abs(got - series).max() <= 1e-6 * np.abs(got).max()
