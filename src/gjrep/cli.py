@@ -92,7 +92,8 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpa
         "radius": radius,
         "default_radius": auto_radius,
         "basic_residuals": residuals,
-        "laurent": {str(j): expansion[j] for j in range(J_LO, J_HI + 1)},
+        # the pair (T_{-1}, T_0) fixes every other block: laurent_range rebuilds them
+        "laurent": {str(j): expansion[j] for j in (-1, 0)},
         "laurent_norms": {
             str(j): spectral_norm(expansion[j])
             for j in range(J_LO, J_HI + 1)

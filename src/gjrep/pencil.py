@@ -147,6 +147,14 @@ def _norm_bounds(a: Array) -> tuple[float, float]:
     return lo, hi
 
 
+def _times_pow2(x: float, e: int) -> float:
+    """``x * 2**e`` rounded once, inf where it overflows."""
+    try:
+        return ldexp(x, e)
+    except OverflowError:
+        return np.inf
+
+
 def _screened(test, harmful=(), helpful=()) -> bool:
     """``test(*norms)`` on the spectral norms of ``harmful`` then ``helpful``.
 
@@ -295,7 +303,8 @@ class SingularityClass:
     kind is one of ``removable``, ``pole``, ``essential_at_truncation``,
     ``inconclusive``; ``order`` is the pole order / collapse index where
     that applies.  ``power_norms`` are the Frobenius norms ``||N^k||_F``
-    of the powers scanned, computed without underflow.
+    of the powers scanned, computed without underflow and then rounded to
+    the nearest double (0.0 below its range).
     """
 
     kind: str
@@ -606,24 +615,36 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
         return SingularityClass(kind="removable", order=None)
     nil = basic.t_minus_one @ pencil.c0
     anchor = max(t_minus_norm * pencil.norms[0], np.finfo(float).tiny)
-    # a_k = ||N^k|| lies in [lo[k], hi[k]], and a(k) narrows both to the
-    # exact norm on demand; a_0 is the anchor, and only the last three powers
-    # are kept
-    lo, hi, powers = [anchor], [anchor], {}
+    floor = TOL_FUND * anchor
+    # N^k = 2^e[k] powers[k]: each power is scaled by an exact power of two
+    # so that its largest entry lies in [1/2, 1), and a power that decays
+    # like 1/k! keeps all its entries clear of underflow.  ||powers[k]|| lies
+    # in [lo[k], hi[k]], and a(k) narrows both to the exact norm on demand;
+    # a_0 is the anchor, and only the last three powers are kept.
+    lo, hi, e, powers = [anchor], [anchor], [0], {}
 
     def a(k: int) -> float:
         if lo[k] != hi[k]:
             lo[k] = hi[k] = spectral_norm(powers[k])
         return lo[k]
 
+    def ratio(x: float, k: int, y: float) -> float:
+        """``(2^e[k] x) / (2^e[k-1] y)``, the ratio of two consecutive norms."""
+        return _times_pow2(x / y, e[k] - e[k - 1])
+
     frobenius: list[float] = []
     power = np.eye(n, dtype=np.complex128)
     for k in range(1, n + 3):
         power = power @ nil
+        flat = power.view(np.float64)
+        top = float(np.abs(flat).max())
+        shift = frexp(top)[1] if 0.0 < top < np.inf else 0
+        np.ldexp(flat, -shift, out=flat)
+        e.append(e[-1] + shift)
         powers[k] = power
         powers.pop(k - 3, None)
-        # BLAS nrm2 scales as it sums: entries near 1e-160 do not underflow
-        frobenius.append(float(scipy.linalg.norm(power.ravel(), check_finite=False)))
+        fro = float(scipy.linalg.norm(power.ravel(), check_finite=False))
+        frobenius.append(_times_pow2(fro, e[k]))
         bounds = _norm_bounds(power)
         lo.append(bounds[0])
         hi.append(bounds[1])
@@ -632,16 +653,16 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
         # exceeds the cliff times prev_ratio = a_{k-1} / a_{k-2}
         # <= hi_{k-1} / lo_{k-2} (1 at k = 1).
         if lo[k - 1] > 0.0:
-            if lo[k] > TOL_FUND * anchor:
+            if _times_pow2(lo[k], e[k]) > floor:
                 continue
             if k == 1 or lo[k - 2] > 0.0:
-                prev_ratio_hi = 1.0 if k == 1 else hi[k - 1] / lo[k - 2]
-                if lo[k] / hi[k - 1] > CLIFF_FACTOR * prev_ratio_hi:
+                prev_ratio_hi = 1.0 if k == 1 else ratio(hi[k - 1], k - 1, lo[k - 2])
+                if ratio(lo[k], k, hi[k - 1]) > CLIFF_FACTOR * prev_ratio_hi:
                     continue
         prev = a(k - 1)
-        prev_ratio = 1.0 if k == 1 else (prev / a(k - 2) if a(k - 2) > 0 else 0.0)
-        ratio = a(k) / prev if prev > 0 else 0.0
-        collapsed = a(k) <= TOL_FUND * anchor and ratio <= CLIFF_FACTOR * prev_ratio
+        prev_ratio = 1.0 if k == 1 else (ratio(prev, k - 1, a(k - 2)) if a(k - 2) > 0 else 0.0)
+        step = ratio(a(k), k, prev) if prev > 0 else 0.0
+        collapsed = _times_pow2(a(k), e[k]) <= floor and step <= CLIFF_FACTOR * prev_ratio
         if prev == 0.0:
             collapsed = True  # already exactly nilpotent at the previous index
         if collapsed:

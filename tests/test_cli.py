@@ -14,11 +14,17 @@ import pytest
 import gjrep
 from gjrep import (
     ArmaModel,
+    BasicSolution,
     FundamentalResidualError,
     LinearPencil,
     NoiseSpec,
     PolynomialPencil,
+    augment,
+    basic_solution,
+    default_radius,
+    laurent_range,
     make,
+    unpack_laurent,
 )
 from gjrep import cli
 from gjrep import io as gio
@@ -60,7 +66,9 @@ def test_analyze_report(matrix_pencil_file, tmp_path):
     assert rep["fundamental"]["passed"] is True
     assert rep["fundamental"]["max_residual"] <= 1e-10
     assert rep["separation"]["passed"] is True
-    assert set(rep["laurent"]) == {str(j) for j in range(-3, 7)}
+    # the report keeps the determining pair; the norms still span the window
+    assert set(rep["laurent"]) == {"-1", "0"}
+    assert set(rep["laurent_norms"]) == {str(j) for j in range(-3, 7)}
 
 
 def test_analyze_polynomial(tmp_path):
@@ -75,6 +83,53 @@ def test_analyze_polynomial(tmp_path):
     assert rep["polynomial"]["degree"] == 2
     assert rep["polynomial"]["fundamental_passed"] is True
     assert rep["polynomial"]["unpack_disagreement"] <= 1e-9
+
+
+def _analyze_report(pencil, tmp_path) -> dict:
+    assert _analyze_code(pencil, tmp_path) == 0
+    return json.loads((tmp_path / "report.json").read_text())
+
+
+def _written_pair(report) -> BasicSolution:
+    laurent = report["laurent"]
+    return BasicSolution(*(gio.decode_complex(laurent[j], ndim=2) for j in ("-1", "0")))
+
+
+def _live_table(pencil) -> dict:
+    basic = basic_solution(pencil, radius=default_radius(pencil))
+    return laurent_range(basic, pencil, -3, 6).coefficients
+
+
+PAIR_PENCILS = {
+    "matrix": lambda: make("matrix", eps=0.5).pencil,
+    "c0": lambda: make("c0").pencil,
+    "volterra12": lambda: make("volterra", n=12).pencil,
+}
+
+
+@pytest.mark.parametrize("case", PAIR_PENCILS)
+def test_written_pair_rebuilds_the_whole_table(case, tmp_path):
+    # floats are written as their shortest repr, so the pair reads back bit
+    # for bit and laurent_range repeats the operations of the analysis
+    pencil = PAIR_PENCILS[case]()
+    rebuilt = laurent_range(_written_pair(_analyze_report(pencil, tmp_path)), pencil, -3, 6)
+    live = _live_table(pencil)
+    assert rebuilt.coefficients.keys() == live.keys()
+    for j, block in live.items():
+        assert np.array_equal(rebuilt[j], block), j
+
+
+def test_written_augmented_pair_rebuilds_the_polynomial_table(tmp_path):
+    poly = _degree2_pencil()
+    report = _analyze_report(poly, tmp_path)
+    aug = augment(poly)
+    rebuilt = laurent_range(_written_pair(report), aug.pencil, -3, 6).coefficients
+    got, got_spread = unpack_laurent(aug, rebuilt)
+    want, want_spread = unpack_laurent(aug, _live_table(aug.pencil))
+    assert got_spread == want_spread == report["polynomial"]["unpack_disagreement"]
+    assert got.keys() == want.keys()
+    for m, block in want.items():
+        assert np.array_equal(got[m], block), m
 
 
 def test_analyze_rejects_csv_before_any_work(matrix_pencil_file, monkeypatch):

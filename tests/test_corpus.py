@@ -6,6 +6,7 @@ import pytest
 from gjrep import (
     InputError,
     basic_residuals,
+    basic_solution,
     default_radius,
     laurent_range,
     make,
@@ -131,6 +132,29 @@ def test_volterra_norm_limit_improves_with_n():
     limit = 2.0 / np.pi
     assert abs(big - limit) < abs(small - limit)
     assert abs(big - limit) <= 1e-2
+
+
+def test_volterra_section_resolvent_approaches_the_operator_kernel():
+    # The finite section C_0 = V_n is the Volterra operator sampled on a grid
+    # of step 1/n, and the operator's T_{-1} = -(I - V)^{-1} has the kernel
+    # -e^{x - y} below the diagonal.  The section's n T_{-1}[i, j] is
+    # -(1 + 1/n)^{d - 1} with d = i - j, so with x = d / n the error
+    # e^x - (1 + 1/n)^{d - 1} = e^x (1 - exp((d - 1) ln(1 + 1/n) - x))
+    # lies between e^x (1 - e^{-1/n}) and e^x (1/n + (d - 1) / (2 n^2)), from
+    # h - h^2/2 <= ln(1 + h) <= h.  It grows with d, so its largest value,
+    # at d = n - 1, lies within [e (1 - 3 / (2n)), 3e / 2] / n.  There the
+    # expansion gives (3e/2 - 95e / (24n) + O(1/n^2)) / n, so each doubling
+    # of n halves it up to 95 / (36n) + O(1/n^2).  The contour pair adds
+    # rounding far below both.
+    errors = {}
+    for n in (32, 64, 128, 256):
+        pencil = make_volterra_example(n=n).pencil
+        t_m1 = basic_solution(pencil, radius=default_radius(pencil)).t_minus_one
+        i, j = np.tril_indices(n, -1)
+        errors[n] = np.abs(n * t_m1[i, j] + np.exp((i - j) / n)).max()
+        assert np.e * (1 - 1.5 / n) <= n * errors[n] <= 1.5 * np.e, n
+    for n in (32, 64, 128):
+        assert abs(errors[n] / errors[2 * n] - 2) <= 4 / n, n
 
 
 def test_volterra_power_norms_strictly_decreasing():

@@ -320,7 +320,7 @@ def _volterra_model(n):
     )
 
 
-@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("n", [16, 64, 128, 256])
 def test_trend_filter_is_exact_on_deep_volterra_poles(n):
     # a cumulation series of depth n loses every digit here; the filter has
     # no depth and sums the series exactly

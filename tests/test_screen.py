@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjrep import (
+    BasicSolution,
     LinearPencil,
     PolynomialPencil,
     annulus_estimate,
@@ -73,6 +74,26 @@ def test_volterra128_is_essential_at_truncation():
     assert (got.kind, got.order) == ("essential_at_truncation", 128)
     assert len(got.power_norms) == 128
     assert 0.0 < got.power_norms[-2] < 1e-260
+
+
+@pytest.mark.parametrize("n", [192, 256])
+def test_deep_volterra_powers_do_not_underflow_into_a_pole(n):
+    # ||N^k|| falls like 1/k! and leaves the doubles near k = 158: the scaled
+    # running power keeps the decay smooth, and the collapse comes at n
+    pencil, basic = _closed(make("volterra", n=n))
+    got = classify_singularity(basic, pencil)
+    assert (got.kind, got.order) == ("essential_at_truncation", n)
+
+
+def test_powers_past_the_largest_double_classify_inconclusive():
+    # N = 2^100 I is not nilpotent: its scaled powers never overflow, and the
+    # norms past the range of the doubles read inf instead of raising
+    eye = np.eye(12, dtype=np.complex128)
+    got = classify_singularity(
+        BasicSolution(2.0**50 * eye, 0 * eye), LinearPencil(2.0**50 * eye, eye)
+    )
+    assert (got.kind, got.order) == ("inconclusive", None)
+    assert got.power_norms[9] < np.inf and got.power_norms[10] == np.inf
 
 
 def _chain_cases():
