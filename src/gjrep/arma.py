@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .pencil import Array, LinearPencil, _checked_solve, as_matrix, as_vector
+from .pencil import Array, LinearPencil, _checked_integer, _checked_solve, as_matrix, as_vector
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("seed", "burn_in"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-                raise InputError(f"noise {name} must be a non-negative integer, got {value!r}")
+            _checked_integer(getattr(self, name), f"noise {name}", 0)
         if not isinstance(self.params, dict):
             raise InputError(f"noise params must be a mapping, got {type(self.params).__name__}")
         _noise_law(self)

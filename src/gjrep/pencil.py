@@ -83,6 +83,14 @@ def as_vector(value, dim: int | None = None, name: str = "vector") -> Array:
     return a
 
 
+def _checked_integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int, or InputError unless it is an integer, not a bool,
+    at or above ``minimum``; no coercion from floats or strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def spectral_norm(a: Array) -> float:
     """The largest singular value of ``a``; NumericError if an entry is not finite."""
     if not np.isfinite(a).all():

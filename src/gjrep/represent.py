@@ -72,8 +72,10 @@ from .pencil import (
     BasicSolution,
     SingularityClass,
     SpectralPair,
+    _checked_integer,
     _checked_solve,
     annulus_estimate,
+    as_vector,
     basic_solution,
     classify_singularity,
 )
@@ -121,8 +123,7 @@ def represent(
     """
     if form not in FORMS:
         raise InputError(f"unknown form {form!r}; expected one of {FORMS}")
-    if t_end < 0:
-        raise InputError("t_end must be >= 0")
+    t_end = _checked_integer(t_end, "t_end", 0)
     pencil = model.pencil()
     if basic is None:
         basic = basic_solution(pencil, radius=radius)
@@ -323,32 +324,43 @@ def cointegration_probe(
     I(1); above the third, with the differenced series reading I(1), as
     I(2).
 
+    A model whose four coefficients are all real runs in real arithmetic:
+    the noise is real, so its state is real too.  A model with any complex
+    coefficient runs in complex arithmetic.  Both give the same slopes, up
+    to rounding, for the same path.
+
     The probe takes no noise scale.  The state is linear in the noise, so
     scaling the noise by s scales every window variance by s^2, which adds
     the constant ``2 log s`` to each log-variance; the slope of a line
     fitted to them does not change, and neither do the labels.
     """
-    f = np.asarray(functional, dtype=np.complex128).reshape(-1)
-    if f.shape[0] != model.dim:
-        raise InputError(f"functional must have length {model.dim}")
-    if t_end < 32:
-        raise InputError("probe horizon too short")
+    f = as_vector(functional, model.dim, "functional")
+    t_end = _checked_integer(t_end, "probe t_end", 32)
+    n_seeds = _checked_integer(n_seeds, "n_seeds", 1)
+    base_seed = _checked_integer(base_seed, "base_seed", 0)
+    # real noise through real coefficients gives a real state, so a real
+    # model runs in float64: half the bytes and a quarter of the complex work
+    coeffs = (model.a0, model.a1, model.f0, model.f1)
+    real = not any(a.imag.any() for a in coeffs)
+    a0, a1, f0, f1 = (a.real for a in coeffs) if real else coeffs
     n, m = model.dim, n_seeds
     length = t_end + 2  # noise on [-1, t_end]
-    noise = np.empty((length, n, m), dtype=np.complex128)
+    a0_inv = _checked_solve(a0, np.eye(n, dtype=a0.dtype), "contemporaneous coefficient A_0")
+    step = -(a0_inv @ a1)
+    # one contiguous block per seed: each draw writes in place, and the drive
+    # A_0^{-1} (F_0 n(t) + F_1 n(t-1)) is two (T, n) @ (n, n) products per seed
+    noise = np.empty((m, length, n))
     for i in range(m):
-        rng = np.random.default_rng(base_seed + i)
-        noise[:, :, i] = rng.standard_normal((length, n))
-    drive = model.f0 @ noise[1:]
-    drive += model.f1 @ noise[:-1]
-    del noise  # at most three (T, n, m) arrays are alive at once
-    a0_inv = _checked_solve(
-        model.a0, np.eye(n, dtype=np.complex128), "contemporaneous coefficient A_0"
-    )
-    step = -(a0_inv @ model.a1)
-    drive = a0_inv @ drive
-    x = kernels.arma_recursion(step, drive, np.zeros((n, m), np.complex128))
-    y = np.real(np.conj(f) @ x)
+        np.random.default_rng(base_seed + i).standard_normal((length, n), out=noise[i])
+    noise = noise.astype(a0.dtype, copy=False)  # cast once, not in each product
+    drive = noise[:, 1:] @ (a0_inv @ f0).T
+    drive += noise[:, :-1] @ (a0_inv @ f1).T
+    # at most three path-sized arrays of the model's dtype are alive at once:
+    # 48 MB in float64 at n = 10, m = 100, T = 2000, twice that in complex128
+    del noise
+    # the kernel's copy puts the drive in its (T, n, m) layout
+    x = kernels.arma_recursion(step, drive.transpose(1, 2, 0), np.zeros((n, m)))
+    y = f.real @ x if real else np.real(np.conj(f) @ x)
 
     scales = np.unique(
         np.geomspace(16, max(64, t_end // 4), PROBE_SCALES).astype(int)

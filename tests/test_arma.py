@@ -175,3 +175,10 @@ def test_diff_pos_full_matches_binomial_oracle():
         diff_pos(g.values, g.start, 25, mode="full")
     with pytest.raises(ValueError):
         diff_pos(g.values, g.start, 1, mode="sideways")
+
+
+@pytest.mark.parametrize("name", ["seed", "burn_in"])
+@pytest.mark.parametrize("value", [-1, True, 1.0, "1"], ids=repr)
+def test_noise_integers_are_checked(name, value):
+    with pytest.raises(InputError, match=f"noise {name} must be an integer >= 0"):
+        NoiseSpec(kind="gaussian", dim=1, **{"seed": 0, name: value})

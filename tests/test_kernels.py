@@ -1,6 +1,7 @@
 """The numpy recursion kernel, and the literal convolution oracle's semantics."""
 
 import numpy as np
+import pytest
 
 from gjrep import kernels
 from oracles import causal_stack_apply
@@ -57,3 +58,40 @@ def test_stack_shorter_than_signal_and_longer():
         ]
     )
     assert np.max(np.abs(out_short - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, m, steps", [(10, 100, 40), (64, 5, 40), (2, 1, 200), (17, 3, 60)])
+def test_arma_recursion_real_inputs_stay_real(n, m, steps):
+    # a real run equals the same run in complex128 to within a few ulps of max|x|
+    rng = np.random.default_rng([n, m])
+    step = 0.9 * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    drive = rng.standard_normal((steps, n, m))
+    x0 = rng.standard_normal((n, m))
+    out = kernels.arma_recursion(step, drive, x0)
+    assert out.dtype == np.float64
+    want = kernels.arma_recursion(step.astype(complex), drive.astype(complex), x0.astype(complex))
+    assert want.dtype == np.complex128
+    assert np.max(np.abs(out - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_arma_recursion_complex_if_any_input_is():
+    step = 0.3 * RNG.standard_normal((2, 2))
+    drive = RNG.standard_normal((4, 2, 1))
+    x0 = np.zeros((2, 1))
+    for args in (
+        (step.astype(complex), drive, x0),
+        (step, drive.astype(complex), x0),
+        (step, drive, x0.astype(complex)),
+        (_pair((2, 2)), _pair((4, 2, 1)), _pair((2, 1))),
+    ):
+        assert kernels.arma_recursion(*args).dtype == np.complex128
+
+
+def test_arma_recursion_strided_drive():
+    # a transposed view is laid out by the kernel's own copy
+    step = 0.3 * _pair((3, 3))
+    drive = _pair((4, 50, 3)).transpose(1, 2, 0)
+    x0 = _pair((3, 4))
+    out = kernels.arma_recursion(step, drive, x0)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, kernels.arma_recursion(step, np.ascontiguousarray(drive), x0))

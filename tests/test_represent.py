@@ -203,6 +203,8 @@ def test_probe_validation():
         cointegration_probe(model, np.ones(3))
     with pytest.raises(InputError):
         cointegration_probe(model, np.ones(2), t_end=16)
+    with pytest.raises(InputError):
+        cointegration_probe(model, np.array([np.nan, 1.0]))
 
 
 def test_represent_validation():
@@ -212,6 +214,49 @@ def test_represent_validation():
         represent("sideways", model, spec, 10)
     with pytest.raises(InputError):
         represent("extended_ns", model, spec, -1)
+    with pytest.raises(InputError):
+        represent("extended_ns", model, spec, True)
+    with pytest.raises(InputError):
+        represent("extended_ns", model, spec, 10.0)
+    assert represent("extended_ns", model, spec, np.int64(10)).t_end == 10
+
+
+@pytest.mark.parametrize(
+    "keywords",
+    [
+        {"n_seeds": 0},
+        {"n_seeds": -1},
+        {"n_seeds": 5.0},
+        {"n_seeds": True},
+        {"base_seed": -1},
+        {"base_seed": 0.0},
+        {"t_end": 800.0},
+        {"t_end": 31},
+    ],
+    ids=repr,
+)
+def test_probe_integer_arguments(keywords):
+    _, model = model_from_entry("matrix", eps=0.5)
+    with pytest.raises(InputError):
+        cointegration_probe(model, np.ones(2), **{"t_end": 800, "n_seeds": 5, **keywords})
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_probe_complex_route_matches_real_route(seed):
+    # e^{i pi/3} times every coefficient leaves the path the same but sends
+    # the probe through complex arithmetic
+    _, model = model_from_entry("c0", lam=0.25, n=10)
+    w = np.exp(1j * np.pi / 3)
+    turned = ArmaModel(
+        a0=w * model.a0, a1=w * model.a1, f0=w * model.f0, f1=w * model.f1, c=model.c
+    )
+    for j in range(3):
+        f = np.eye(10)[j]
+        real = cointegration_probe(model, f, n_seeds=20, base_seed=20 * seed)
+        cplx = cointegration_probe(turned, f, n_seeds=20, base_seed=20 * seed)
+        assert real.labels == cplx.labels
+        assert np.max(np.abs(real.level_slopes - cplx.level_slopes)) <= 1e-10
+        assert np.max(np.abs(real.diff_slopes - cplx.diff_slopes)) <= 1e-10
 
 
 def _unitary(seed, n):
