@@ -47,6 +47,12 @@ from .represent import represent
 J_LO, J_HI = -3, 6  # default Laurent window for analyze reports
 
 
+def _as_written(a) -> np.ndarray:
+    """A report matrix as complex128: a real pencil's float64 blocks are
+    written as [re, im] pairs too, with every imaginary part 0.0."""
+    return np.asarray(a, dtype=np.complex128)
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -93,7 +99,7 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpa
         "default_radius": auto_radius,
         "basic_residuals": residuals,
         # the pair (T_{-1}, T_0) fixes every other block: laurent_range rebuilds them
-        "laurent": {str(j): expansion[j] for j in (-1, 0)},
+        "laurent": {str(j): _as_written(expansion[j]) for j in (-1, 0)},
         "laurent_norms": {
             str(j): spectral_norm(expansion[j])
             for j in range(J_LO, J_HI + 1)
@@ -106,8 +112,8 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpa
             "passed": fund.passed,
         },
         "projections": {
-            "domain_sin": pair.domain_sin,
-            "range_sin": pair.range_sin,
+            "domain_sin": _as_written(pair.domain_sin),
+            "range_sin": _as_written(pair.range_sin),
             "domain_sin_rank": int(round(np.trace(pair.domain_sin).real)),
             "range_sin_rank": int(round(np.trace(pair.range_sin).real)),
         },

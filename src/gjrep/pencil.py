@@ -25,6 +25,14 @@ straddle the verdict's threshold.  The verdicts are therefore exactly those
 of the all-SVD evaluation.  A written maximum over many terms
 (``_screened_max``) is exact too: only the terms whose upper bound reaches
 the largest lower bound can hold it, so only those take an SVD.
+
+A real pencil (both coefficients with zero imaginary part) is stored in
+float64.  Its resolvent satisfies ``R(conj z) = conj R(z)``, so its Laurent
+coefficients are real and the quadrature solves only the nodes on the upper
+half of the circle (Trefethen & Weideman, SIAM Review 56, 2014).  The pair,
+the checks, the classification and the annulus estimate then all run in
+real arithmetic; the dtype of the pencil is the only switch, and a complex
+pencil takes the same code on the full grid.
 """
 
 from __future__ import annotations
@@ -210,18 +218,24 @@ def _max_norm(mats) -> float:
 
 @dataclass(frozen=True)
 class LinearPencil:
-    """Anchored pencil ``A(z) = c0 + c1*(z - 1)``."""
+    """Anchored pencil ``A(z) = c0 + c1*(z - 1)``.
+
+    Both coefficients are stored as float64 when every entry of both has
+    zero imaginary part, and as complex128 otherwise; everything computed
+    from the pencil follows that dtype.
+    """
 
     c0: Array
     c1: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", as_matrix(self.c0, "c0"))
-        object.__setattr__(self, "c1", as_matrix(self.c1, "c1"))
-        if self.c0.shape != self.c1.shape:
-            raise InputError(
-                f"c0 and c1 must match, got {self.c0.shape} vs {self.c1.shape}"
-            )
+        c0, c1 = as_matrix(self.c0, "c0"), as_matrix(self.c1, "c1")
+        if c0.shape != c1.shape:
+            raise InputError(f"c0 and c1 must match, got {c0.shape} vs {c1.shape}")
+        if not (c0.imag.any() or c1.imag.any()):
+            c0, c1 = np.ascontiguousarray(c0.real), np.ascontiguousarray(c1.real)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
 
     @property
     def dim(self) -> int:
@@ -327,7 +341,7 @@ def solve_at(pencil: LinearPencil, z: complex, *, tol: float = TOL_SOLVE) -> Arr
     condition estimate above ``COND_CAP`` or an exactly singular factor.
     """
     a = pencil.evaluate(z)
-    eye = np.eye(pencil.dim, dtype=np.complex128)
+    eye = np.eye(pencil.dim, dtype=a.dtype)
     r = _checked_solve(a, eye, f"pencil at z = {z}")
     defect = a @ r - eye
     if not _screened(
@@ -381,36 +395,55 @@ def contour_coefficients(
     2m-point grid, with the same phases ``e^{-2 pi i j k/m}``.  So each
     round solves only the new odd nodes and adds them to one running sum
     per ``j``; ``T_j`` is that sum times ``radius^{-j} / m``, and no node
-    value is stored.  Returns the coefficient table and an info dict
-    (radius, node count).
+    value is stored.
+
+    A real (float64) pencil has ``R(conj z) = conj R(z)``, and the grid is
+    closed under conjugation: node ``k`` and node ``m - k`` are twins.  So
+    only the nodes with angle in ``[0, pi]`` are solved, ``m/2 + 1`` of
+    them.  The two on the real axis (``k = 0``, ``k = m/2``) are solved at
+    a real point and count once; every other one adds
+    ``2 Re(R(z_k) e^{-i j theta_k})`` for itself and its twin.  The new odd
+    nodes of a doubling pair up as ``k <-> 2m - k`` too, and the sums and
+    the returned ``T_j`` are float64.
+
+    Returns the coefficient table and an info dict: the radius, and as
+    ``nodes`` the size m of the last grid (not the number of solves).
     """
     if radius is None:
         radius = default_radius(pencil)
     if not 0.0 < radius < np.inf:  # also False for NaN
         raise InputError(f"contour radius must be finite and positive, got {radius}")
-    eye = np.eye(pencil.dim, dtype=np.complex128)
-    sums = {j: np.zeros_like(eye) for j in js}
+    half = pencil.c0.dtype.kind == "f"  # the solves cover the upper half circle
+    sums = {j: np.zeros_like(pencil.c0) for j in js}
 
     def add_nodes(m: int, ks: range) -> dict[int, Array]:
         """Add nodes ``ks`` of the m-point grid to the sums; return the m-point ``T_j``."""
         for k in ks:
             angle = 2 * np.pi * k / m
+            point = 1.0 + radius * np.exp(1j * angle)
+            # on the half grid node k stands in for its twin m - k as well,
+            # except on the real axis (k = 0 or m/2), where the point is real
+            weight = 2.0 if half and 0 < 2 * k < m else 1.0
+            if half and weight == 1.0:
+                point = point.real
+            a = pencil.evaluate(point)
             try:
-                r = np.linalg.solve(pencil.evaluate(1.0 + radius * np.exp(1j * angle)), eye)
+                r = np.linalg.solve(a, np.eye(pencil.dim, dtype=a.dtype))
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(
                     f"contour of radius {radius} passes through a "
                     f"singular point near angle {angle:.4f}"
                 ) from exc
             for j in js:
-                sums[j] += r * np.exp(-1j * j * angle)
+                term = r * (weight * np.exp(-1j * j * angle))
+                sums[j] += term.real if half else term
         return {j: sums[j] * (radius ** (-j) / m) for j in js}
 
     m = START_NODES
-    current = add_nodes(m, range(m))
+    current = add_nodes(m, range(m // 2 + 1 if half else m))
     while m < MAX_NODES:
         m *= 2
-        refined = add_nodes(m, range(1, m, 2))
+        refined = add_nodes(m, range(1, m // 2 if half else m, 2))
         settled = all(
             _screened(
                 lambda move, size: move / max(1.0, size) <= tol,
@@ -641,10 +674,10 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
         return _times_pow2(x / y, e[k] - e[k - 1])
 
     frobenius: list[float] = []
-    power = np.eye(n, dtype=np.complex128)
+    power = np.eye(n, dtype=nil.dtype)
     for k in range(1, n + 3):
         power = power @ nil
-        flat = power.view(np.float64)
+        flat = power.view(np.float64)  # the entries, or their real and imaginary parts
         top = float(np.abs(flat).max())
         shift = frexp(top)[1] if 0.0 < top < np.inf else 0
         np.ldexp(flat, -shift, out=flat)
@@ -734,9 +767,8 @@ def closed_form_parts(
     principal series; ``R_reg(z) = [ I + T_0 C_1 (z-1) ]^{-1} T_0`` sums the
     regular series.  Valid on the annulus of the expansion.
     """
-    n = pencil.dim
-    eye = np.eye(n, dtype=np.complex128)
     w = z - 1.0
+    eye = np.eye(pencil.dim, dtype=np.result_type(w, pencil.c0))
     sin_core = w * eye + basic.t_minus_one @ pencil.c0
     reg_core = eye + basic.t_zero @ pencil.c1 * w
     r_sin = _checked_solve(

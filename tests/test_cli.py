@@ -104,19 +104,35 @@ PAIR_PENCILS = {
     "matrix": lambda: make("matrix", eps=0.5).pencil,
     "c0": lambda: make("c0").pencil,
     "volterra12": lambda: make("volterra", n=12).pencil,
+    "volterra64": lambda: make("volterra", n=64).pencil,
+    "cascade8": lambda: make("hierarchy", n=8).pencil,
 }
 
 
 @pytest.mark.parametrize("case", PAIR_PENCILS)
 def test_written_pair_rebuilds_the_whole_table(case, tmp_path):
     # floats are written as their shortest repr, so the pair reads back bit
-    # for bit and laurent_range repeats the operations of the analysis
+    # for bit and laurent_range repeats the operations of the analysis; these
+    # pencils are real, so the pair is computed in float64 and reads back as
+    # complex128 with zero imaginary parts
     pencil = PAIR_PENCILS[case]()
     rebuilt = laurent_range(_written_pair(_analyze_report(pencil, tmp_path)), pencil, -3, 6)
     live = _live_table(pencil)
     assert rebuilt.coefficients.keys() == live.keys()
     for j, block in live.items():
         assert np.array_equal(rebuilt[j], block), j
+
+
+def test_real_pencil_writes_complex_pairs_with_zero_imaginary_parts(tmp_path):
+    pencil = make("volterra", n=12).pencil
+    assert pencil.c0.dtype == np.float64
+    report = _analyze_report(pencil, tmp_path)
+    mats = [report["laurent"][j] for j in ("-1", "0")]
+    mats += [report["projections"][k] for k in ("domain_sin", "range_sin")]
+    for mat in mats:
+        arr = np.asarray(mat)
+        assert arr.dtype == np.float64 and arr.shape == (12, 12, 2)
+        assert np.all(arr[..., 1] == 0.0)
 
 
 def test_written_augmented_pair_rebuilds_the_polynomial_table(tmp_path):

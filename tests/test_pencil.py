@@ -310,3 +310,82 @@ def test_pencil_shape_validation():
         LinearPencil(c0=np.zeros((2, 3)), c1=np.zeros((2, 3)))
     with pytest.raises(InputError):
         LinearPencil(c0=np.zeros((2, 2)), c1=np.zeros((3, 3)))
+
+
+# A real pencil is analysed in float64 on the upper half of the contour; the
+# same pencil times e^{i pi/3} is complex and takes the full grid, and its
+# resolvent is the real one times e^{-i pi/3}.
+ROTATION = np.exp(1j * np.pi / 3)
+REAL_PENCILS = {
+    "c0": lambda: make("c0").pencil,
+    "cascade8": lambda: make("hierarchy", n=8).pencil,
+    "volterra16": lambda: make("volterra", n=16).pencil,
+    "volterra64": lambda: make("volterra", n=64).pencil,
+}
+
+
+def _rotated(pencil):
+    return LinearPencil(c0=ROTATION * pencil.c0, c1=ROTATION * pencil.c1)
+
+
+@pytest.mark.parametrize("name", REAL_PENCILS)
+def test_real_route_agrees_with_the_full_complex_grid(name):
+    pencil = REAL_PENCILS[name]()
+    rotated = _rotated(pencil)
+    assert pencil.c0.dtype == pencil.c1.dtype == np.float64
+    assert rotated.c0.dtype == rotated.c1.dtype == np.complex128
+    radius = default_radius(pencil)
+    real = basic_solution(pencil, radius=radius)
+    full = basic_solution(rotated, radius=radius)
+    assert real.t_minus_one.dtype == real.t_zero.dtype == np.float64
+    scale = max(real.norms)
+    for got, want in ((real.t_minus_one, full.t_minus_one), (real.t_zero, full.t_zero)):
+        assert spectral_norm(got / ROTATION - want) <= 1e-14 * scale
+    # the rotated pair against the rotated pencil rebuilds the real analysis
+    s_real, s_full = classify_singularity(real, pencil), classify_singularity(full, rotated)
+    assert (s_real.kind, s_real.order) == (s_full.kind, s_full.order)
+    assert annulus_estimate(real, pencil) == pytest.approx(
+        annulus_estimate(full, rotated), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("name", REAL_PENCILS)
+def test_real_route_solves_half_the_grid(name, monkeypatch):
+    pencil = REAL_PENCILS[name]()
+    radius = default_radius(pencil)
+    solve = np.linalg.solve
+    counts = []
+
+    def counted(a, b):
+        counts[-1] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    sizes = []
+    for pen in (pencil, _rotated(pencil)):
+        counts.append(0)
+        got, info = contour_coefficients(pen, (-1, 0), radius)
+        assert {b.dtype for b in got.values()} == {pen.c0.dtype}
+        sizes.append(info["nodes"])
+    # the node count is the grid size on both routes
+    assert sizes[0] == sizes[1]
+    assert counts == [sizes[0] // 2 + 1, sizes[0]]
+
+
+@pytest.mark.parametrize("route", ["real", "complex"])
+def test_contour_through_a_real_singular_point_raises_on_both_routes(route):
+    # node k = 0 of the radius-0.5 circle sits on the offset 0.5; the factor
+    # i keeps that point exactly singular and makes the pencil complex
+    pencil = make("matrix").pencil
+    if route == "complex":
+        pencil = LinearPencil(c0=1j * pencil.c0, c1=1j * pencil.c1)
+    with pytest.raises(SingularMatrixError, match="angle 0.0000"):
+        contour_coefficients(pencil, (-1, 0), 0.5)
+
+
+def test_pencil_dtype_follows_the_imaginary_parts():
+    real = LinearPencil(c0=np.eye(2) + 0j, c1=-np.eye(2))
+    assert real.c0.dtype == real.c1.dtype == np.float64
+    # one nonzero imaginary part anywhere keeps both coefficients complex
+    mixed = LinearPencil(c0=np.eye(2), c1=np.diag([1.0, 1e-300j]))
+    assert mixed.c0.dtype == mixed.c1.dtype == np.complex128
