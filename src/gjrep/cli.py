@@ -24,9 +24,7 @@ from .augment import PolynomialPencil, augment, unpack_laurent
 from .corpus import MAKERS, make
 from .errors import GjrepError, InputError, NumericError, VerificationError
 from .pencil import (
-    TOL_CONTOUR,
     TOL_FUND,
-    TOL_SOLVE,
     LaurentExpansion,
     LinearPencil,
     annulus_estimate,
@@ -76,22 +74,17 @@ def _load_json(path: str) -> dict:
 def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpansion]:
     auto_radius = default_radius(pencil)
     radius = args.radius if args.radius is not None else auto_radius
-    basic = basic_solution(
-        pencil, radius=radius, tol=args.tol_contour, verify_tol=args.tol_fund
-    )
+    basic = basic_solution(pencil, radius=radius)
     residuals = basic_residuals(basic, pencil)
     expansion = laurent_range(basic, pencil, J_LO, J_HI)
-    fund = verify_fundamental(
-        pencil, expansion.coefficients, J_LO + 1, J_HI, tol=args.tol_fund
-    )
-    pair = projections(basic, pencil, tol=args.tol_fund)
-    sep = separate(pair, pencil, tol=args.tol_fund)
+    fund = verify_fundamental(pencil, expansion.coefficients, J_LO + 1, J_HI)
+    pair = projections(basic, pencil)
+    sep = separate(pair, pencil)
     sclass = classify_singularity(basic, pencil)
     s_hat, r_hat = annulus_estimate(basic, pencil)
     probe_z = 1.0 + radius * 0.5
     closed_err = spectral_norm(
-        closed_form_resolvent(basic, pencil, probe_z)
-        - solve_at(pencil, probe_z, tol=args.tol_solve)
+        closed_form_resolvent(basic, pencil, probe_z) - solve_at(pencil, probe_z)
     )
     report = {
         "dim": pencil.dim,
@@ -136,7 +129,7 @@ def cmd_analyze(args) -> int:
         aug = augment(pencil)
         report, ok, expansion = _analyze_linear(aug.pencil, args)
         tmap, disagreement = unpack_laurent(aug, expansion.coefficients)
-        pfund = verify_fundamental(pencil, tmap, J_LO + pencil.degree, J_HI, tol=args.tol_fund)
+        pfund = verify_fundamental(pencil, tmap, J_LO + pencil.degree, J_HI)
         report["polynomial"] = {
             "degree": pencil.degree,
             "base_dim": pencil.dim,
@@ -147,7 +140,7 @@ def cmd_analyze(args) -> int:
         # the block copies are rounded copies of one another: their spread
         # scales with the augmented coefficients
         t_size = max(report["laurent_norms"].values())
-        ok = ok and pfund.passed and disagreement <= args.tol_fund * t_size
+        ok = ok and pfund.passed and disagreement <= TOL_FUND * t_size
     else:
         report, ok, _ = _analyze_linear(pencil, args)
     _write_out(gio.dumps_report(report), args.out)
@@ -357,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="Laurent/projection/classification report for a pencil")
     pa.add_argument("--pencil", required=True, help="pencil JSON file")
     pa.add_argument("--radius", type=float, default=None)
-    pa.add_argument("--tol-solve", dest="tol_solve", type=float, default=TOL_SOLVE)
-    pa.add_argument("--tol-contour", dest="tol_contour", type=float, default=TOL_CONTOUR)
-    pa.add_argument("--tol-fund", dest="tol_fund", type=float, default=TOL_FUND)
     common(pa, ("json",))
     pa.set_defaults(func=cmd_analyze)
 
@@ -400,11 +390,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the input-error code
         return 0 if exc.code in (0, None) else 3
     try:
-        for name in ("tol_solve", "tol_contour", "tol_fund", "tol_rep"):
-            tol = getattr(args, name, None)
-            if tol is not None and not tol > 0:
-                flag = "--" + name.replace("_", "-")
-                raise InputError(f"{flag} must be positive, got {tol}")
+        tol_rep = getattr(args, "tol_rep", None)
+        if tol_rep is not None and not tol_rep > 0:
+            raise InputError(f"--tol-rep must be positive, got {tol_rep}")
         return args.func(args)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -8,14 +8,16 @@ the numerical machinery is checked against.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InputError
-from .pencil import Array, BasicSolution, LinearPencil
+from .pencil import Array, BasicSolution, LinearPencil, _checked_integer
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,7 @@ def make_c0_example(lam: float = 0.25, n: int = 10) -> CorpusEntry:
     2x2 Jordan block; coordinate j >= 3 is a stable AR(1) with parameter
     lam^(j-2), so the regular radius is (1 - lam)/lam.
     """
-    if n < 3:
-        raise InputError("need dimension >= 3")
+    n = _checked_integer(n, "n", 3)
     if not 0 < lam < 1:
         raise InputError("lam must lie in (0, 1)")
     top = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -169,8 +170,7 @@ def make_volterra_example(n: int = 64) -> CorpusEntry:
     essential at this truncation; the regular part is identically zero.
     Structural zeros are preserved exactly by triangular solves.
     """
-    if n < 2:
-        raise InputError("need dimension >= 2")
+    n = _checked_integer(n, "n", 2)
     v = np.tril(np.full((n, n), 1.0 / n), -1).astype(np.complex128)
     eye = np.eye(n, dtype=np.complex128)
     c0 = v
@@ -216,8 +216,7 @@ def make_hierarchy_example(base: float = 0.4, n: int = 8) -> CorpusEntry:
     relaxes at rate sigma = sum lam_k < 1.  The anchor pole has order n
     in dimension n + 1 and the regular part is rank one.
     """
-    if n < 1:
-        raise InputError("need at least one level")
+    n = _checked_integer(n, "n", 1)
     lam = base * 2.0 ** -np.arange(1, n + 1)
     sigma = float(lam.sum())
     if sigma >= 1.0:
@@ -299,7 +298,19 @@ MAKERS: dict[str, Callable[..., CorpusEntry]] = {
 
 
 def make(name: str, **params) -> CorpusEntry:
-    """Build a corpus entry by name."""
+    """Build a corpus entry by name.
+
+    InputError for a name outside the maker's signature or a float that is
+    not finite, before the maker does any arithmetic; each maker checks its
+    integer parameters and ranges itself.
+    """
     if name not in MAKERS:
         raise InputError(f"unknown corpus entry {name!r}; have {sorted(MAKERS)}")
-    return MAKERS[name](**params)
+    maker = MAKERS[name]
+    known = inspect.signature(maker).parameters
+    for key, value in params.items():
+        if key not in known:
+            raise InputError(f"{name} has no parameter {key!r}; have {sorted(known)}")
+        if isinstance(value, float) and not isfinite(value):
+            raise InputError(f"{name} parameter {key} must be finite, got {value!r}")
+    return maker(**params)

@@ -12,9 +12,11 @@ evaluates the closed-form (partial-fraction) resolvent.
 The quadrature is the trapezoid rule on nested grids.  The m-point grid is
 the even half of the 2m-point grid, so node doubling solves only the new odd
 nodes and adds them to one running sum per coefficient; no node value is
-kept between rounds.  Every other inverse goes through one condition-checked
-solve (``_checked_solve``), and every one-step matrix recurrence
-``X_{t+1} = -S X_t`` through one generator (``_laurent_orbit``).
+kept between rounds.  Every inverse, the contour's nodes included, goes
+through one condition-checked solve (``_checked_solve``: one LU, LAPACK's
+1-norm condition estimate from it, and the solve from the same LU), and
+every one-step matrix recurrence ``X_{t+1} = -S X_t`` through one generator
+(``_laurent_orbit``).
 
 Spectral norms follow one rule.  A norm that a report writes is an exact SVD
 norm (``spectral_norm``), computed once per object where several checks share
@@ -38,7 +40,7 @@ pencil takes the same code on the full grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from math import frexp, ldexp, sqrt
 
 import numpy as np
@@ -56,8 +58,8 @@ from .errors import (
 
 Array = np.ndarray
 
-# Default tolerances; every check below scales them by the magnitude of the
-# matrices involved, so they are relative, not absolute.
+# Tolerances of the verdicts; every check below scales them by the magnitude
+# of the matrices involved, so they are relative, not absolute.
 TOL_SOLVE = 1e-9
 TOL_CONTOUR = 1e-9
 TOL_FUND = 1e-9
@@ -106,19 +108,31 @@ def spectral_norm(a: Array) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
-def _checked_solve(a: Array, b: Array, what: str) -> Array:
-    """``a^{-1} b``, or SingularMatrixError naming ``what``.
+@cache
+def _lu_routines(dtype: np.dtype):
+    """LAPACK's ``(getrf, gecon, getrs)`` for ``dtype``, fetched once per dtype."""
+    return scipy.linalg.lapack.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=dtype)
 
-    ``a`` counts as singular when its condition estimate is above
-    ``COND_CAP`` or not finite, or when the LU factorisation breaks down.
+
+def _checked_solve(a: Array, b: Array, what: str) -> Array:
+    """``a^{-1} b`` from one LU of ``a``, or SingularMatrixError naming ``what``.
+
+    The LU gives LAPACK's 1-norm condition estimate (``?gecon``, O(n^2);
+    Higham, ACM TOMS 14, 1988) and then the solve.  ``a`` counts as singular
+    at an exact zero pivot or when the estimate is above ``COND_CAP`` or NaN;
+    a 1-norm that is not finite raises NumericError.  The routines follow the
+    dtype of ``a`` and ``b`` together, so a complex ``b`` is never cast to real.
     """
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_CAP:
+    getrf, gecon, getrs = _lu_routines(np.result_type(a, b))
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not np.isfinite(norm):
+        raise NumericError(f"{what}: 1-norm is not finite (overflow)")
+    lu, piv, info = getrf(a)
+    rcond = gecon(lu, norm, norm="1")[0] if info == 0 else 0.0
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf  # NaN counts as singular too
+    if not cond <= COND_CAP:
         raise SingularMatrixError(f"{what} is singular (condition {cond:.3e})")
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{what} is singular") from exc
+    return getrs(lu, piv, b)[0]
 
 
 # Relative padding of the bounds: covers the rounding in the bounds and in
@@ -334,18 +348,20 @@ class SingularityClass:
     power_norms: tuple[float, ...] = field(default=())
 
 
-def solve_at(pencil: LinearPencil, z: complex, *, tol: float = TOL_SOLVE) -> Array:
+def solve_at(pencil: LinearPencil, z: complex) -> Array:
     """Resolvent value ``A(z)^{-1}`` with a conditioning guard.
 
     Raises SingularMatrixError when the point is (numerically) singular:
-    condition estimate above ``COND_CAP`` or an exactly singular factor.
+    condition estimate above ``COND_CAP`` or an exactly singular factor, or
+    when the residual ``A(z) R - I`` is above
+    ``TOL_SOLVE * max(1, ||A(z)|| ||R||)``.
     """
     a = pencil.evaluate(z)
     eye = np.eye(pencil.dim, dtype=a.dtype)
     r = _checked_solve(a, eye, f"pencil at z = {z}")
     defect = a @ r - eye
     if not _screened(
-        lambda res, na, nr: res <= tol * max(1.0, na * nr), (defect,), (a, r)
+        lambda res, na, nr: res <= TOL_SOLVE * max(1.0, na * nr), (defect,), (a, r)
     ):
         raise SingularMatrixError(
             f"solve at z = {z} failed residual check: {spectral_norm(defect):.3e}"
@@ -382,20 +398,20 @@ def contour_coefficients(
     pencil: LinearPencil,
     js: tuple[int, ...] | list[int],
     radius: float | None = None,
-    *,
-    tol: float = TOL_CONTOUR,
 ) -> tuple[dict[int, Array], dict]:
     """Laurent coefficients by trapezoid quadrature with node doubling.
 
     Equispaced nodes ``z_k = 1 + radius e^{2 pi i k/m}`` on the circle; the
     node count m starts at ``START_NODES`` and doubles, up to ``MAX_NODES``,
-    until every requested
-    coefficient moves by no more than ``tol * max(1, ||T_j||)`` between
-    rounds.  The grids are nested: the m-point grid is the even half of the
-    2m-point grid, with the same phases ``e^{-2 pi i j k/m}``.  So each
-    round solves only the new odd nodes and adds them to one running sum
-    per ``j``; ``T_j`` is that sum times ``radius^{-j} / m``, and no node
-    value is stored.
+    until every requested coefficient moves by no more than
+    ``TOL_CONTOUR * max(1, ||T_j||)`` between rounds.  Each node goes through
+    ``_checked_solve``: a node singular up to rounding raises
+    SingularMatrixError with its angle on the first grid that holds it.  The
+    grids are nested: the m-point grid is the even half of the 2m-point
+    grid, with the same phases ``e^{-2 pi i j k/m}``.  So each round solves
+    only the new odd nodes and adds them to one running sum per ``j``;
+    ``T_j`` is that sum times ``radius^{-j} / m``, and no node value is
+    stored.
 
     A real (float64) pencil has ``R(conj z) = conj R(z)``, and the grid is
     closed under conjugation: node ``k`` and node ``m - k`` are twins.  So
@@ -427,13 +443,8 @@ def contour_coefficients(
             if half and weight == 1.0:
                 point = point.real
             a = pencil.evaluate(point)
-            try:
-                r = np.linalg.solve(a, np.eye(pencil.dim, dtype=a.dtype))
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"contour of radius {radius} passes through a "
-                    f"singular point near angle {angle:.4f}"
-                ) from exc
+            eye = np.eye(pencil.dim, dtype=a.dtype)
+            r = _checked_solve(a, eye, f"contour node near angle {angle:.4f} (radius {radius})")
             for j in js:
                 term = r * (weight * np.exp(-1j * j * angle))
                 sums[j] += term.real if half else term
@@ -446,7 +457,7 @@ def contour_coefficients(
         refined = add_nodes(m, range(1, m // 2 if half else m, 2))
         settled = all(
             _screened(
-                lambda move, size: move / max(1.0, size) <= tol,
+                lambda move, size: move / max(1.0, size) <= TOL_CONTOUR,
                 (refined[j] - current[j],),
                 (refined[j],),
             )
@@ -485,29 +496,23 @@ def _all_within(mats, limit: float) -> bool:
     return all(_screened(lambda r: r <= limit, (a,)) for a in mats)
 
 
-def basic_solution(
-    pencil: LinearPencil,
-    radius: float | None = None,
-    *,
-    tol: float = TOL_CONTOUR,
-    verify_tol: float = TOL_FUND,
-) -> BasicSolution:
+def basic_solution(pencil: LinearPencil, radius: float | None = None) -> BasicSolution:
     """Compute ``(T_{-1}, T_0)`` by contour quadrature and verify it.
 
     The verification covers the unit identities on both sides and the
     four cross-annihilation products; failure raises
     FundamentalResidualError rather than returning doubtful data.  With
     ``t = max ||T_j||`` and ``c = max ||C_i||``, a unit identity (a sum of
-    products ``T C``) is held to ``verify_tol * t * c`` and a cross product
-    ``T C T`` to ``verify_tol * t^2 * c``: both bounds keep their ratio to
+    products ``T C``) is held to ``TOL_FUND * t * c`` and a cross product
+    ``T C T`` to ``TOL_FUND * t^2 * c``: both bounds keep their ratio to
     the residual when the pencil is scaled, whatever its size.
     """
-    coeffs, _ = contour_coefficients(pencil, (-1, 0), radius, tol=tol)
+    coeffs, _ = contour_coefficients(pencil, (-1, 0), radius)
     basic = BasicSolution(coeffs[-1], coeffs[0])
     t_size, c_size = max(basic.norms), max(pencil.norms)
     defects = _basic_defects(basic, pencil)
     units = [defects.pop(k) for k in ("left_unit", "right_unit")]
-    unit_limit = verify_tol * t_size * c_size
+    unit_limit = TOL_FUND * t_size * c_size
     if not (
         _all_within(units, unit_limit) and _all_within(defects.values(), unit_limit * t_size)
     ):
@@ -547,12 +552,7 @@ def laurent_range(
     return LaurentExpansion(coefficients=coeffs)
 
 
-def projections(
-    basic: BasicSolution,
-    pencil: LinearPencil,
-    *,
-    tol: float = TOL_FUND,
-) -> SpectralPair:
+def projections(basic: BasicSolution, pencil: LinearPencil) -> SpectralPair:
     """Spectral projections from the basic solution, with idempotency checks.
 
     Domain side: ``P = T_{-1} C_1``, complement ``T_0 C_0``.
@@ -570,7 +570,7 @@ def projections(
         "range_idempotent": q @ q - q,
         "range_complement": q + q_c - eye,
     }
-    if not _all_within(defects.values(), tol * max(scale, scale**2)):
+    if not _all_within(defects.values(), TOL_FUND * max(scale, scale**2)):
         checks = {k: spectral_norm(d) for k, d in defects.items()}
         raise ProjectionError(f"projection checks failed: {checks}")
     return SpectralPair(domain_sin=p, domain_reg=p_c, range_sin=q, range_reg=q_c)
@@ -582,7 +582,6 @@ class FundamentalReport:
 
     js: tuple[int, ...]
     max_residual: float
-    tol: float
     passed: bool
 
 
@@ -591,15 +590,13 @@ def verify_fundamental(
     coefficients: dict[int, Array],
     j_lo: int,
     j_hi: int,
-    *,
-    tol: float = TOL_FUND,
 ) -> FundamentalReport:
     """Check ``sum_{i=0}^{p} T_{j-p+i} C_{p-i} = [j = 0] I`` and its right-hand twin.
 
     ``pencil`` is any pencil with ``coeffs = (C_0, ..., C_p)``: a
     LinearPencil (p = 1) or a PolynomialPencil.  The table must cover
     ``[j_lo - p, j_hi]``.  The window passes when its largest residual norm
-    is at most ``tol * max(1, max_i ||C_i|| * max_j ||T_j||)`` over the
+    is at most ``TOL_FUND * max(1, max_i ||C_i|| * max_j ||T_j||)`` over the
     coefficients and the table entries it reads: each residual is a sum of
     products ``T_j C_i``, so it keeps its size when every ``C_i`` is scaled
     by s and every ``T_j`` by 1/s, and so does the bound.
@@ -624,9 +621,8 @@ def verify_fundamental(
     return FundamentalReport(
         js=tuple(js),
         max_residual=worst,
-        tol=tol,
         passed=_screened(
-            lambda *norms: worst <= tol * max(1.0, max(norms[: p + 1]) * max(norms[p + 1 :])),
+            lambda *norms: worst <= TOL_FUND * max(1.0, max(norms[: p + 1]) * max(norms[p + 1 :])),
             helpful=(*rev, *(coefficients[j] for j in need)),
         ),
     )
@@ -790,20 +786,15 @@ class SeparationReport:
     sin_blocks: tuple[Array, Array]  # Q C_i P for i = 0, 1
     reg_blocks: tuple[Array, Array]  # Q^c C_i P^c for i = 0, 1
     off_residuals: dict[str, float]
-    tol: float
     passed: bool
 
 
-def separate(
-    pair: SpectralPair,
-    pencil: LinearPencil,
-    *,
-    tol: float = TOL_FUND,
-) -> SeparationReport:
+def separate(pair: SpectralPair, pencil: LinearPencil) -> SeparationReport:
     """Verify the coefficients act block-diagonally across the split.
 
-    Both cross blocks ``Q C_i P^c`` and ``Q^c C_i P`` must vanish; the
-    retained diagonal blocks reconstruct ``C_i`` exactly.
+    Both cross blocks ``Q C_i P^c`` and ``Q^c C_i P`` must vanish and the
+    retained diagonal blocks reconstruct ``C_i``: each residual is held to
+    ``TOL_FUND * max(1, ||C||) * max(1, ||P|| ||Q||)``.
     """
     off: dict[str, float] = {}
     sin_blocks, reg_blocks = [], []
@@ -819,9 +810,8 @@ def separate(
         sin_blocks=tuple(sin_blocks),
         reg_blocks=tuple(reg_blocks),
         off_residuals=off,
-        tol=tol,
         passed=_screened(
-            lambda p, q: worst <= tol * scale * max(1.0, p * q),
+            lambda p, q: worst <= TOL_FUND * scale * max(1.0, p * q),
             helpful=(pair.domain_sin, pair.range_sin),
         ),
     )

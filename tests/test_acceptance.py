@@ -102,7 +102,7 @@ def test_criterion_1_closed_form_pencil():
     want_q = np.array([[0.0, 1.0], [0.0, 1.0]])
     sclass = classify_singularity(basic, pencil)
     table = laurent_range(basic, pencil, -4, 6)
-    fund = verify_fundamental(pencil, table.coefficients, -3, 6, tol=1e-10)
+    fund = verify_fundamental(pencil, table.coefficients, -3, 6)
     elapsed = time.perf_counter() - t0
     verdict(
         1,

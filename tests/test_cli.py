@@ -172,10 +172,9 @@ def test_analyze_input_errors(tmp_path):
 
 
 def test_config_validation(matrix_pencil_file, matrix_model_file, tmp_path):
-    assert (
-        main(["analyze", "--pencil", matrix_pencil_file, "--tol-fund", "-1e-9"]) == 3
-    )
-    assert main(["analyze", "--pencil", matrix_pencil_file, "--tol-fund", "0"]) == 3
+    rep = ["represent", "--model", matrix_model_file, "--form", "extended_ns", "--T", "20"]
+    assert main([*rep, "--tol-rep", "-1e-9"]) == 3
+    assert main([*rep, "--tol-rep", "0"]) == 3
     # a contour radius that is not finite and positive, for both commands
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
@@ -205,6 +204,12 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
         gjrep.split_projection: ("tol",),
         gjrep.cointegration_probe: ("sigma", "n_scales", "thresholds"),
         gjrep.unpack_laurent: ("tol",),
+        gjrep.solve_at: ("tol",),
+        gjrep.contour_coefficients: ("tol",),
+        gjrep.basic_solution: ("tol", "verify_tol"),
+        gjrep.projections: ("tol",),
+        gjrep.verify_fundamental: ("tol",),
+        gjrep.separate: ("tol",),
     }
     for fn, keywords in removed.items():
         for keyword in keywords:
@@ -213,6 +218,12 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
                 fn(**{keyword: None})
     assert not hasattr(gjrep, "laurent_coefficient")
+    # the verdicts read TOL_FUND; no report carries it
+    for report in (gjrep.FundamentalReport, gjrep.SeparationReport):
+        assert "tol" not in {f.name for f in dataclasses.fields(report)}
+    # the analyze tolerances are module constants: argparse rejects the flags
+    for flag in ("--tol-solve", "--tol-contour", "--tol-fund"):
+        assert main(["analyze", "--pencil", matrix_pencil_file, flag, "1e-9"]) == 3, flag
     assert not hasattr(gjrep, "BlockInconsistent")
     # an unknown flag is a usage error, whatever its value
     assert main(["analyze", "--pencil", matrix_pencil_file, "--nodes", "32"]) == 3
@@ -404,6 +415,19 @@ def test_demo_param_override(capsys):
     assert main(["demo", "--name", "matrix", "--param", "eps=0.25"]) == 0
     assert main(["demo", "--name", "matrix", "--param", "eps"]) == 3
     assert main(["demo", "--name", "matrix", "--param", "eps=big"]) == 3
+    # a name outside the example's signature, an integer parameter that is
+    # not an integer in range, or a float that is not finite: exit 3, with no
+    # traceback and no warning before it
+    for name, param in (
+        ("c0", "bogus=1"),
+        ("hierarchy", "levels=0"),
+        ("hierarchy", "n=0"),
+        ("c0", "n=4.0"),
+        ("c0", "n=1e400"),
+        ("matrix", "eps=nan"),
+        ("c0", "lam=inf"),
+    ):
+        assert main(["demo", "--name", name, "--param", param]) == 3, (name, param)
 
 
 def test_demo_unknown_name():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gjrep.pencil
 from gjrep import (
     ClassificationInconclusive,
     InputError,
@@ -349,38 +350,48 @@ def test_real_route_agrees_with_the_full_complex_grid(name):
     )
 
 
+def _count_solves(monkeypatch) -> list:
+    """A list that gains one entry per checked solve from now on."""
+    solve = gjrep.pencil._checked_solve
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(gjrep.pencil, "_checked_solve", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", REAL_PENCILS)
 def test_real_route_solves_half_the_grid(name, monkeypatch):
     pencil = REAL_PENCILS[name]()
     radius = default_radius(pencil)
-    solve = np.linalg.solve
-    counts = []
-
-    def counted(a, b):
-        counts[-1] += 1
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    sizes = []
+    calls = _count_solves(monkeypatch)
+    sizes, counts = [], []
     for pen in (pencil, _rotated(pencil)):
-        counts.append(0)
+        calls.clear()
         got, info = contour_coefficients(pen, (-1, 0), radius)
         assert {b.dtype for b in got.values()} == {pen.c0.dtype}
         sizes.append(info["nodes"])
+        counts.append(len(calls))
     # the node count is the grid size on both routes
     assert sizes[0] == sizes[1]
     assert counts == [sizes[0] // 2 + 1, sizes[0]]
 
 
-@pytest.mark.parametrize("route", ["real", "complex"])
-def test_contour_through_a_real_singular_point_raises_on_both_routes(route):
-    # node k = 0 of the radius-0.5 circle sits on the offset 0.5; the factor
-    # i keeps that point exactly singular and makes the pencil complex
+@pytest.mark.parametrize("factor", [1.0, 1j, ROTATION], ids=["real", "complex", "rotated"])
+def test_contour_through_a_real_singular_point_raises_on_both_routes(factor, monkeypatch):
+    # node k = 0 of the radius-0.5 circle sits on the offset 0.5.  The factor
+    # i keeps that point exactly singular and makes the pencil complex;
+    # e^{i pi/3} leaves it singular only up to rounding, which the condition
+    # estimate of the node solve catches at once, not after MAX_NODES nodes
     pencil = make("matrix").pencil
-    if route == "complex":
-        pencil = LinearPencil(c0=1j * pencil.c0, c1=1j * pencil.c1)
+    pencil = LinearPencil(c0=factor * pencil.c0, c1=factor * pencil.c1)
+    calls = _count_solves(monkeypatch)
     with pytest.raises(SingularMatrixError, match="angle 0.0000"):
         contour_coefficients(pencil, (-1, 0), 0.5)
+    assert len(calls) == 1
 
 
 def test_pencil_dtype_follows_the_imaginary_parts():

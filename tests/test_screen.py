@@ -202,7 +202,7 @@ def test_svd_count_of_volterra64_analyze(tmp_path, monkeypatch):
 
 def test_svd_count_of_degree2_analyze(tmp_path, monkeypatch):
     # the fundamental check and the unpacking take exact norms only where
-    # the maximum can sit: 33 calls here, 117 with an SVD of every term
+    # the maximum can sit, and the checked solves take none: 32 calls here
     rng = np.random.default_rng(5)
     c0 = np.array([[1.0], [0.5]]) @ np.array([[1.0, -1.0]])
     poly = PolynomialPencil((c0, rng.standard_normal((2, 2)), 0.3 * np.eye(2)))
