@@ -4,6 +4,8 @@ The state equation is ``A_0 x(t) + A_1 x(t-1) = g(t)`` with the MA(1) drive
 ``g(t) = F_0 n(t) + F_1 n(t-1)`` and initial state ``x(-1) = c``.  Its pencil
 in anchored form is ``C_0 = A_0 + A_1``, ``C_1 = A_1``, which places the unit
 root of the difference equation at the pencil anchor.
+Every array takes the result type of its inputs, whose dtype ``as_matrix``
+and ``as_vector`` set, so a real model's paths are float64.
 """
 
 from __future__ import annotations
@@ -99,11 +101,10 @@ def _noise_law(spec: NoiseSpec) -> tuple:
                 raise InputError(f"eps must be finite, got {eps}")
             return p, eps, bool(params.get("centered", True))
         if spec.kind == "table":
-            values = np.asarray(params["values"], dtype=np.complex128).reshape(-1)
-            if not np.isfinite(values).all():
-                raise InputError("table values must be finite")
+            values = as_vector(params["values"], name="table values")
             probs = np.asarray(params["probs"], dtype=float).reshape(-1)
-            if values.shape != probs.shape or (probs < 0).any() or not np.isclose(probs.sum(), 1.0):
+            off = abs(probs.sum() - 1.0)  # Generator.choice allows sqrt(eps) = 2**-26
+            if values.shape != probs.shape or (probs < 0).any() or not off <= 2**-26:
                 raise InputError("table noise needs matching values/probs, probs >= 0 summing to 1")
             return values, probs
     except KeyError as exc:
@@ -115,13 +116,14 @@ def _noise_law(spec: NoiseSpec) -> tuple:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A finite stretch of a discrete-time path, complex-valued."""
+    """A finite stretch of a discrete-time path, float64 or complex128."""
 
     start: int
     values: Array  # shape (length, dim)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.asarray(self.values)
+        v = v.astype(np.result_type(v, np.float64), copy=False)
         if v.ndim != 2:
             raise InputError(f"trajectory values must be 2-D, got shape {v.shape}")
         object.__setattr__(self, "values", v)
@@ -173,7 +175,7 @@ def simulate_noise(spec: NoiseSpec, t_end: int) -> Trajectory:
         values, probs = law
         idx = rng.choice(values.shape[0], size=shape, p=probs)
         vals = values[idx]
-    return Trajectory(start=start, values=np.asarray(vals, dtype=np.complex128))
+    return Trajectory(start=start, values=vals)
 
 
 def ma1_g(model: ArmaModel, noise: Trajectory) -> Trajectory:
@@ -195,9 +197,7 @@ def simulate_recursion(model: ArmaModel, g: Trajectory, t_end: int) -> Trajector
     """
     if g.start > 0 or g.end < t_end:
         raise InputError(f"drive must cover [0, {t_end}], has [{g.start}, {g.end}]")
-    a0_inv = _checked_solve(
-        model.a0, np.eye(model.dim, dtype=np.complex128), "contemporaneous coefficient A_0"
-    )
+    a0_inv = _checked_solve(model.a0, np.eye(model.dim), "contemporaneous coefficient A_0")
     step = -(a0_inv @ model.a1)
     drive = g.window(0, t_end) @ a0_inv.T
     path = kernels.arma_recursion(step, drive[:, :, None], model.c[:, None])

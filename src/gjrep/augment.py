@@ -70,8 +70,8 @@ def _block_companion(mats: "tuple[Array, ...] | list[Array]", r: int) -> tuple[A
     blocks are zero.
     """
     k, n = len(mats) - 1, mats[0].shape[0]
-    lag0 = np.zeros((r * n, r * n), dtype=np.complex128)
-    lag1 = np.zeros((r * n, r * n), dtype=np.complex128)
+    lag0 = np.zeros((r * n, r * n), dtype=np.result_type(*mats))
+    lag1 = np.zeros_like(lag0)
     for a in range(r):
         for b in range(r):
             block = np.s_[a * n : (a + 1) * n, b * n : (b + 1) * n]
@@ -154,14 +154,10 @@ class StackedArma:
         of x below the autoregressive depth.
         """
         r, n = self.block, self.base_dim
-        if presample_x is None:
-            c = np.zeros(r * n, dtype=np.complex128)
-        else:
-            presample_x = np.asarray(presample_x, dtype=np.complex128)
-            if presample_x.shape != (r, n):
-                raise InputError(f"presample_x must be ({r}, {n})")
-            c = presample_x.reshape(r * n)
-        return ArmaModel(a0=self.a0, a1=self.a1, f0=self.f0, f1=self.f1, c=c)
+        x = np.zeros((r, n)) if presample_x is None else np.asarray(presample_x)
+        if x.shape != (r, n):
+            raise InputError(f"presample_x must be ({r}, {n})")
+        return ArmaModel(a0=self.a0, a1=self.a1, f0=self.f0, f1=self.f1, c=x.reshape(r * n))
 
     def stack(self, w: Trajectory) -> Trajectory:
         """Noise blocks ``(w(r*tau), ..., w(r*tau + r - 1))`` from block time -1.

@@ -34,7 +34,8 @@ coefficients are real and the quadrature solves only the nodes on the upper
 half of the circle (Trefethen & Weideman, SIAM Review 56, 2014).  The pair,
 the checks, the classification and the annulus estimate then all run in
 real arithmetic; the dtype of the pencil is the only switch, and a complex
-pencil takes the same code on the full grid.
+pencil takes the same code on the full grid.  That dtype, like the dtype of
+every input of the package, is chosen once, by ``as_matrix`` and ``as_vector``.
 """
 
 from __future__ import annotations
@@ -74,23 +75,27 @@ INNER_TERMS = 12  # principal coefficients the annulus root test samples
 OUTER_TERMS = 48  # highest regular coefficient index the annulus root test samples
 
 
+def _narrowed(a: Array, name: str) -> Array:
+    """Finite complex ``a`` as float64 when no entry has a nonzero imaginary
+    part: the package's one choice between real and complex arithmetic."""
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise InputError(f"{name} has non-finite entries")
+    return a if a.imag.any() else np.ascontiguousarray(a.real)
+
+
 def as_matrix(value, name: str = "matrix") -> Array:
-    """Validate and convert to a square complex128 ndarray."""
+    """Validate and convert to a square float64 or complex128 ndarray."""
     a = np.asarray(value, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise InputError(f"{name} has non-finite entries")
-    return a
+    return _narrowed(a, name)
 
 
 def as_vector(value, dim: int | None = None, name: str = "vector") -> Array:
     a = np.asarray(value, dtype=np.complex128).reshape(-1)
     if dim is not None and a.shape[0] != dim:
         raise InputError(f"{name} must have length {dim}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise InputError(f"{name} has non-finite entries")
-    return a
+    return _narrowed(a, name)
 
 
 def _checked_integer(value, name: str, minimum: int) -> int:
@@ -234,9 +239,10 @@ def _max_norm(mats) -> float:
 class LinearPencil:
     """Anchored pencil ``A(z) = c0 + c1*(z - 1)``.
 
-    Both coefficients are stored as float64 when every entry of both has
-    zero imaginary part, and as complex128 otherwise; everything computed
-    from the pencil follows that dtype.
+    Both coefficients are float64 when every entry of both has zero
+    imaginary part, and complex128 otherwise (a mixed pair is promoted, since
+    the contour reads its grid off ``c0.dtype``); everything computed from
+    the pencil follows that dtype.
     """
 
     c0: Array
@@ -246,8 +252,8 @@ class LinearPencil:
         c0, c1 = as_matrix(self.c0, "c0"), as_matrix(self.c1, "c1")
         if c0.shape != c1.shape:
             raise InputError(f"c0 and c1 must match, got {c0.shape} vs {c1.shape}")
-        if not (c0.imag.any() or c1.imag.any()):
-            c0, c1 = np.ascontiguousarray(c0.real), np.ascontiguousarray(c1.real)
+        dtype = np.result_type(c0, c1)
+        c0, c1 = c0.astype(dtype, copy=False), c1.astype(dtype, copy=False)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
 

@@ -51,6 +51,10 @@ on such drive the series converges exactly when ``M`` has spectral radius
 below one, the weight of ``g(t-i)`` being ``M^i (I - M)^{-(i+1)}`` summed
 over every difference order.  An outer annulus estimate at or below one
 raises NaturalFormDiverges.
+
+Each form runs in the result type of the pencil, the pair, the drive and
+the initial state: float64 for a real model and its own pair, complex128
+once any of them, a complex ``basic`` included, is complex.
 """
 
 from __future__ import annotations
@@ -149,13 +153,14 @@ def represent(
     # and cum the causal running sum, is the filter h(t) = W h(t-1) - W T_{-1} g(t)
     # with W = (I - N)^{-1}; det_sin is W^(t+1) T_{-1} C_1 c, the same recursion
     # from one impulse.  No cumulation depth enters, and nothing cancels.
-    eye = np.eye(n, dtype=np.complex128)
+    dtype = np.result_type(pencil.c0, basic.t_minus_one, basic.t_zero, g.values, model.c)
+    eye = np.eye(n, dtype=dtype)
     c1c = pencil.c1 @ model.c
     w_sin = _checked_solve(eye - basic.t_minus_one @ pencil.c0, eye, "I - T_{-1} C_0")
-    drive = np.zeros((horizon, n, 2), dtype=np.complex128)
+    drive = np.zeros((horizon, n, 2), dtype=dtype)
     drive[:, :, 0] = -(g_causal @ (w_sin @ basic.t_minus_one).T)
     drive[0, :, 1] = w_sin @ (basic.t_minus_one @ c1c)
-    sin = kernels.arma_recursion(w_sin, drive, np.zeros((n, 2), dtype=np.complex128))
+    sin = kernels.arma_recursion(w_sin, drive, np.zeros((n, 2)))
     trend, det_sin = sin[:, :, 0], sin[:, :, 1]
 
     budgets: dict[str, float] = {"presample": float(presample)}
@@ -181,11 +186,11 @@ def represent(
     # columns: the drive from -start on; the impulse -gain C_1 c at t = 0;
     # minus the presample drive alone, which from t = 0 on is the
     # propagated history -step^(t+1) z(-1)
-    drive = np.zeros((horizon + start, n, 3), dtype=np.complex128)
+    drive = np.zeros((horizon + start, n, 3), dtype=dtype)
     drive[:, :, 0] = g.values[presample - start :] @ gain.T
     drive[start, :, 1] = -(gain @ c1c)
     drive[:start, :, 2] = -drive[:start, :, 0]
-    z = kernels.arma_recursion(step, drive, np.zeros((n, 3), dtype=np.complex128))[start:]
+    z = kernels.arma_recursion(step, drive, np.zeros((n, 3)))[start:]
     stationary, det_reg, k_term = z[:, :, 0], z[:, :, 1], z[:, :, 2]
 
     components = {
@@ -224,7 +229,6 @@ class SplitReport:
     x_reg: Array
     max_reg_leak: float  # worst ||P_reg applied to the singular half||
     max_sin_leak: float  # worst ||P_sin applied to the regular half||
-    tol: float
     passed: bool
 
 
@@ -248,7 +252,6 @@ def split_projection(report: RepresentationReport, pair: SpectralPair) -> SplitR
         x_reg=x_reg,
         max_reg_leak=reg_leak,
         max_sin_leak=sin_leak,
-        tol=SPLIT_TOL,
         passed=max(reg_leak, sin_leak) <= SPLIT_TOL,
     )
 
@@ -276,7 +279,6 @@ class ProbeReport:
     labels: tuple[str, ...]
     counts: dict[str, int]
     majority: str
-    thresholds: tuple[float, float, float]
 
 
 def _variance_time_slopes(y: Array, scales: Array) -> Array:
@@ -324,10 +326,9 @@ def cointegration_probe(
     I(1); above the third, with the differenced series reading I(1), as
     I(2).
 
-    A model whose four coefficients are all real runs in real arithmetic:
-    the noise is real, so its state is real too.  A model with any complex
-    coefficient runs in complex arithmetic.  Both give the same slopes, up
-    to rounding, for the same path.
+    The noise is real, so the state has the result type of the model's four
+    coefficients: float64 for a real model, complex128 otherwise.  Both give
+    the same slopes, up to rounding, for the same path.
 
     The probe takes no noise scale.  The state is linear in the noise, so
     scaling the noise by s scales every window variance by s^2, which adds
@@ -338,29 +339,25 @@ def cointegration_probe(
     t_end = _checked_integer(t_end, "probe t_end", 32)
     n_seeds = _checked_integer(n_seeds, "n_seeds", 1)
     base_seed = _checked_integer(base_seed, "base_seed", 0)
-    # real noise through real coefficients gives a real state, so a real
-    # model runs in float64: half the bytes and a quarter of the complex work
-    coeffs = (model.a0, model.a1, model.f0, model.f1)
-    real = not any(a.imag.any() for a in coeffs)
-    a0, a1, f0, f1 = (a.real for a in coeffs) if real else coeffs
     n, m = model.dim, n_seeds
     length = t_end + 2  # noise on [-1, t_end]
-    a0_inv = _checked_solve(a0, np.eye(n, dtype=a0.dtype), "contemporaneous coefficient A_0")
-    step = -(a0_inv @ a1)
+    a0_inv = _checked_solve(model.a0, np.eye(n), "contemporaneous coefficient A_0")
+    step = -(a0_inv @ model.a1)
+    gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
     # one contiguous block per seed: each draw writes in place, and the drive
     # A_0^{-1} (F_0 n(t) + F_1 n(t-1)) is two (T, n) @ (n, n) products per seed
     noise = np.empty((m, length, n))
     for i in range(m):
         np.random.default_rng(base_seed + i).standard_normal((length, n), out=noise[i])
-    noise = noise.astype(a0.dtype, copy=False)  # cast once, not in each product
-    drive = noise[:, 1:] @ (a0_inv @ f0).T
-    drive += noise[:, :-1] @ (a0_inv @ f1).T
+    noise = noise.astype(np.result_type(gain0, gain1), copy=False)  # once, not per product
+    drive = noise[:, 1:] @ gain0.T
+    drive += noise[:, :-1] @ gain1.T
     # at most three path-sized arrays of the model's dtype are alive at once:
     # 48 MB in float64 at n = 10, m = 100, T = 2000, twice that in complex128
     del noise
     # the kernel's copy puts the drive in its (T, n, m) layout
     x = kernels.arma_recursion(step, drive.transpose(1, 2, 0), np.zeros((n, m)))
-    y = f.real @ x if real else np.real(np.conj(f) @ x)
+    y = np.real(np.conj(f) @ x)
 
     scales = np.unique(
         np.geomspace(16, max(64, t_end // 4), PROBE_SCALES).astype(int)
@@ -392,5 +389,4 @@ def cointegration_probe(
         labels=tuple(labels),
         counts=counts,
         majority=majority,
-        thresholds=PROBE_THRESHOLDS,
     )

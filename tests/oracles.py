@@ -231,16 +231,16 @@ def causal_stack_apply(stack: np.ndarray, signal: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    stack : (S, n, n) complex ndarray
-    signal : (T, n) complex ndarray
+    stack : (S, n, n) real or complex ndarray
+    signal : (T, n) real or complex ndarray
 
     Returns
     -------
-    (T, n) complex ndarray.
+    (T, n) ndarray of dtype ``np.result_type(stack, signal)``.
     """
     T = signal.shape[0]
     S = stack.shape[0]
-    out = np.zeros_like(signal)
+    out = np.zeros(signal.shape, dtype=np.result_type(stack, signal))
     for t in range(T):
         s_hi = min(t, S - 1)
         # window of signal[t-s] for s = 0..s_hi, oldest first

@@ -6,6 +6,7 @@ import pytest
 from gjrep import (
     ArmaModel,
     InputError,
+    LinearPencil,
     NoiseSpec,
     SingularMatrixError,
     Trajectory,
@@ -13,6 +14,7 @@ from gjrep import (
     simulate_noise,
     simulate_recursion,
 )
+from gjrep.pencil import as_matrix, as_vector
 from oracles import arma_pq_path, binom_diff, diff_neg, diff_pos
 
 
@@ -182,3 +184,74 @@ def test_diff_pos_full_matches_binomial_oracle():
 def test_noise_integers_are_checked(name, value):
     with pytest.raises(InputError, match=f"noise {name} must be an integer >= 0"):
         NoiseSpec(kind="gaussian", dim=1, **{"seed": 0, name: value})
+
+
+REAL, CPLX = np.dtype(np.float64), np.dtype(np.complex128)
+EYE, TURN = np.eye(2), np.diag([1.0, 1e-300j])  # TURN: one tiny imaginary part
+
+# each case builds arrays at the input boundary; the expected dtype of each
+DTYPE_TABLE = {
+    "matrix_int": (lambda: (as_matrix([[1, 2], [3, 4]]),), (REAL,)),
+    "matrix_zero_imag": (lambda: (as_matrix(EYE - 0j),), (REAL,)),
+    "matrix_complex": (lambda: (as_matrix(TURN),), (CPLX,)),
+    "vector_real": (lambda: (as_vector([1.0, 2.0]),), (REAL,)),
+    "vector_negative_zero_imag": (lambda: (as_vector([1.0, complex(2.0, -0.0)]),), (REAL,)),
+    "vector_complex": (lambda: (as_vector([1.0, 2j]),), (CPLX,)),
+    "pencil_real": (lambda: LinearPencil(c0=EYE + 0j, c1=-EYE).coeffs, (REAL, REAL)),
+    "pencil_complex": (lambda: LinearPencil(c0=TURN, c1=1j * EYE).coeffs, (CPLX, CPLX)),
+    # a mixed pair is promoted together: the contour reads the half grid off c0
+    "pencil_real_c0": (lambda: LinearPencil(c0=EYE, c1=TURN).coeffs, (CPLX, CPLX)),
+    "pencil_real_c1": (lambda: LinearPencil(c0=TURN, c1=EYE).coeffs, (CPLX, CPLX)),
+    "model_real": (
+        lambda: _fields(ArmaModel(EYE, -EYE, EYE, EYE, np.ones(2) + 0j)),
+        (REAL,) * 5,
+    ),
+    # each coefficient keeps its own dtype; the pencil promotes its pair
+    "model_complex_a1": (
+        lambda: _fields(ArmaModel(EYE, TURN, EYE, EYE, np.ones(2))),
+        (REAL, CPLX, REAL, REAL, REAL),
+    ),
+    "model_complex_a1_pencil": (
+        lambda: ArmaModel(EYE, TURN, EYE, EYE, np.ones(2)).pencil().coeffs,
+        (CPLX, CPLX),
+    ),
+    "model_complex_c_pencil": (
+        lambda: ArmaModel(EYE, -EYE, EYE, EYE, [1.0, 1j]).pencil().coeffs,
+        (REAL, REAL),
+    ),
+}
+
+
+def _fields(model):
+    return model.a0, model.a1, model.f0, model.f1, model.c
+
+
+@pytest.mark.parametrize("case", sorted(DTYPE_TABLE))
+def test_input_boundary_dtype_table(case):
+    build, expected = DTYPE_TABLE[case]
+    assert tuple(a.dtype for a in build()) == expected
+
+
+@pytest.mark.parametrize(
+    "values,noise,path",
+    [([1.0, -1.0], REAL, REAL), ([1.0, -1j], CPLX, CPLX)],
+    ids=["real_table", "complex_table"],
+)
+def test_paths_follow_the_dtype_of_model_and_noise(values, noise, path):
+    spec = NoiseSpec(kind="table", dim=2, seed=1, params={"values": values, "probs": [0.5, 0.5]})
+    w = simulate_noise(spec, 30)
+    g = ma1_g(small_model(), w)
+    x = simulate_recursion(small_model(), g, 30)
+    assert (w.values.dtype, g.values.dtype, x.values.dtype) == (noise, path, path)
+    # a complex initial state alone makes the path complex
+    turned = ArmaModel(EYE, -0.5 * EYE, EYE, EYE, [1.0, 1j])
+    assert simulate_recursion(turned, g, 30).values.dtype == CPLX
+
+
+def test_table_probabilities_within_the_samplers_tolerance():
+    # Generator.choice accepts a sum within sqrt(eps) of 1, and so does NoiseSpec
+    ok = NoiseSpec(kind="table", dim=1, seed=0, params={"values": [0.0] * 10, "probs": [0.1] * 10})
+    assert simulate_noise(ok, 5).values.shape == (7, 1)
+    for probs in ([0.5, 0.500001], [0.5, 0.49999], [0.5, float("nan")]):
+        with pytest.raises(InputError, match="summing to 1"):
+            NoiseSpec(kind="table", dim=1, seed=0, params={"values": [0.0, 1.0], "probs": probs})

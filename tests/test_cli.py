@@ -219,8 +219,10 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
                 fn(**{keyword: None})
     assert not hasattr(gjrep, "laurent_coefficient")
     # the verdicts read TOL_FUND; no report carries it
-    for report in (gjrep.FundamentalReport, gjrep.SeparationReport):
+    for report in (gjrep.FundamentalReport, gjrep.SeparationReport, gjrep.SplitReport):
         assert "tol" not in {f.name for f in dataclasses.fields(report)}
+    # the probe's cuts are PROBE_THRESHOLDS; no report carries them
+    assert "thresholds" not in {f.name for f in dataclasses.fields(gjrep.ProbeReport)}
     # the analyze tolerances are module constants: argparse rejects the flags
     for flag in ("--tol-solve", "--tol-contour", "--tol-fund"):
         assert main(["analyze", "--pencil", matrix_pencil_file, flag, "1e-9"]) == 3, flag
@@ -510,6 +512,17 @@ MALFORMED_FIELDS = {
                 "kind": "table",
                 "seed": 0,
                 "params": {"values": [1.0, float("nan")], "probs": [0.5, 0.5]},
+            }
+        },
+    ),
+    # within np.isclose of 1, but beyond the sqrt(eps) that Generator.choice allows
+    "probs_off_one": (
+        "model",
+        {
+            "noise": {
+                "kind": "table",
+                "seed": 0,
+                "params": {"values": [1.0, -1.0], "probs": [0.5, 0.500001]},
             }
         },
     ),

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gjrep import (
+    FORMS,
     ArmaModel,
+    BasicSolution,
     InputError,
     NaturalFormDiverges,
     NoiseSpec,
@@ -21,6 +23,7 @@ from gjrep import (
     simulate_noise,
     split_projection,
 )
+from gjrep.io import decode_complex, encode_complex
 from oracles import (
     causal_stack_apply,
     coeff_q,
@@ -277,6 +280,54 @@ def _rotated_c0(seed, lam=0.25, n=10):
     rates = lam ** np.arange(1, n - 1)
     p_sin = q[:, :2] @ q[:, :2].conj().T  # T_{-1} C_1: the Jordan coordinates
     return model, q, rates, p_sin
+
+
+def _turned_c0(seed, n=10):
+    """c0 and the same model under a seeded unitary ``U``, whose path is ``U x``."""
+    _, model = model_from_entry("c0", c=0.1 * np.arange(1.0, n + 1), lam=0.25, n=n)
+    u = _unitary(seed, n)
+    turned = ArmaModel(
+        a0=u @ model.a0 @ u.conj().T,
+        a1=u @ model.a1 @ u.conj().T,
+        f0=u @ model.f0,
+        f1=u @ model.f1,
+        c=u @ model.c,
+    )
+    return model, turned, u
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_real_model_runs_in_float64_and_its_unitary_turn_in_complex128(form):
+    model, turned, u = _turned_c0(11)
+    spec = NoiseSpec(kind="gaussian", dim=10, seed=3, burn_in=40)
+    real = represent(form, model, spec, 500)
+    cplx = represent(form, turned, spec, 500)
+    arrays = {"xhat": real.xhat, "oracle": real.oracle, **real.components}
+    assert {k: a.dtype for k, a in arrays.items()} == dict.fromkeys(arrays, np.dtype(np.float64))
+    assert cplx.xhat.dtype == cplx.oracle.dtype == np.complex128
+    scale = np.abs(real.xhat).max()
+    # row t of a path is x(t); U^H x' = x reads x' @ conj(U) in rows
+    assert np.abs(cplx.xhat @ u.conj() - real.xhat).max() <= 1e-12 * scale
+    for key, part in real.components.items():
+        assert np.abs(cplx.components[key] @ u.conj() - part).max() <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_complex_pair_on_a_real_model(form):
+    # the pair rebuilt from a report's [re, im] pairs is complex128; it makes
+    # the whole form complex and must give the float64 pair's path
+    model, _, _ = _turned_c0(11)
+    spec = NoiseSpec(kind="gaussian", dim=10, seed=3, burn_in=40)
+    basic = basic_solution(model.pencil())
+    assert basic.t_minus_one.dtype == basic.t_zero.dtype == np.float64
+    pair = (basic.t_minus_one, basic.t_zero)
+    wide = BasicSolution(*(decode_complex(encode_complex(t)) for t in pair))
+    assert wide.t_minus_one.dtype == np.complex128
+    narrow_rep = represent(form, model, spec, 500, basic=basic)
+    wide_rep = represent(form, model, spec, 500, basic=wide)
+    assert wide_rep.xhat.dtype == np.complex128 and wide_rep.passed
+    scale = np.abs(narrow_rep.xhat).max()
+    assert np.abs(wide_rep.xhat - narrow_rep.xhat).max() <= 1e-12 * scale
 
 
 LITERAL_CASES = {
