@@ -13,6 +13,14 @@ def arma_recursion(step: np.ndarray, drive: np.ndarray, x0: np.ndarray) -> np.nd
     The arithmetic follows the inputs: float64 when all three are real,
     complex128 when any of them is complex.
 
+    The state is written over the drive, one row at a time.  A ``drive``
+    that is already a writeable C-contiguous array of the result dtype is
+    advanced in place: the result is ``drive`` itself, and its old values
+    are gone.  Any other drive (a strided view, another dtype, a read-only
+    array) is first copied into a C-ordered array of the result dtype and
+    is left as it was.  A caller that needs its drive afterwards passes a
+    copy.
+
     Parameters
     ----------
     step : (n, n) real or complex ndarray
@@ -28,7 +36,7 @@ def arma_recursion(step: np.ndarray, drive: np.ndarray, x0: np.ndarray) -> np.nd
     """
     dtype = np.result_type(step, drive, x0, np.float64)
     step = np.asarray(step, dtype=dtype)
-    out = np.array(drive, dtype=dtype, order="C")  # a C-ordered copy, advanced in place
+    out = np.require(drive, dtype, ["C", "W"])
     prev = np.asarray(x0, dtype=dtype)
     for row in out:
         row += step @ prev

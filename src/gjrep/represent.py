@@ -88,6 +88,8 @@ FORMS = ("natural_ns", "natural_s", "extended_ns", "extended_s")
 SPLIT_TOL = 1e-8  # largest leak the projection split allows
 PROBE_SCALES = 10  # window lengths on the probe's geometric grid
 PROBE_THRESHOLDS = (0.3, 0.6, 1.4)  # variance-slope cuts between the probe's labels
+_PROBE_WINDOW = 64  # floor of the largest window, so the shortest horizon the probe takes
+_PROBE_GROUP = 10  # seeds whose noise the probe draws into one scratch block
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,7 @@ def represent(
     if basic is None:
         basic = basic_solution(pencil, radius=radius)
 
-    path = simulate_noise(noise, t_end)
-    g = ma1_g(model, path)  # covers [-burn_in, t_end]
+    g = ma1_g(model, simulate_noise(noise, t_end))  # covers [-burn_in, t_end]
     oracle = simulate_recursion(model, g, t_end)
 
     sclass = classify_singularity(basic, pencil)
@@ -326,6 +327,16 @@ def cointegration_probe(
     I(1); above the third, with the differenced series reading I(1), as
     I(2).
 
+    ``t_end`` is at least 64.  The largest window is ``max(64, t_end // 4)``
+    samples, and the differenced series, ``t_end`` samples long, must hold
+    it; a shorter horizon raises InputError.
+
+    The paths of all seeds share one ``(t_end + 1, n, n_seeds)`` array in
+    the kernel's layout, which ``kernels.arma_recursion`` advances in
+    place.  Beside it only the noise of a few seeds at a time is alive, so
+    the probe holds one path-sized array, not the noise, drive and path of
+    every seed at once.
+
     The noise is real, so the state has the result type of the model's four
     coefficients: float64 for a real model, complex128 otherwise.  Both give
     the same slopes, up to rounding, for the same path.
@@ -336,7 +347,7 @@ def cointegration_probe(
     fitted to them does not change, and neither do the labels.
     """
     f = as_vector(functional, model.dim, "functional")
-    t_end = _checked_integer(t_end, "probe t_end", 32)
+    t_end = _checked_integer(t_end, "probe t_end", _PROBE_WINDOW)
     n_seeds = _checked_integer(n_seeds, "n_seeds", 1)
     base_seed = _checked_integer(base_seed, "base_seed", 0)
     n, m = model.dim, n_seeds
@@ -344,23 +355,26 @@ def cointegration_probe(
     a0_inv = _checked_solve(model.a0, np.eye(n), "contemporaneous coefficient A_0")
     step = -(a0_inv @ model.a1)
     gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
-    # one contiguous block per seed: each draw writes in place, and the drive
-    # A_0^{-1} (F_0 n(t) + F_1 n(t-1)) is two (T, n) @ (n, n) products per seed
-    noise = np.empty((m, length, n))
-    for i in range(m):
-        np.random.default_rng(base_seed + i).standard_normal((length, n), out=noise[i])
-    noise = noise.astype(np.result_type(gain0, gain1), copy=False)  # once, not per product
-    drive = noise[:, 1:] @ gain0.T
-    drive += noise[:, :-1] @ gain1.T
-    # at most three path-sized arrays of the model's dtype are alive at once:
-    # 48 MB in float64 at n = 10, m = 100, T = 2000, twice that in complex128
-    del noise
-    # the kernel's copy puts the drive in its (T, n, m) layout
-    x = kernels.arma_recursion(step, drive.transpose(1, 2, 0), np.zeros((n, m)))
+    # The drive A_0^{-1} (F_0 n(t) + F_1 n(t-1)) of seed i fills column i of
+    # the kernel's (T+1, n, m) layout, _PROBE_GROUP seeds at a time: the
+    # scratch noise stays small, each write covers that many adjacent
+    # columns, and each seed's drive is still two (T+1, n) @ (n, n) products.
+    x = np.empty((length - 1, n, m), dtype=np.result_type(step, gain0, gain1))
+    noise = np.empty((min(_PROBE_GROUP, m), length, n))
+    for lo in range(0, m, _PROBE_GROUP):
+        group = noise[: min(_PROBE_GROUP, m - lo)]
+        for i, block in enumerate(group):
+            np.random.default_rng(base_seed + lo + i).standard_normal((length, n), out=block)
+        group = group.astype(np.result_type(gain0, gain1), copy=False)
+        drive = group[:, 1:] @ gain0.T
+        drive += group[:, :-1] @ gain1.T
+        x[:, :, lo : lo + group.shape[0]] = drive.transpose(1, 2, 0)
+    x = kernels.arma_recursion(step, x, np.zeros((n, m)))
     y = np.real(np.conj(f) @ x)
+    del x  # the slopes need only y: free the paths before their temporaries
 
     scales = np.unique(
-        np.geomspace(16, max(64, t_end // 4), PROBE_SCALES).astype(int)
+        np.geomspace(16, max(_PROBE_WINDOW, t_end // 4), PROBE_SCALES).astype(int)
     )
     level = _variance_time_slopes(y, scales)
     diff = _variance_time_slopes(np.diff(y, axis=0), scales)

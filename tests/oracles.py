@@ -249,6 +249,40 @@ def causal_stack_apply(stack: np.ndarray, signal: np.ndarray) -> np.ndarray:
     return out
 
 
+def recursion_loop(step, drive, x0):
+    """First-order recursion ``x[t] = step @ x[t-1] + drive[t]`` from ``x[-1] = x0``.
+
+    The literal loop over t into a fresh array, reading ``drive`` only.
+    Returns the (T, n, m) states in ``np.result_type(step, drive, x0, np.float64)``.
+    """
+    out = np.empty(drive.shape, dtype=np.result_type(step, drive, x0, np.float64))
+    prev = x0
+    for t in range(drive.shape[0]):
+        prev = step @ prev + drive[t]
+        out[t] = prev
+    return out
+
+
+def probe_drive_block(model, t_end, n_seeds, base_seed):
+    """The order probe's drive for all seeds at once, as an (m, T+1, n) block.
+
+    Seed ``base_seed + i`` draws ``default_rng(base_seed + i)
+    .standard_normal((t_end + 2, n))`` on ``[-1, t_end]``; the whole block is
+    cast once to the gains' type, and the drive is
+    ``A_0^{-1} F_0 n(t) + A_0^{-1} F_1 n(t-1)``, two stacked products.
+    Returns ``(step, drive)`` with ``step = -A_0^{-1} A_1``.
+    """
+    n = model.a0.shape[0]
+    a0_inv = np.linalg.inv(model.a0)
+    gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
+    noise = np.stack(
+        [np.random.default_rng(base_seed + i).standard_normal((t_end + 2, n)) for i in range(n_seeds)]
+    ).astype(np.result_type(gain0, gain1))
+    drive = noise[:, 1:] @ gain0.T
+    drive += noise[:, :-1] @ gain1.T
+    return -(a0_inv @ model.a1), drive
+
+
 def _spectral_norm(a):
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 

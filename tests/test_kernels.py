@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gjrep import kernels
-from oracles import causal_stack_apply
+from oracles import causal_stack_apply, recursion_loop
 
 RNG = np.random.default_rng(321)
 
@@ -22,7 +22,7 @@ def test_arma_recursion_semantics():
     step = 0.3 * _pair((2, 2))
     drive = _pair((5, 2, 1))
     x0 = _pair((2, 1))
-    out = kernels.arma_recursion(step, drive, x0)
+    out = kernels.arma_recursion(step, drive.copy(), x0)
     prev = x0
     for t in range(5):
         prev = step @ prev + drive[t]
@@ -67,7 +67,7 @@ def test_arma_recursion_real_inputs_stay_real(n, m, steps):
     step = 0.9 * np.linalg.qr(rng.standard_normal((n, n)))[0]
     drive = rng.standard_normal((steps, n, m))
     x0 = rng.standard_normal((n, m))
-    out = kernels.arma_recursion(step, drive, x0)
+    out = kernels.arma_recursion(step, drive.copy(), x0)
     assert out.dtype == np.float64
     want = kernels.arma_recursion(step.astype(complex), drive.astype(complex), x0.astype(complex))
     assert want.dtype == np.complex128
@@ -95,3 +95,38 @@ def test_arma_recursion_strided_drive():
     out = kernels.arma_recursion(step, drive, x0)
     assert out.flags.c_contiguous
     assert np.array_equal(out, kernels.arma_recursion(step, np.ascontiguousarray(drive), x0))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_conforming_drive_is_advanced_in_place(kind):
+    # a C-contiguous drive of the result dtype becomes the result
+    draw = RNG.standard_normal if kind == "real" else _pair
+    step = 0.3 * draw((3, 3))
+    drive = draw((40, 3, 5))
+    x0 = draw((3, 5))
+    want = recursion_loop(step, drive, x0)
+    out = kernels.arma_recursion(step, drive, x0)
+    assert out is drive
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        _pair((5, 40, 3)).transpose(1, 2, 0),  # strided view
+        _pair((40, 3, 5))[::2],  # strided rows
+        RNG.standard_normal((40, 3, 5)),  # float64 under a complex step
+        RNG.standard_normal((40, 3, 5)).astype(np.float32),  # float32 under a real step
+        np.frombuffer(_pair((40, 3, 5)).tobytes(), dtype=complex).reshape(40, 3, 5),  # read-only
+    ],
+    ids=["transposed", "every_other_row", "float64_drive", "float32_drive", "read_only"],
+)
+def test_other_drives_are_copied_and_left_alone(drive):
+    step = 0.3 * (_pair((3, 3)) if drive.dtype == np.float64 else RNG.standard_normal((3, 3)))
+    x0 = np.zeros((3, 5))
+    before = drive.copy()
+    out = kernels.arma_recursion(step, drive, x0)
+    assert not np.shares_memory(out, drive)
+    assert out.flags.c_contiguous
+    assert np.array_equal(drive, before)
+    assert np.array_equal(out, recursion_loop(step, before, x0))

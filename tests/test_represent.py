@@ -1,5 +1,7 @@
 """The four decompositions, the projection split, and the order probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,9 @@ from gjrep import (
     simulate_noise,
     split_projection,
 )
+from gjrep import kernels
 from gjrep.io import decode_complex, encode_complex
+from gjrep.represent import PROBE_SCALES, _variance_time_slopes
 from oracles import (
     causal_stack_apply,
     coeff_q,
@@ -31,6 +35,7 @@ from oracles import (
     coeff_u,
     coeff_v,
     cumulation_trend,
+    probe_drive_block,
     regular_series,
 )
 
@@ -235,6 +240,7 @@ def test_represent_validation():
         {"base_seed": 0.0},
         {"t_end": 800.0},
         {"t_end": 31},
+        {"t_end": 63},
     ],
     ids=repr,
 )
@@ -260,6 +266,58 @@ def test_probe_complex_route_matches_real_route(seed):
         assert real.labels == cplx.labels
         assert np.max(np.abs(real.level_slopes - cplx.level_slopes)) <= 1e-10
         assert np.max(np.abs(real.diff_slopes - cplx.diff_slopes)) <= 1e-10
+
+
+def test_probe_shortest_horizon():
+    # the largest window is max(64, t_end // 4) samples, and the differenced
+    # series has t_end of them: below 64 no window fits and no slope exists
+    _, model = model_from_entry("c0", lam=0.25, n=10)
+    with pytest.raises(InputError, match="probe t_end must be an integer >= 64"):
+        cointegration_probe(model, np.eye(10)[2], t_end=63, n_seeds=5)
+    rep = cointegration_probe(model, np.eye(10)[2], t_end=64, n_seeds=5)
+    assert np.isfinite(rep.level_slopes).all()
+    assert np.isfinite(rep.diff_slopes).all()
+
+
+@pytest.mark.parametrize("turn", [1.0, np.exp(1j * np.pi / 3)], ids=["c0", "turned"])
+@pytest.mark.parametrize(
+    "seed, n_seeds, t_end", [(0, 100, 2000), (7, 100, 2000), (7, 23, 64)]
+)
+def test_probe_matches_the_whole_block_route(seed, n_seeds, t_end, turn):
+    # the probe writes a few seeds at a time into one buffer that the kernel
+    # advances in place; the route that draws every seed into one block,
+    # forms the two products and lets the kernel copy the transposed drive
+    # gives the same slopes bit for bit, for every PROBES coordinate
+    _, c0 = model_from_entry("c0", lam=0.25, n=10)
+    model = ArmaModel(
+        a0=turn * c0.a0, a1=turn * c0.a1, f0=turn * c0.f0, f1=turn * c0.f1, c=c0.c
+    )
+    step, drive = probe_drive_block(model, t_end, n_seeds, 100 * seed)
+    x = kernels.arma_recursion(step, drive.transpose(1, 2, 0), np.zeros((10, n_seeds)))
+    scales = np.unique(np.geomspace(16, max(64, t_end // 4), PROBE_SCALES).astype(int))
+    for j in range(3):
+        f = np.eye(10)[j]
+        rep = cointegration_probe(
+            model, f, t_end=t_end, n_seeds=n_seeds, base_seed=100 * seed
+        )
+        y = np.real(f @ x)
+        assert np.array_equal(rep.level_slopes, _variance_time_slopes(y, scales))
+        assert np.array_equal(
+            rep.diff_slopes, _variance_time_slopes(np.diff(y, axis=0), scales)
+        )
+
+
+def test_probe_holds_one_path_sized_array():
+    # n = 10, m = 100, T = 2000: the paths are (T+1) n m float64 = 16.0 MB;
+    # noise, drive and a product temporary of every seed at once made 48 MB
+    _, model = model_from_entry("c0", lam=0.25, n=10)
+    tracemalloc.start()
+    try:
+        cointegration_probe(model, np.eye(10)[0], t_end=2000, n_seeds=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 def _unitary(seed, n):
