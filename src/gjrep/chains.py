@@ -136,13 +136,19 @@ def regular_chain(
 
 def _schur_basis(pencil: LinearPencil, singular: bool) -> Array:
     """Reordered-Schur basis of ``M = C_1^{-1} C_0`` for its zero cluster
-    (``singular``) or for the complement of that cluster."""
-    m, size = pencil.slope
+    (``singular``) or for the complement of that cluster.
+
+    Both sides reorder the pencil's one Schur form (LAPACK ``?trsen``; Bai &
+    Demmel, LAA 186, 1993), as ``scipy.linalg.schur(sort=)`` does to a fresh
+    one, and raise LinAlgError where it does."""
+    t, z, size = pencil.slope
     thr = ZERO_TOL * size
-    _, z, sdim = scipy.linalg.schur(
-        m, output="complex", sort=lambda lam: bool(abs(lam) <= thr) == singular
-    )
-    return z[:, :sdim]
+    select = (np.abs(np.diag(t)) <= thr) == singular
+    trsen = scipy.linalg.get_lapack_funcs("trsen", (t,))
+    ts, zs, _, sdim, _, _, info = trsen(select, t, z, job="N")
+    if info != 0 or not ((np.abs(np.diag(ts)[:sdim]) <= thr) == singular).all():
+        raise np.linalg.LinAlgError("Schur reordering failed or left the cluster unsorted")
+    return zs[:, :sdim]
 
 
 def sin_basis(pencil: LinearPencil) -> Array:

@@ -289,7 +289,7 @@ def _demo_checks(entry) -> list[dict]:
         s_hat, r_hat = annulus_estimate(basic, pencil)
         inner, outer = exp["annulus"]
         ok_in = s_hat <= inner + 0.1 * max(inner, 1e-6)
-        ok_out = np.isinf(outer) or abs(r_hat - outer) <= 0.1 * outer
+        ok_out = r_hat == outer if np.isinf(outer) else abs(r_hat - outer) <= 1e-9 * outer
         match("annulus_estimate", ok_in and ok_out, [s_hat, r_hat], [inner, outer])
     return checks
 

@@ -72,7 +72,6 @@ ANCHOR_TOL = 1e-8
 # a pole shows as ||N^k|| dropping by this factor more than the step before
 CLIFF_FACTOR = 1e-3
 INNER_TERMS = 12  # principal coefficients the annulus root test samples
-OUTER_TERMS = 48  # highest regular coefficient index the annulus root test samples
 
 
 def _narrowed(a: Array, name: str) -> Array:
@@ -287,18 +286,25 @@ class LinearPencil:
         return max(*self.norms, 1.0)
 
     @cached_property
-    def slope(self) -> tuple[Array, float]:
-        """``(M, 1 + ||M||)`` with ``M = c1^{-1} c0``, computed once per pencil.
+    def offsets(self) -> Array:
+        """The finite offsets of ``singular_offsets``, computed once per pencil."""
+        return singular_offsets(self)
+
+    @cached_property
+    def slope(self) -> tuple[Array, Array, float]:
+        """``(T, Z, 1 + ||M||)``: the complex Schur form ``M = Z T Z^H`` of
+        ``M = c1^{-1} c0``, computed once per pencil.
 
         M carries the whole spectral picture: the anchor singularity is its
         eigenvalue 0 and every other singularity sits at offset -mu for an
-        eigenvalue mu.
+        eigenvalue mu.  Both chain bases reorder this one form.
         """
         try:
             m = _checked_solve(self.c1, self.c0, "slope coefficient c1")
         except SingularMatrixError as exc:
             raise UnsupportedModelError(f"chain bases need an invertible slope: {exc}") from exc
-        return m, 1.0 + spectral_norm(m)
+        t, z = scipy.linalg.schur(m, output="complex")
+        return t, z, 1.0 + spectral_norm(m)
 
 
 @dataclass(frozen=True)
@@ -382,22 +388,22 @@ def singular_offsets(pencil: LinearPencil) -> Array:
     return mu[np.isfinite(mu)]
 
 
+def _outer_offset(pencil: LinearPencil) -> float:
+    """Distance to the nearest singularity but the anchor, inf for none; the
+    anchor's cluster is every offset at or below ``ANCHOR_TOL * (1 + max |mu|)``."""
+    mags = np.abs(pencil.offsets)
+    outside = mags[mags > ANCHOR_TOL * (1.0 + mags.max(initial=0.0))]
+    return float(outside.min(initial=np.inf))
+
+
 def default_radius(pencil: LinearPencil) -> float:
     """Contour radius: half the distance to the nearest other singularity.
 
-    The anchor itself appears as a (cluster of) zero offsets and is ignored:
-    every offset at or below ``ANCHOR_TOL * (1 + max |mu|)``.
     When no other finite singularity exists the resolvent is analytic on the
     whole punctured plane and any radius works; 1.0 is returned.
     """
-    mu = singular_offsets(pencil)
-    if mu.size == 0:
-        return 1.0
-    mags = np.abs(mu)
-    nonzero = mags[mags > ANCHOR_TOL * (1.0 + mags.max())]
-    if nonzero.size == 0:
-        return 1.0
-    return float(nonzero.min()) / 2.0
+    outer = _outer_offset(pencil)
+    return outer / 2.0 if outer < np.inf else 1.0
 
 
 def contour_coefficients(
@@ -576,7 +582,7 @@ def projections(basic: BasicSolution, pencil: LinearPencil) -> SpectralPair:
         "range_idempotent": q @ q - q,
         "range_complement": q + q_c - eye,
     }
-    if not _all_within(defects.values(), TOL_FUND * max(scale, scale**2)):
+    if not _all_within(defects.values(), TOL_FUND * max(scale, scale * scale)):
         checks = {k: spectral_norm(d) for k, d in defects.items()}
         raise ProjectionError(f"projection checks failed: {checks}")
     return SpectralPair(domain_sin=p, domain_reg=p_c, range_sin=q, range_reg=q_c)
@@ -715,31 +721,20 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
 
 
 def annulus_estimate(basic: BasicSolution, pencil: LinearPencil) -> tuple[float, float]:
-    """Root-test estimates of the annulus of convergence.
+    """The annulus of convergence ``(s_hat, r_hat)`` of the Laurent expansion.
 
-    Returns ``(s_hat, r_hat)``: the inner radius estimate
-    ``max ||T_{-k}||^{1/k}`` and the outer radius estimate
-    ``1 / max ||T_l||^{1/l}``, each maximised over the top half of the
-    sampled index range: k up to ``INNER_TERMS``, l up to ``OUTER_TERMS``.  An
-    identically-zero regular part gives ``r_hat = inf``; a terminating
-    principal part gives ``s_hat = 0``.
-    Both are exact SVD roots; the norms of the other terms are only screened.
+    ``r_hat`` is exact and scale-free: the regular series converges exactly
+    on ``|z - 1| <`` the smallest offset outside the anchor's cluster (inf
+    for none), the offset ``default_radius`` halves.  ``s_hat`` is the root
+    test ``max ||T_{-k}||^{1/k}`` over the top half of k up to
+    ``INNER_TERMS``, an exact SVD root (the other norms only screened), and
+    0 for a terminating principal part; it is the only view of a truncated
+    essential singularity, whose offsets all sit at the anchor.
     """
-    # terms (index, T_j, lo, hi) with lo <= ||T_j|| <= hi
+    # terms (index, T_{-k}, lo, hi) with lo <= ||T_{-k}|| <= hi
     orbit = _laurent_orbit(basic.t_minus_one @ pencil.c0, basic.t_minus_one)
     ks = range(1, INNER_TERMS + 1)
     neg = [(k, acc, *_norm_bounds(acc)) for k, acc in zip(ks, orbit)]
-    pos = []
-    orbit = _laurent_orbit(basic.t_zero @ pencil.c1, basic.t_zero)
-    for ell, acc in zip(range(OUTER_TERMS + 1), orbit):
-        lo, hi = _norm_bounds(acc)
-        if lo <= 1e200 < hi:
-            lo = hi = spectral_norm(acc)  # the bounds cannot decide the break
-        pos.append((ell, acc, lo, hi))
-        if ell >= 2:
-            pos[ell // 2 - 1] = None  # below every later cut l_top // 2
-        if lo > 1e200:
-            break
 
     # A principal part that terminates inside the window converges on the
     # whole punctured disc: a vanishing trailing norm forces s_hat = 0.
@@ -753,11 +748,7 @@ def annulus_estimate(basic: BasicSolution, pencil: LinearPencil) -> tuple[float,
         neg = [(k, acc, v, v) for (k, acc, _, _), v in zip(neg, exact)]
         terminates = max(exact) == 0.0 or exact[-1] <= 1e-13 * max(exact)
     s_hat = 0.0 if terminates else _screened_max(neg[INNER_TERMS // 2 - 1 :])
-
-    l_top = len(pos) - 1
-    r_root = _screened_max(pos[max(1, l_top // 2) :])
-    r_hat = 1.0 / r_root if r_root else float("inf")
-    return s_hat, r_hat
+    return s_hat, _outer_offset(pencil)
 
 
 def closed_form_parts(

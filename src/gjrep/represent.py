@@ -49,8 +49,8 @@ The natural forms need the regular Laurent series to converge on a disc of
 radius above one: the drive is zero before the head of the presample, and
 on such drive the series converges exactly when ``M`` has spectral radius
 below one, the weight of ``g(t-i)`` being ``M^i (I - M)^{-(i+1)}`` summed
-over every difference order.  An outer annulus estimate at or below one
-raises NaturalFormDiverges.
+over every difference order.  That radius is the exact ``r_hat`` of
+``annulus_estimate``; one at or below one raises NaturalFormDiverges.
 
 Each form runs in the result type of the pencil, the pair, the drive and
 the initial state: float64 for a real model and its own pair, complex128

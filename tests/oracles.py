@@ -11,6 +11,7 @@ import json
 from math import comb
 
 import numpy as np
+import scipy.linalg
 
 
 def trapezoid_laurent(c0, c1, j, radius, nodes=4096):
@@ -179,17 +180,29 @@ def random_unit_root_pencil(rng, n, order, mu_min=0.4, mu_max=4.0):
     return c0, c1
 
 
+def _j2_draw(n, seed):
+    """The unitary Q and the offsets ``mu`` (the first two zero) of ``j2_similarity``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mu = rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n))
+    mu[:2] = 0.0
+    return q, mu
+
+
 def j2_similarity(n, seed):
     """``(C0, C1) = (Q blockdiag(J_2(0), diag(mu)) Q^H, I)`` with a seeded unitary Q.
 
     A pole of order 2 at the anchor; the other offsets have ``|mu|`` in [1, 3].
     """
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    block = np.diag(rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n)))
-    block[0, 0] = block[1, 1] = 0.0
+    q, mu = _j2_draw(n, seed)
+    block = np.diag(mu)
     block[0, 1] = 1.0
     return q @ block @ q.conj().T, np.eye(n)
+
+
+def j2_outer_radius(n, seed):
+    """The smallest ``|mu|`` of ``j2_similarity(n, seed)``: its exact outer radius."""
+    return float(np.abs(_j2_draw(n, seed)[1][2:]).min())
 
 
 def complex_lists(value):
@@ -323,7 +336,12 @@ def classify_singularity_literal(basic, pencil, *, tol=1e-9, k_max=None, cliff_f
 
 
 def annulus_estimate_literal(basic, pencil, *, k_max=12, l_max=48):
-    """Root-test annulus ``(s_hat, r_hat)`` with an SVD for every norm."""
+    """Root-test annulus ``(s_hat, r_hat)`` with an SVD for every norm.
+
+    ``r_hat`` is ``1 / max ||T_l||^{1/l}`` over the top half of l up to
+    ``l_max``: a biased estimate of the exact outer radius, kept as a
+    cross-check of the pair.
+    """
     neg_norms = []
     acc = basic.t_minus_one
     step = basic.t_minus_one @ pencil.c0
@@ -358,6 +376,20 @@ def annulus_estimate_literal(basic, pencil, *, k_max=12, l_max=48):
     ]
     r_hat = float("inf") if not r_candidates else 1.0 / max(r_candidates)
     return s_hat, r_hat
+
+
+def schur_basis_sorted(c0, c1, singular, *, zero_tol=1e-6):
+    """Basis of ``M = C1^{-1} C0`` for its zero cluster (``singular``) or the
+    complement, from a Schur form computed and sorted for this side alone.
+
+    The cluster is every eigenvalue at most ``zero_tol * (1 + ||M||)``.
+    """
+    m = np.linalg.solve(c1, c0)
+    thr = zero_tol * (1.0 + _spectral_norm(m))
+    _, z, sdim = scipy.linalg.schur(
+        m, output="complex", sort=lambda lam: bool(abs(lam) <= thr) == singular
+    )
+    return z[:, :sdim]
 
 
 def lstsq_chain(matrix, partner, seed, *, steps=16, tol=1e-9, project=None):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gjrep import (
     ChainStepError,
@@ -15,6 +16,7 @@ from gjrep import (
     sin_basis,
     singular_chain,
 )
+from oracles import j2_similarity, random_unit_root_pencil, schur_basis_sorted
 
 
 def _e(i, n):
@@ -59,8 +61,6 @@ def test_regular_chain_rate_matches_law():
 
 
 def test_sin_basis_matches_projection_range():
-    import scipy.linalg
-
     for name in ("matrix", "c0", "hierarchy"):
         e = make(name)
         basis = sin_basis(e.pencil)
@@ -110,3 +110,63 @@ def test_bases_need_invertible_slope():
     pencil = LinearPencil(c0=np.eye(2), c1=np.zeros((2, 2)))
     with pytest.raises(UnsupportedModelError):
         sin_basis(pencil)
+
+
+def _real_similarity():
+    # a real J_2 block and real offsets under a real orthogonal similarity
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    block = np.diag(np.r_[0.0, 0.0, rng.uniform(1.0, 3.0, 10)])
+    block[0, 1] = 1.0
+    return LinearPencil(q @ block @ q.T, np.eye(12))
+
+
+BASIS_PENCILS = {
+    "real-similarity": _real_similarity,
+    "complex-similarity": lambda: LinearPencil(*j2_similarity(16, 5)),
+    "complex-order3": lambda: LinearPencil(
+        *random_unit_root_pencil(np.random.default_rng(6), 12, 3)
+    ),
+    "c0": lambda: make("c0").pencil,
+    "cascade": lambda: make("hierarchy", n=8).pencil,
+    "volterra": lambda: make("volterra", n=32).pencil,  # no regular directions
+    "regular": lambda: LinearPencil(np.diag([2.0, -1.5, 3.0]), np.eye(3)),  # no singular ones
+}
+
+
+@pytest.mark.parametrize("name", BASIS_PENCILS)
+def test_bases_match_one_sorted_schur_form_per_side(name):
+    pencil = BASIS_PENCILS[name]()
+    for basis, singular in ((sin_basis(pencil), True), (reg_basis(pencil), False)):
+        want = schur_basis_sorted(pencil.c0, pencil.c1, singular)
+        assert basis.shape == want.shape and np.array_equal(basis, want), singular
+
+
+def test_both_bases_reorder_one_schur_form(monkeypatch):
+    real = scipy.linalg.schur
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    pencil = LinearPencil(*j2_similarity(16, 5))
+    sin, reg = sin_basis(pencil), reg_basis(pencil)
+    assert (sin.shape[1], reg.shape[1], len(calls)) == (2, 14, 1)
+
+
+@pytest.mark.parametrize("fault", ["info", "unsorted"])
+def test_a_failed_reordering_raises(fault, monkeypatch):
+    # LAPACK's reordering either reports a failure or, after rounding, leaves
+    # a leading eigenvalue on the wrong side of the cut
+    def trsen(select, t, q, job):
+        sdim = int(np.sum(select))
+        if fault == "info":
+            return t, q, np.diag(t), sdim, 0.0, 0.0, 1
+        return t, q, np.diag(t), sdim, 0.0, 0.0, 0  # the form left unsorted
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda name, arrays: trsen)
+    pencil = make("c0").pencil  # its Schur form has the zero cluster first
+    with pytest.raises(np.linalg.LinAlgError):
+        reg_basis(pencil)

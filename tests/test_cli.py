@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gjrep
 from gjrep import (
@@ -430,6 +431,45 @@ def test_demo_param_override(capsys):
         ("c0", "lam=inf"),
     ):
         assert main(["demo", "--name", name, "--param", param]) == 3, (name, param)
+
+
+@pytest.mark.parametrize("name, param", [("c0", "lam=0.99"), ("matrix", "eps=0.01")])
+def test_demo_outer_radius_is_exact(name, param, tmp_path):
+    # thin annuli, where the 48-term root test read 8.34e-3 and 8.02e-3
+    out = tmp_path / "demo.json"
+    main(["demo", "--name", name, "--param", param, "--format", "json", "--out", str(out)])
+    checks = {ch["check"]: ch for ch in json.loads(out.read_text())["checks"]}
+    assert checks["annulus_estimate"]["passed"] is True
+
+
+def test_demo_outer_radius_inf_matches_only_inf():
+    def annulus_check(name, outer):
+        entry = make(name)
+        entry = dataclasses.replace(entry, expected={"annulus": (1.0, outer)})
+        (check,) = cli._demo_checks(entry)[1:]
+        return check["passed"]
+
+    assert annulus_check("volterra", np.inf)
+    assert not annulus_check("c0", np.inf)
+    assert not annulus_check("volterra", 3.0)
+
+
+def test_analyze_takes_one_spectrum_per_pencil(matrix_pencil_file, tmp_path, monkeypatch):
+    # the contour radius and the outer radius read one set of offsets
+    real = scipy.linalg.eigvals
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", counting)
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
+    for path in (matrix_pencil_file, str(poly)):
+        calls.clear()
+        assert main(["analyze", "--pencil", path, "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1, path
 
 
 def test_demo_unknown_name():

@@ -12,7 +12,7 @@ import io
 import json
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gjrep.cli import main
@@ -147,6 +147,10 @@ def test_any_model_document_gets_an_exit_code(doc, form, t_end, tmp_path):
 
 @settings(**SETTINGS)
 @given(doc=pencil_docs())
+# a constant pencil so small that the projection bound's square overflowed
+# a Python float (exit 1 with a traceback); and one whose contour never settles
+@example(doc={"n": 1, "c0": [[[2.2835761536409183e-281, 0.0]]], "c1": [[[0.0, 0.0]]]})
+@example(doc={"n": 1, "c0": [[[1e-200, 0.0]]], "c1": [[[0.0, 0.0]]]})
 def test_any_pencil_document_gets_an_exit_code(doc, tmp_path):
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps(doc))

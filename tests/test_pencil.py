@@ -7,6 +7,7 @@ import pytest
 
 import gjrep.pencil
 from gjrep import (
+    BasicSolution,
     ClassificationInconclusive,
     InputError,
     LinearPencil,
@@ -195,6 +196,36 @@ def test_annulus_estimates():
     s_hat, r_hat = annulus_estimate(e.basic, e.pencil)
     assert s_hat == 0.0
     assert abs(r_hat - 0.3984375) <= 0.04
+
+
+def _two_root_polynomial():
+    # w (w - 3) and (w - 2)(w + 2.5): the augmented pencil runs in w^2, so
+    # its offsets are the squares of the roots, and the nearest is 2^2
+    return PolynomialPencil((np.diag([0.0, -5.0]), np.diag([-3.0, 0.5]), np.eye(2)))
+
+
+OUTER_RADII = {  # pencil, and the smallest offset outside the anchor's cluster
+    "matrix": (lambda: make("matrix", eps=0.5).pencil, 0.5),
+    "c0": (lambda: make("c0", lam=0.25).pencil, 3.0),
+    "hierarchy": (lambda: make("hierarchy").pencil, 0.4 * (1.0 - 2.0**-8)),
+    "polynomial": (lambda: augment(_two_root_polynomial()).pencil, 4.0),
+    "volterra": (lambda: make("volterra", n=32).pencil, np.inf),
+}
+
+
+@pytest.mark.parametrize("name", OUTER_RADII)
+def test_outer_radius_is_the_smallest_offset_at_any_scale(name):
+    build, want = OUTER_RADII[name]
+    pencil = build()
+    basic = basic_solution(pencil)
+    _, r_hat = annulus_estimate(basic, pencil)
+    assert r_hat == pytest.approx(want, rel=1e-12)
+    # the contour radius halves the same offset, or falls back to 1.0
+    assert default_radius(pencil) == (r_hat / 2.0 if r_hat < np.inf else 1.0)
+    for s in (1e-8, 1e8):
+        scaled = LinearPencil(s * pencil.c0, s * pencil.c1)
+        scaled_basic = BasicSolution(basic.t_minus_one / s, basic.t_zero / s)
+        assert annulus_estimate(scaled_basic, scaled)[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_projections_frozen_and_idempotent():

@@ -116,6 +116,28 @@ def test_natural_needs_wide_annulus():
             represent(form, model, spec, 50)
 
 
+def _two_state_model(s, a):
+    # offsets 0 and (1 - a) / a in every unit: A0 = s I, A1 = -s diag(1, a)
+    return ArmaModel(
+        a0=s * np.eye(2),
+        a1=-s * np.diag([1.0, a]),
+        f0=s * np.eye(2),
+        f1=np.zeros((2, 2)),
+        c=np.zeros(2),
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+def test_natural_form_gate_is_scale_free(scale):
+    spec = NoiseSpec(kind="gaussian", dim=2, seed=3, burn_in=60)
+    # outer radius 0.45 / 0.55 = 0.818: the natural series diverges in any unit
+    with pytest.raises(NaturalFormDiverges):
+        represent("natural_ns", _two_state_model(scale, 0.55), spec, 50)
+    # outer radius 0.6 / 0.4 = 1.5: it converges in any unit
+    rep = represent("natural_ns", _two_state_model(scale, 0.4), spec, 50)
+    assert rep.r_hat == pytest.approx(1.5, rel=1e-12)
+
+
 def test_extended_on_narrow_annulus():
     _, model = model_from_entry("matrix", eps=0.5)
     spec = NoiseSpec(kind="gaussian", dim=2, seed=3, burn_in=60)

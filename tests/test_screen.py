@@ -1,8 +1,10 @@
 """Screened norms: certified bounds, unchanged verdicts, fewer SVDs.
 
 Verdict-only norms go through ``_norm_bounds`` and take an SVD only when the
-bounds straddle the threshold.  The literal all-SVD classification, annulus
-estimate and lstsq chain loop in ``oracles.py`` must give the same answers.
+bounds straddle the threshold.  The literal all-SVD classification, inner
+annulus root test and lstsq chain loop in ``oracles.py`` must give the same
+answers.  The outer radius is the exact smallest offset, which the literal
+48-term root test only approximates.
 """
 
 import importlib
@@ -28,7 +30,13 @@ from gjrep import (
 from gjrep.cli import main
 from gjrep.io import dump_pencil
 from gjrep.pencil import _norm_bounds, _screened
-from oracles import annulus_estimate_literal, classify_singularity_literal, j2_similarity, lstsq_chain
+from oracles import (
+    annulus_estimate_literal,
+    classify_singularity_literal,
+    j2_outer_radius,
+    j2_similarity,
+    lstsq_chain,
+)
 
 
 def _similarity(n, seed):
@@ -58,13 +66,31 @@ CASES = {
 }
 
 
+SIGMA = 0.4 * (1.0 - 2.0**-8)  # the aggregate rate of the order-8 cascade
+# the smallest offset outside the anchor's cluster, in closed form; the
+# Volterra pencils have none, and their outer radius is inf
+OUTER = {
+    "matrix": 0.5,
+    "c0": 3.0,
+    "hierarchy": SIGMA,
+    "cascade8-contour": SIGMA,
+    "sim16": j2_outer_radius(16, 11),
+    "sim64": j2_outer_radius(64, 12),
+}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_screened_classification_and_annulus_match_all_svd(case):
     pencil, basic = CASES[case]()
     got = classify_singularity(basic, pencil)
     assert (got.kind, got.order) == classify_singularity_literal(basic, pencil)
-    # the same floats bit for bit: the annulus roots are exact SVD roots
-    assert annulus_estimate(basic, pencil) == annulus_estimate_literal(basic, pencil)
+    s_hat, r_hat = annulus_estimate(basic, pencil)
+    s_literal, r_literal = annulus_estimate_literal(basic, pencil)
+    # the same float bit for bit: the inner root is an exact SVD root
+    assert s_hat == s_literal
+    # the outer radius is exact, and the biased root test lands within 10%
+    assert r_hat == pytest.approx(OUTER.get(case, np.inf), rel=1e-12)
+    assert r_literal == pytest.approx(r_hat, rel=0.1)
 
 
 def test_volterra128_is_essential_at_truncation():
