@@ -89,7 +89,7 @@ SPLIT_TOL = 1e-8  # largest leak the projection split allows
 PROBE_SCALES = 10  # window lengths on the probe's geometric grid
 PROBE_THRESHOLDS = (0.3, 0.6, 1.4)  # variance-slope cuts between the probe's labels
 _PROBE_WINDOW = 64  # floor of the largest window, so the shortest horizon the probe takes
-_PROBE_GROUP = 10  # seeds whose noise the probe draws into one scratch block
+_PROBE_ROWS = 128  # time rows of every seed that the probe draws, drives and advances at once
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,7 @@ def represent(
     drive[:, :, 0] = g.values[presample - start :] @ gain.T
     drive[start, :, 1] = -(gain @ c1c)
     drive[:start, :, 2] = -drive[:start, :, 0]
+    del g, g_causal  # the check below needs only the components and the oracle
     z = kernels.arma_recursion(step, drive, np.zeros((n, 3)))[start:]
     stationary, det_reg, k_term = z[:, :, 0], z[:, :, 1], z[:, :, 2]
 
@@ -201,8 +202,15 @@ def represent(
         "det_reg": det_reg,
         "k_term": k_term,
     }
-    xhat = trend + stationary + det_sin + det_reg + k_term
-    err = np.abs(xhat - oracle.values)
+    # one path-sized buffer each for xhat and the error, summed in the order
+    # of trend + stationary + det_sin + det_reg + k_term
+    xhat = trend + stationary
+    xhat += det_sin
+    xhat += det_reg
+    xhat += k_term
+    err = xhat - oracle.values
+    # the modulus of a complex error is real, so only a real one is taken in place
+    err = np.abs(err, out=None if np.iscomplexobj(err) else err)
     residual_max = float(err.max())
     residual_mean = float(err.mean())
     return RepresentationReport(
@@ -291,9 +299,9 @@ def _variance_time_slopes(y: Array, scales: Array) -> Array:
     column.
     """
     rows, m = y.shape
-    zero = np.zeros((1, m))
-    s1 = np.concatenate([zero, np.cumsum(y, axis=0)])
-    s2 = np.concatenate([zero, np.cumsum(y * y, axis=0)])
+    s1, s2 = np.zeros((rows + 1, m)), np.zeros((rows + 1, m))
+    np.cumsum(y, axis=0, out=s1[1:])
+    np.cumsum(np.square(y, out=s2[1:]), axis=0, out=s2[1:])
     log_var = np.empty((scales.shape[0], m))
     for i, w in enumerate(scales):
         offs = np.arange(0, rows - w + 1, max(1, w // 2))
@@ -305,6 +313,41 @@ def _variance_time_slopes(y: Array, scales: Array) -> Array:
     return (lt_c * (log_var - log_var.mean(axis=0))).sum(axis=0) / (
         lt_c**2
     ).sum(axis=0)
+
+
+def _probe_series(model: ArmaModel, f: Array, t_end: int, m: int, base_seed: int) -> Array:
+    """``Re(f^H x(t))`` on ``[0, t_end]`` for the paths of seeds ``base_seed + i``, i < m.
+
+    Returns the functional's series as a ``(t_end + 1, m)`` float64 array;
+    the paths themselves live one block of ``_PROBE_ROWS`` rows at a time.
+    """
+    n = model.dim
+    a0_inv = _checked_solve(model.a0, np.eye(n), "contemporaneous coefficient A_0")
+    step = -(a0_inv @ model.a1)
+    gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
+    # Seed i draws n(-1), then the rows of each block in turn, from its own
+    # generator; row 0 of the noise buffer carries n(t-1) into the block.
+    # The drive A_0^{-1} (F_0 n(t) + F_1 n(t-1)) of seed i is two (rows, n)
+    # @ (n, n) products, written into column i of the kernel's layout.
+    rngs = [np.random.default_rng(base_seed + i) for i in range(m)]
+    noise = np.empty((m, _PROBE_ROWS + 1, n))
+    for rng, seed_noise in zip(rngs, noise):
+        rng.standard_normal((1, n), out=seed_noise[:1])
+    x = np.empty((_PROBE_ROWS, n, m), dtype=np.result_type(step, gain0, gain1))
+    state = np.zeros((n, m), dtype=x.dtype)
+    y = np.empty((t_end + 1, m))
+    for lo in range(0, t_end + 1, _PROBE_ROWS):
+        rows = min(_PROBE_ROWS, t_end + 1 - lo)
+        for rng, seed_noise in zip(rngs, noise):
+            rng.standard_normal((rows, n), out=seed_noise[1 : rows + 1])
+        block = noise[:, : rows + 1].astype(np.result_type(gain0, gain1), copy=False)
+        x[:rows] = (block[:, 1:] @ gain0.T).transpose(1, 2, 0)
+        x[:rows] += (block[:, :-1] @ gain1.T).transpose(1, 2, 0)
+        path = kernels.arma_recursion(step, x[:rows], state)
+        y[lo : lo + rows] = np.real(np.conj(f) @ path)
+        state[...] = path[-1]
+        noise[:, 0] = noise[:, rows]
+    return y
 
 
 def cointegration_probe(
@@ -331,11 +374,13 @@ def cointegration_probe(
     samples, and the differenced series, ``t_end`` samples long, must hold
     it; a shorter horizon raises InputError.
 
-    The paths of all seeds share one ``(t_end + 1, n, n_seeds)`` array in
-    the kernel's layout, which ``kernels.arma_recursion`` advances in
-    place.  Beside it only the noise of a few seeds at a time is alive, so
-    the probe holds one path-sized array, not the noise, drive and path of
-    every seed at once.
+    The paths run in blocks of 128 time rows (``_PROBE_ROWS``).  Each seed keeps
+    its own generator and draws only its next rows of noise, so the noise
+    is the same as one draw over the whole horizon; the block's drive, in
+    the kernel's ``(rows, n, n_seeds)`` layout, is advanced in place from
+    the last state of the block before.  Only the functional's series, one
+    ``(t_end + 1, n_seeds)`` array, outlives its block: memory grows with
+    ``t_end * n_seeds``, not with the ``t_end * n * n_seeds`` state.
 
     The noise is real, so the state has the result type of the model's four
     coefficients: float64 for a real model, complex128 otherwise.  Both give
@@ -350,29 +395,7 @@ def cointegration_probe(
     t_end = _checked_integer(t_end, "probe t_end", _PROBE_WINDOW)
     n_seeds = _checked_integer(n_seeds, "n_seeds", 1)
     base_seed = _checked_integer(base_seed, "base_seed", 0)
-    n, m = model.dim, n_seeds
-    length = t_end + 2  # noise on [-1, t_end]
-    a0_inv = _checked_solve(model.a0, np.eye(n), "contemporaneous coefficient A_0")
-    step = -(a0_inv @ model.a1)
-    gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
-    # The drive A_0^{-1} (F_0 n(t) + F_1 n(t-1)) of seed i fills column i of
-    # the kernel's (T+1, n, m) layout, _PROBE_GROUP seeds at a time: the
-    # scratch noise stays small, each write covers that many adjacent
-    # columns, and each seed's drive is still two (T+1, n) @ (n, n) products.
-    x = np.empty((length - 1, n, m), dtype=np.result_type(step, gain0, gain1))
-    noise = np.empty((min(_PROBE_GROUP, m), length, n))
-    for lo in range(0, m, _PROBE_GROUP):
-        group = noise[: min(_PROBE_GROUP, m - lo)]
-        for i, block in enumerate(group):
-            np.random.default_rng(base_seed + lo + i).standard_normal((length, n), out=block)
-        group = group.astype(np.result_type(gain0, gain1), copy=False)
-        drive = group[:, 1:] @ gain0.T
-        drive += group[:, :-1] @ gain1.T
-        x[:, :, lo : lo + group.shape[0]] = drive.transpose(1, 2, 0)
-    x = kernels.arma_recursion(step, x, np.zeros((n, m)))
-    y = np.real(np.conj(f) @ x)
-    del x  # the slopes need only y: free the paths before their temporaries
-
+    y = _probe_series(model, f, t_end, n_seeds, base_seed)
     scales = np.unique(
         np.geomspace(16, max(_PROBE_WINDOW, t_end // 4), PROBE_SCALES).astype(int)
     )

@@ -435,11 +435,49 @@ def test_demo_param_override(capsys):
 
 @pytest.mark.parametrize("name, param", [("c0", "lam=0.99"), ("matrix", "eps=0.01")])
 def test_demo_outer_radius_is_exact(name, param, tmp_path):
-    # thin annuli, where the 48-term root test read 8.34e-3 and 8.02e-3
+    # thin annuli: the 48-term root test read 8.34e-3 and 8.02e-3 for the
+    # outer radius, and the regular coefficients reach 1e8, so an absolute
+    # 1e-9 failed them on rounding of about 1e-16 relative
     out = tmp_path / "demo.json"
-    main(["demo", "--name", name, "--param", param, "--format", "json", "--out", str(out)])
+    code = main(["demo", "--name", name, "--param", param, "--format", "json", "--out", str(out)])
     checks = {ch["check"]: ch for ch in json.loads(out.read_text())["checks"]}
     assert checks["annulus_estimate"]["passed"] is True
+    assert checks["regular_coefficients"]["passed"] is True
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "name, params", [("c0", {}), ("c0", {"lam": 0.99}), ("matrix", {"eps": 0.01})]
+)
+@pytest.mark.parametrize(
+    "key, check",
+    [
+        ("t_neg", "principal_coefficients"),
+        ("t_pos", "regular_coefficients"),
+        ("resolvent", "resolvent_law"),
+    ],
+)
+def test_demo_coefficient_checks_fail_a_planted_relative_error(name, params, key, check):
+    entry = make(name, **params)
+    exact = entry.expected[key]
+    planted = dataclasses.replace(
+        entry, expected={**entry.expected, key: lambda arg: (1 + 1e-6) * exact(arg)}
+    )
+    def verdict(e):
+        return {ch["check"]: ch["passed"] for ch in cli._demo_checks(e)}[check]
+
+    assert verdict(entry) is True
+    assert verdict(planted) is False
+
+
+def test_demo_volterra_checks_its_outer_radius(monkeypatch, capsys):
+    # the Volterra kernel has no finite offset: its outer radius is inf
+    assert main(["demo", "--name", "volterra"]) == 0
+    assert "PASS volterra.annulus_outer" in capsys.readouterr().out
+    real = cli.annulus_estimate
+    monkeypatch.setattr(cli, "annulus_estimate", lambda b, p: (real(b, p)[0], 5.0))
+    assert main(["demo", "--name", "volterra"]) == 2
+    assert "FAIL volterra.annulus_outer" in capsys.readouterr().out
 
 
 def test_demo_outer_radius_inf_matches_only_inf():

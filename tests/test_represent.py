@@ -27,7 +27,7 @@ from gjrep import (
 )
 from gjrep import kernels
 from gjrep.io import decode_complex, encode_complex
-from gjrep.represent import PROBE_SCALES, _variance_time_slopes
+from gjrep.represent import _PROBE_ROWS, PROBE_SCALES, _variance_time_slopes
 from oracles import (
     causal_stack_apply,
     coeff_q,
@@ -301,15 +301,21 @@ def test_probe_shortest_horizon():
     assert np.isfinite(rep.diff_slopes).all()
 
 
+# horizons whose t_end + 1 rows fall one below, at and one above a block,
+# on two whole blocks, and one row past them
+BLOCK_HORIZONS = [(3, 9, rows - 1) for rows in (_PROBE_ROWS - 1, _PROBE_ROWS, _PROBE_ROWS + 1)]
+BLOCK_HORIZONS += [(3, 9, 2 * _PROBE_ROWS - 1), (3, 9, 2 * _PROBE_ROWS)]
+
+
 @pytest.mark.parametrize("turn", [1.0, np.exp(1j * np.pi / 3)], ids=["c0", "turned"])
 @pytest.mark.parametrize(
-    "seed, n_seeds, t_end", [(0, 100, 2000), (7, 100, 2000), (7, 23, 64)]
+    "seed, n_seeds, t_end", [(0, 100, 2000), (7, 100, 2000), (7, 23, 64), *BLOCK_HORIZONS]
 )
 def test_probe_matches_the_whole_block_route(seed, n_seeds, t_end, turn):
-    # the probe writes a few seeds at a time into one buffer that the kernel
-    # advances in place; the route that draws every seed into one block,
-    # forms the two products and lets the kernel copy the transposed drive
-    # gives the same slopes bit for bit, for every PROBES coordinate
+    # the probe draws, drives and advances every seed one block of rows at a
+    # time; the route that draws each seed's whole horizon at once, forms the
+    # two products and runs the kernel over every row gives the same slopes
+    # bit for bit, for every PROBES coordinate
     _, c0 = model_from_entry("c0", lam=0.25, n=10)
     model = ArmaModel(
         a0=turn * c0.a0, a1=turn * c0.a1, f0=turn * c0.f0, f1=turn * c0.f1, c=c0.c
@@ -329,17 +335,41 @@ def test_probe_matches_the_whole_block_route(seed, n_seeds, t_end, turn):
         )
 
 
-def test_probe_holds_one_path_sized_array():
-    # n = 10, m = 100, T = 2000: the paths are (T+1) n m float64 = 16.0 MB;
-    # noise, drive and a product temporary of every seed at once made 48 MB
-    _, model = model_from_entry("c0", lam=0.25, n=10)
+def _probe_peak(n):
+    _, model = model_from_entry("c0", lam=0.25, n=n)
     tracemalloc.start()
     try:
-        cointegration_probe(model, np.eye(10)[0], t_end=2000, n_seeds=100)
+        cointegration_probe(model, np.eye(n)[0], t_end=2000, n_seeds=100)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_keeps_the_series_not_the_paths():
+    # n = 10, m = 100, T = 2000: the paths are (T+1) n m float64 = 16.0 MB and
+    # the functional's series (T+1) m = 1.6 MB; holding every path made 20.8 MB
+    assert _probe_peak(10) <= 12e6
+
+
+def test_probe_memory_does_not_grow_with_the_state():
+    # n = 40: the (T+1) n m state would be 64 MB; only one block of it lives
+    assert _probe_peak(40) < 64e6 / 4
+
+
+def test_residual_check_holds_no_path_sized_temporary():
+    # T = 1e5, n = 10: each path-sized float64 array is 8 MB.  The two
+    # recursions hold 16 + 24 MB and the oracle, xhat and the error 8 MB
+    # each, 64 MB with no temporary of the sum or the noise's drive beside them
+    _, model = model_from_entry("c0", c=0.1 * np.arange(10.0), lam=0.25, n=10)
+    spec = NoiseSpec(kind="gaussian", dim=10, seed=2, burn_in=50)
+    tracemalloc.start()
+    try:
+        rep = represent("extended_s", model, spec, 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24e6
+    assert rep.passed
+    assert peak <= 66e6
 
 
 def _unitary(seed, n):
