@@ -63,7 +63,6 @@ from .errors import (
     NaturalFormDiverges,
     NumericError,
     OrderUndefined,
-    ProjectionError,
     SingularMatrixError,
     UnsupportedModelError,
     VerificationError,
@@ -71,7 +70,6 @@ from .errors import (
 from .pencil import (
     BasicSolution,
     FundamentalReport,
-    LaurentExpansion,
     LinearPencil,
     SeparationReport,
     SingularityClass,
@@ -119,7 +117,6 @@ __all__ = [
     "FundamentalResidualError",
     "GjrepError",
     "InputError",
-    "LaurentExpansion",
     "LinearPencil",
     "MAKERS",
     "NaturalFormDiverges",
@@ -128,7 +125,6 @@ __all__ = [
     "OrderUndefined",
     "PolynomialPencil",
     "ProbeReport",
-    "ProjectionError",
     "RepresentationReport",
     "SeparationReport",
     "SingularMatrixError",

@@ -20,8 +20,8 @@ from .errors import ChainStepError
 from .pencil import Array, LinearPencil, as_vector
 
 # a chain step solves when its residual is at most CHAIN_TOL times the
-# pencil scale and the current norm; a chain terminates at CHAIN_TOL times
-# its seed norm
+# largest coefficient norm and the current vector norm; a chain terminates
+# at CHAIN_TOL times its seed norm
 CHAIN_TOL = 1e-9
 # eigenvalues of M = C_1^{-1} C_0 at most ZERO_TOL * (1 + ||M||) form the
 # zero cluster
@@ -48,7 +48,7 @@ class ChainResult:
 def _extend(
     matrix: Array,
     partner: Array,
-    scale: float,
+    c_size: float,
     seed: Array,
     steps: int,
     project: Array | None,
@@ -73,7 +73,7 @@ def _extend(
             # the ladder directions would otherwise amplify without bound
             x_next = project @ x_next
         residual = float(np.linalg.norm(matrix @ x_next - rhs))
-        if residual > CHAIN_TOL * scale * max(norms[-1], 1.0):
+        if residual > CHAIN_TOL * c_size * norms[-1]:
             raise ChainStepError(
                 f"chain step has no solution: residual {residual:.3e} "
                 f"at chain position {len(vectors)}"
@@ -106,12 +106,15 @@ def singular_chain(
 ) -> ChainResult:
     """Extend ``seed = x_{-1}`` through ``C_0 x_{-n} + C_1 x_{-n-1} = 0``.
 
+    Each step is a least-squares solve; a step whose residual is above
+    ``CHAIN_TOL * max_i ||C_i|| * ||x_{-n}||`` raises ChainStepError, a
+    bound that reads the same when the pencil or the seed is scaled.
     ``project`` optionally re-projects each iterate (pass the singular
     domain projection) to stop rounding noise from seeding a cross-subspace
     component that later steps amplify.
     """
     seed = as_vector(seed, pencil.dim, "seed")
-    return _extend(pencil.c1, pencil.c0, pencil.scale(), seed, steps, project)
+    return _extend(pencil.c1, pencil.c0, max(pencil.norms), seed, steps, project)
 
 
 def regular_chain(
@@ -124,14 +127,15 @@ def regular_chain(
     """Extend ``seed = x_1`` through ``C_1 x_n + C_0 x_{n+1} = 0``.
 
     ``C_0`` is singular at a unit root, so each step is a consistency-checked
-    least-squares solve; seeds whose chain leaves the solvable set raise
+    least-squares solve, held to ``CHAIN_TOL * max_i ||C_i|| * ||x_n||`` as
+    in ``singular_chain``; seeds whose chain leaves the solvable set raise
     ChainStepError.  The minimum-norm solve picks one of many valid
     continuations; pass the regular domain projection as ``project`` to pin
     the chain to its subspace, otherwise a seeded singular-ladder component
     can dominate the growth diagnostics.
     """
     seed = as_vector(seed, pencil.dim, "seed")
-    return _extend(pencil.c0, pencil.c1, pencil.scale(), seed, steps, project)
+    return _extend(pencil.c0, pencil.c1, max(pencil.norms), seed, steps, project)
 
 
 def _schur_basis(pencil: LinearPencil, singular: bool) -> Array:

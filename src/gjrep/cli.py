@@ -25,7 +25,6 @@ from .corpus import MAKERS, make
 from .errors import GjrepError, InputError, NumericError, VerificationError
 from .pencil import (
     TOL_FUND,
-    LaurentExpansion,
     LinearPencil,
     annulus_estimate,
     basic_residuals,
@@ -71,13 +70,13 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, LaurentExpansion]:
+def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, dict[int, np.ndarray]]:
     auto_radius = default_radius(pencil)
     radius = args.radius if args.radius is not None else auto_radius
     basic = basic_solution(pencil, radius=radius)
     residuals = basic_residuals(basic, pencil)
     expansion = laurent_range(basic, pencil, J_LO, J_HI)
-    fund = verify_fundamental(pencil, expansion.coefficients, J_LO + 1, J_HI)
+    fund = verify_fundamental(pencil, expansion, J_LO + 1, J_HI)
     pair = projections(basic, pencil)
     sep = separate(pair, pencil)
     sclass = classify_singularity(basic, pencil)
@@ -128,7 +127,7 @@ def cmd_analyze(args) -> int:
     if isinstance(pencil, PolynomialPencil):
         aug = augment(pencil)
         report, ok, expansion = _analyze_linear(aug.pencil, args)
-        tmap, disagreement = unpack_laurent(aug, expansion.coefficients)
+        tmap, disagreement = unpack_laurent(aug, expansion)
         pfund = verify_fundamental(pencil, tmap, J_LO + pencil.degree, J_HI)
         report["polynomial"] = {
             "degree": pencil.degree,

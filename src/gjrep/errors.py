@@ -28,10 +28,6 @@ class FundamentalResidualError(VerificationError):
     """Computed Laurent data violates the fundamental identities."""
 
 
-class ProjectionError(VerificationError):
-    """Candidate projections are not idempotent or not complementary."""
-
-
 class NumericError(GjrepError):
     """A numeric procedure failed or did not converge."""
 

@@ -34,19 +34,17 @@ def trapezoid_doubling(c0, c1, js, radius, *, tol=1e-9, nodes=32, max_nodes=1 <<
     """Laurent coefficients ``T_j`` by the trapezoid rule with node doubling.
 
     Each round sums all ``nodes`` resolvent values afresh (no node is
-    reused) with ``trapezoid_laurent``; the count doubles until every
-    ``T_j`` moves by at most ``tol * max(1, ||T_j||)`` in the spectral
-    norm.  Returns ``(coefficients, nodes)``, or raises ValueError at the
-    node cap.
+    reused) with ``trapezoid_laurent``; the count doubles until the largest
+    move of a ``T_j`` is at most ``tol`` times the largest ``||T_j||``, in
+    the spectral norm.  Returns ``(coefficients, nodes)``, or raises
+    ValueError at the node cap.
     """
     current = {j: trapezoid_laurent(c0, c1, j, radius, nodes) for j in js}
     while nodes < max_nodes:
         nodes *= 2
         refined = {j: trapezoid_laurent(c0, c1, j, radius, nodes) for j in js}
-        settled = all(
-            _spectral_norm(refined[j] - current[j]) / max(1.0, _spectral_norm(refined[j])) <= tol
-            for j in js
-        )
+        move = max(_spectral_norm(refined[j] - current[j]) for j in js)
+        settled = move <= tol * max(_spectral_norm(refined[j]) for j in js)
         current = refined
         if settled:
             return current, nodes
@@ -180,29 +178,33 @@ def random_unit_root_pencil(rng, n, order, mu_min=0.4, mu_max=4.0):
     return c0, c1
 
 
-def _j2_draw(n, seed):
-    """The unitary Q and the offsets ``mu`` (the first two zero) of ``j2_similarity``."""
+def _jordan_draw(n, seed, order):
+    """The unitary Q and the offsets ``mu`` (the first ``order`` zero) of
+    ``jordan_similarity``."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     mu = rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n))
-    mu[:2] = 0.0
+    mu[:order] = 0.0
     return q, mu
 
 
-def j2_similarity(n, seed):
-    """``(C0, C1) = (Q blockdiag(J_2(0), diag(mu)) Q^H, I)`` with a seeded unitary Q.
+def jordan_similarity(n, seed, order=2):
+    """``(C0, C1) = (Q blockdiag(J_order(0), diag(mu)) Q^H, I)`` with a seeded unitary Q.
 
-    A pole of order 2 at the anchor; the other offsets have ``|mu|`` in [1, 3].
+    A pole of order ``order`` at the anchor; the other offsets have ``|mu|``
+    in [1, 3].
     """
-    q, mu = _j2_draw(n, seed)
+    q, mu = _jordan_draw(n, seed, order)
     block = np.diag(mu)
-    block[0, 1] = 1.0
+    for i in range(order - 1):
+        block[i, i + 1] = 1.0
     return q @ block @ q.conj().T, np.eye(n)
 
 
-def j2_outer_radius(n, seed):
-    """The smallest ``|mu|`` of ``j2_similarity(n, seed)``: its exact outer radius."""
-    return float(np.abs(_j2_draw(n, seed)[1][2:]).min())
+def jordan_outer_radius(n, seed, order=2):
+    """The smallest nonzero ``|mu|`` of ``jordan_similarity(n, seed, order)``:
+    its exact outer radius."""
+    return float(np.abs(_jordan_draw(n, seed, order)[1][order:]).min())
 
 
 def complex_lists(value):
@@ -397,7 +399,7 @@ def lstsq_chain(matrix, partner, seed, *, steps=16, tol=1e-9, project=None):
 
     Returns ``(vectors, terminated)``; an inconsistent step raises ValueError.
     """
-    scale = max(_spectral_norm(matrix), _spectral_norm(partner), 1.0)
+    scale = max(_spectral_norm(matrix), _spectral_norm(partner))
     vectors = [np.asarray(seed, dtype=np.complex128)]
     norms = [float(np.linalg.norm(vectors[0]))]
     terminated = False
@@ -407,7 +409,7 @@ def lstsq_chain(matrix, partner, seed, *, steps=16, tol=1e-9, project=None):
         if project is not None:
             x_next = project @ x_next
         residual = float(np.linalg.norm(matrix @ x_next - rhs))
-        if residual > tol * scale * max(norms[-1], 1.0):
+        if residual > tol * scale * norms[-1]:
             raise ValueError(f"chain step has no solution: residual {residual:.3e}")
         vectors.append(x_next)
         norms.append(float(np.linalg.norm(x_next)))

@@ -102,7 +102,7 @@ def test_criterion_1_closed_form_pencil():
     want_q = np.array([[0.0, 1.0], [0.0, 1.0]])
     sclass = classify_singularity(basic, pencil)
     table = laurent_range(basic, pencil, -4, 6)
-    fund = verify_fundamental(pencil, table.coefficients, -3, 6)
+    fund = verify_fundamental(pencil, table, -3, 6)
     elapsed = time.perf_counter() - t0
     verdict(
         1,
@@ -316,7 +316,7 @@ def test_criterion_9_reduction_and_unpacking():
     aug = augment(poly)
     basic = basic_solution(aug.pencil)
     table = laurent_range(basic, aug.pencil, -3, 3)
-    _, disagreement = unpack_laurent(aug, table.coefficients)
+    _, disagreement = unpack_laurent(aug, table)
     verdict(
         9,
         "stacked reduction equals direct recursion; block-consistent unpacking",

@@ -74,7 +74,7 @@ def test_unpack_and_polynomial_fundamental():
     aug = augment(poly)
     basic = basic_solution(aug.pencil)
     exp = laurent_range(basic, aug.pencil, -3, 4)
-    tmap, disagreement = unpack_laurent(aug, exp.coefficients)
+    tmap, disagreement = unpack_laurent(aug, exp)
     assert disagreement <= 1e-9
     # coverage: indices j*p + a - b for j in [-3, 4], p = 2
     assert min(tmap) == -7 and max(tmap) == 9
@@ -88,7 +88,7 @@ def test_polynomial_fundamental_catches_a_relative_error_at_any_scale(scale):
     poly = unit_root_poly()
     aug = augment(poly)
     basic = basic_solution(aug.pencil)
-    tmap, _ = unpack_laurent(aug, laurent_range(basic, aug.pencil, -3, 4).coefficients)
+    tmap, _ = unpack_laurent(aug, laurent_range(basic, aug.pencil, -3, 4))
     scaled = PolynomialPencil(tuple(c * scale for c in poly.coeffs))
     clean = {j: t / scale for j, t in tmap.items()}
     assert verify_fundamental(scaled, clean, -1, 4).passed
@@ -106,7 +106,7 @@ def test_unpacked_blocks_match_direct_quadrature():
     aug = augment(poly)
     basic = basic_solution(aug.pencil)
     exp = laurent_range(basic, aug.pencil, -2, 2)
-    tmap, _ = unpack_laurent(aug, exp.coefficients)
+    tmap, _ = unpack_laurent(aug, exp)
     radius = 0.35
     nodes = 4096
     for m in (-2, -1, 0, 1, 2):
@@ -123,7 +123,7 @@ def test_unpack_inconsistent_blocks_raise():
     aug = augment(poly)
     basic = basic_solution(aug.pencil)
     exp = laurent_range(basic, aug.pencil, -2, 2)
-    coeffs = {j: m.copy() for j, m in exp.coefficients.items()}
+    coeffs = {j: m.copy() for j, m in exp.items()}
     coeffs[0][0, 0] += 1.0  # corrupt one copy of a repeated block
     # the disagreement is reported; analyze judges it
     _, disagreement = unpack_laurent(aug, coeffs)

@@ -16,7 +16,7 @@ from gjrep import (
     sin_basis,
     singular_chain,
 )
-from oracles import j2_similarity, random_unit_root_pencil, schur_basis_sorted
+from oracles import jordan_similarity, random_unit_root_pencil, schur_basis_sorted
 
 
 def _e(i, n):
@@ -49,6 +49,18 @@ def test_regular_chain_rejected_off_subspace():
     e = make("c0", lam=0.25, n=10)
     with pytest.raises(ChainStepError):
         regular_chain(e.pencil, _e(1, 10))
+
+
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e6])
+def test_regular_chain_rejects_a_small_off_subspace_component_at_any_scale(s):
+    # e_4 is a regular direction of c0 and e_1 is not: a 1e-6 relative part
+    # of e_1 leaves a step residual 1e3 times CHAIN_TOL * max ||C_i|| * ||x||.
+    # One step: later steps grow the e_1 part past any looser bound too
+    e = make("c0", lam=0.25, n=10)
+    pencil = LinearPencil(s * e.pencil.c0, s * e.pencil.c1)
+    assert len(regular_chain(pencil, _e(4, 10), steps=1).vectors) == 2
+    with pytest.raises(ChainStepError):
+        regular_chain(pencil, _e(4, 10) + 1e-6 * _e(1, 10), steps=1)
 
 
 def test_regular_chain_rate_matches_law():
@@ -123,7 +135,7 @@ def _real_similarity():
 
 BASIS_PENCILS = {
     "real-similarity": _real_similarity,
-    "complex-similarity": lambda: LinearPencil(*j2_similarity(16, 5)),
+    "complex-similarity": lambda: LinearPencil(*jordan_similarity(16, 5)),
     "complex-order3": lambda: LinearPencil(
         *random_unit_root_pencil(np.random.default_rng(6), 12, 3)
     ),
@@ -151,7 +163,7 @@ def test_both_bases_reorder_one_schur_form(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "schur", counting)
-    pencil = LinearPencil(*j2_similarity(16, 5))
+    pencil = LinearPencil(*jordan_similarity(16, 5))
     sin, reg = sin_basis(pencil), reg_basis(pencil)
     assert (sin.shape[1], reg.shape[1], len(calls)) == (2, 14, 1)
 

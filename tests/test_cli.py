@@ -31,7 +31,7 @@ from gjrep import cli
 from gjrep import io as gio
 from gjrep.cli import main
 from gjrep.io import dump_model, dump_pencil
-from oracles import j2_similarity, report_text
+from oracles import jordan_similarity, report_text
 
 
 @pytest.fixture
@@ -72,6 +72,23 @@ def test_analyze_report(matrix_pencil_file, tmp_path):
     assert set(rep["laurent_norms"]) == {str(j) for j in range(-3, 7)}
 
 
+@pytest.mark.parametrize("s", [1e-8, 1e10])
+@pytest.mark.parametrize("name", ["c0", "volterra16", "similarity"])
+def test_analyze_reads_a_scaled_pencil_as_the_unscaled_one(name, s, tmp_path):
+    # exit 0 means right: every verdict of the report holds at any scale
+    pencil = {
+        "c0": lambda: make("c0").pencil,
+        "volterra16": lambda: make("volterra", n=16).pencil,
+        "similarity": _similarity_pencil,
+    }[name]()
+    want = _analyze_report(pencil, tmp_path)
+    got = _analyze_report(LinearPencil(s * pencil.c0, s * pencil.c1), tmp_path)
+    assert got["singularity"] == want["singularity"]
+    assert got["projections"]["domain_sin_rank"] == want["projections"]["domain_sin_rank"]
+    assert got["radius"] == pytest.approx(want["radius"], rel=1e-12)
+    assert got["fundamental"]["passed"] and got["separation"]["passed"]
+
+
 def test_analyze_polynomial(tmp_path):
     rng = np.random.default_rng(5)
     c0 = np.array([[1.0], [0.5]]) @ np.array([[1.0, -1.0]])
@@ -98,7 +115,7 @@ def _written_pair(report) -> BasicSolution:
 
 def _live_table(pencil) -> dict:
     basic = basic_solution(pencil, radius=default_radius(pencil))
-    return laurent_range(basic, pencil, -3, 6).coefficients
+    return laurent_range(basic, pencil, -3, 6)
 
 
 PAIR_PENCILS = {
@@ -119,7 +136,7 @@ def test_written_pair_rebuilds_the_whole_table(case, tmp_path):
     pencil = PAIR_PENCILS[case]()
     rebuilt = laurent_range(_written_pair(_analyze_report(pencil, tmp_path)), pencil, -3, 6)
     live = _live_table(pencil)
-    assert rebuilt.coefficients.keys() == live.keys()
+    assert rebuilt.keys() == live.keys()
     for j, block in live.items():
         assert np.array_equal(rebuilt[j], block), j
 
@@ -140,7 +157,7 @@ def test_written_augmented_pair_rebuilds_the_polynomial_table(tmp_path):
     poly = _degree2_pencil()
     report = _analyze_report(poly, tmp_path)
     aug = augment(poly)
-    rebuilt = laurent_range(_written_pair(report), aug.pencil, -3, 6).coefficients
+    rebuilt = laurent_range(_written_pair(report), aug.pencil, -3, 6)
     got, got_spread = unpack_laurent(aug, rebuilt)
     want, want_spread = unpack_laurent(aug, _live_table(aug.pencil))
     assert got_spread == want_spread == report["polynomial"]["unpack_disagreement"]
@@ -197,7 +214,6 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
         gjrep.default_radius: ("zero_tol",),
         gjrep.classify_singularity: ("tol", "k_max", "cliff_factor"),
         gjrep.annulus_estimate: ("k_max", "l_max"),
-        gjrep.LaurentExpansion: ("method", "radius", "inner_radius", "outer_radius"),
         gjrep.singular_chain: ("tol",),
         gjrep.regular_chain: ("tol",),
         gjrep.sin_basis: ("zero_tol",),
@@ -219,6 +235,11 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
                 fn(**{keyword: None})
     assert not hasattr(gjrep, "laurent_coefficient")
+    # laurent_range returns its dict, and projections checks nothing that
+    # basic_solution has not already checked
+    for name in ("LaurentExpansion", "ProjectionError"):
+        assert not hasattr(gjrep, name), name
+    assert not hasattr(gjrep.LinearPencil, "scale")
     # the verdicts read TOL_FUND; no report carries it
     for report in (gjrep.FundamentalReport, gjrep.SeparationReport, gjrep.SplitReport):
         assert "tol" not in {f.name for f in dataclasses.fields(report)}
@@ -523,7 +544,7 @@ def test_demo_json_format(tmp_path):
 
 
 def _similarity_pencil(n=8, seed=3):
-    return LinearPencil(*j2_similarity(n, seed))
+    return LinearPencil(*jordan_similarity(n, seed))
 
 
 def _degree2_pencil():

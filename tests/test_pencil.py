@@ -31,7 +31,7 @@ from gjrep import (
     verify_fundamental,
 )
 from oracles import (
-    j2_similarity,
+    jordan_similarity,
     random_unit_root_pencil,
     scalar_laurent,
     trapezoid_doubling,
@@ -82,7 +82,7 @@ def _degree2_augmented():
 CONTOUR_PENCILS = {
     "volterra64": lambda: make("volterra", n=64).pencil,
     "cascade8": lambda: make("hierarchy", n=8).pencil,
-    "similarity16": lambda: LinearPencil(*j2_similarity(16, 11)),
+    "similarity16": lambda: LinearPencil(*jordan_similarity(16, 11)),
     "degree2": _degree2_augmented,
 }
 
@@ -179,6 +179,56 @@ def test_classification_removable():
     assert np.abs(basic.t_zero - np.eye(2) / 2.0).max() <= 1e-12
 
 
+SCALES = (1e-8, 1.0, 1e10)
+SCALE_FREE = {  # pencil, and the class it gets at every scale
+    "volterra16": (lambda: make("volterra", n=16).pencil, ("essential_at_truncation", 16)),
+    "volterra64": (lambda: make("volterra", n=64).pencil, ("essential_at_truncation", 64)),
+    "c0": (lambda: make("c0").pencil, ("pole", 2)),
+    "matrix": (lambda: make("matrix").pencil, ("pole", 1)),
+    "hierarchy": (lambda: make("hierarchy").pencil, ("pole", 8)),
+    # T_{-1} = diag(1, 0) and T_0 = diag(0, 1e7): a removable test looser
+    # than ||T_{-1}|| <= 1e-9 ||T_0|| by 1e3 reads this pole as removable
+    "near-pole": (lambda: LinearPencil(np.diag([0.0, 1e-7]), np.eye(2)), ("pole", 1)),
+    **{
+        f"j{order}-sim8-seed{seed}": (
+            lambda order=order, seed=seed: LinearPencil(*jordan_similarity(8, seed, order)),
+            ("pole", order),
+        )
+        for order in (1, 2)
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("name", SCALE_FREE)
+def test_contour_and_class_are_scale_free(name, s):
+    # both coefficients times s put every T_j over s: each verdict compares
+    # norms that scale together, so the node count and the class stay those
+    # of s = 1, even where T_0 is pure rounding (Volterra)
+    build, want = SCALE_FREE[name]
+    pencil = build()
+    scaled = LinearPencil(s * pencil.c0, s * pencil.c1)
+    _, info = contour_coefficients(scaled, (-1, 0))
+    assert info["nodes"] == 64
+    got = classify_singularity(basic_solution(scaled), scaled)
+    assert (got.kind, got.order) == want
+
+
+@pytest.mark.parametrize("name", ["c0", "matrix", "hierarchy"])
+def test_contour_settles_to_the_exact_pair(name):
+    # at 0.9 r_hat the trapezoid error decays slowly, so the settle test
+    # decides the accuracy: 512 nodes meet 1e-13, and TOL_CONTOUR = 1e-5
+    # stops at 256 nodes with errors of order 1e-12
+    e = make(name)
+    _, r_hat = annulus_estimate(e.basic, e.pencil)
+    got, _ = contour_coefficients(e.pencil, (-1, 0), 0.9 * r_hat)
+    want = {-1: e.basic.t_minus_one, 0: e.basic.t_zero}
+    size = max(e.basic.norms)
+    for j in want:
+        assert spectral_norm(got[j] - want[j]) <= 1e-13 * size, j
+
+
 def test_annulus_estimates():
     e = make("matrix", eps=0.5)
     s_hat, r_hat = annulus_estimate(e.basic, e.pencil)
@@ -248,16 +298,33 @@ def test_separation_blocks_vanish():
         assert max(rep.off_residuals.values()) <= 1e-10
 
 
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e6])
+@pytest.mark.parametrize("name", ["matrix", "c0", "hierarchy"])
+def test_separation_fails_a_planted_relative_error_at_any_scale(name, s):
+    # a relative 1e-7 error in T_0 leaves residuals 70 to 147 times the bound
+    # on these pencils, at every scale, so a bound 1e3 looser passes it; the
+    # exact pair passes
+    e = make(name)
+    pencil = LinearPencil(s * e.pencil.c0, s * e.pencil.c1)
+    t_minus, t_zero = e.basic.t_minus_one / s, e.basic.t_zero / s
+    plant = np.random.default_rng(0).standard_normal(t_zero.shape)
+    plant *= 1e-7 * spectral_norm(t_zero) / spectral_norm(plant)
+    clean = BasicSolution(t_minus, t_zero)
+    assert separate(projections(clean, pencil), pencil).passed
+    bad = BasicSolution(t_minus, t_zero + plant)
+    assert not separate(projections(bad, pencil), pencil).passed
+
+
 def test_fundamental_window():
     e = make("c0")
     exp = laurent_range(e.basic, e.pencil, -3, 6)
-    rep = verify_fundamental(e.pencil, exp.coefficients, -2, 6)
+    rep = verify_fundamental(e.pencil, exp, -2, 6)
     assert rep.passed
     assert rep.max_residual <= 1e-10
     assert rep.js == tuple(range(-2, 7))
     # missing coefficients must be rejected, not silently zero-filled
     with pytest.raises(InputError):
-        verify_fundamental(e.pencil, exp.coefficients, -4, 6)
+        verify_fundamental(e.pencil, exp, -4, 6)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3])
@@ -266,7 +333,7 @@ def test_fundamental_catches_a_relative_error_at_any_scale(scale):
     # the relative size of a planted error unchanged
     e = make("c0")
     pencil = LinearPencil(e.pencil.c0 * scale, e.pencil.c1 * scale)
-    table = laurent_range(e.basic, e.pencil, -3, 6).coefficients
+    table = laurent_range(e.basic, e.pencil, -3, 6)
     clean = {j: t / scale for j, t in table.items()}
     assert verify_fundamental(pencil, clean, -2, 6).passed
     for j in (-2, -1, 0, 1, 2):
@@ -277,7 +344,7 @@ def test_fundamental_catches_a_relative_error_at_any_scale(scale):
 
 def test_fundamental_rejects_an_empty_window():
     e = make("c0")
-    table = laurent_range(e.basic, e.pencil, -3, 6).coefficients
+    table = laurent_range(e.basic, e.pencil, -3, 6)
     with pytest.raises(InputError):
         verify_fundamental(e.pencil, table, 3, 2)
 

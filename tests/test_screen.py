@@ -33,14 +33,14 @@ from gjrep.pencil import _norm_bounds, _screened
 from oracles import (
     annulus_estimate_literal,
     classify_singularity_literal,
-    j2_outer_radius,
-    j2_similarity,
+    jordan_outer_radius,
+    jordan_similarity,
     lstsq_chain,
 )
 
 
 def _similarity(n, seed):
-    return LinearPencil(*j2_similarity(n, seed))
+    return LinearPencil(*jordan_similarity(n, seed))
 
 
 def _contour(pencil):
@@ -74,8 +74,8 @@ OUTER = {
     "c0": 3.0,
     "hierarchy": SIGMA,
     "cascade8-contour": SIGMA,
-    "sim16": j2_outer_radius(16, 11),
-    "sim64": j2_outer_radius(64, 12),
+    "sim16": jordan_outer_radius(16, 11),
+    "sim64": jordan_outer_radius(64, 12),
 }
 
 
