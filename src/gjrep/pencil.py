@@ -636,9 +636,13 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
     below ``TOL_FUND * ||T_{-1}|| * ||C_0||``.  A smooth decay that only
     crosses the tolerance without a cliff (quadrature-style quasi-nilpotent
     truncations) is scanned further for the hard collapse; when that
-    happens exactly at the truncation dimension the singular part is an
-    essential-singularity truncation, not a genuine pole.  Norms that
-    plateau without collapsing by ``k = n + 2`` give ``inconclusive``.
+    happens exactly at the truncation dimension, after ``||N^{n-1}||`` had
+    already crossed the tolerance, the singular part is an
+    essential-singularity truncation, not a genuine pole.  A collapse at
+    ``k = n`` straight from above the tolerance is a pole of order n, as
+    for ``C_0 = J_n(0)``, ``C_1 = I`` or the simple pole of ``C_0 = [[0]]``,
+    ``C_1 = [[1]]``.  Norms that plateau without collapsing by
+    ``k = n + 2`` give ``inconclusive``.
 
     Each ``a_k = ||N^k||`` is screened: the collapse is ruled out from the
     bounds of ``a_{k-2..k}`` whenever they decide it, and the exact norms
@@ -701,7 +705,8 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
         if prev == 0.0:
             collapsed = True  # already exactly nilpotent at the previous index
         if collapsed:
-            kind = "essential_at_truncation" if k == n else "pole"
+            truncated = k == n and _times_pow2(prev, e[k - 1]) <= floor
+            kind = "essential_at_truncation" if truncated else "pole"
             return SingularityClass(kind=kind, order=k, power_norms=tuple(frobenius))
     return SingularityClass(kind="inconclusive", order=None, power_norms=tuple(frobenius))
 

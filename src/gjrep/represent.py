@@ -290,36 +290,103 @@ class ProbeReport:
     majority: str
 
 
-def _variance_time_slopes(y: Array, scales: Array) -> Array:
-    """Log-log slope of the window sample variance against window length.
+class _WindowVariances:
+    """Variance-time slopes of a series that is fed one block of rows at a time.
 
-    y has shape (T+1, m); for each scale w the within-window variance is
-    averaged over half-overlapping windows, which concentrates the per-path
-    statistic enough for threshold classification.  Returns one slope per
-    column.
+    The statistic is that of the whole series: for each scale w, the
+    sample variance over windows of w rows that start every
+    ``max(1, w // 2)`` rows, the last at or before ``rows - w``, is
+    averaged over the windows, and each column gets the log-log slope of
+    that mean against w.  Kept between blocks are the prefix sums of the
+    series and of its square at the last row fed, the prefix rows at the
+    starts of windows not yet closed (about three per scale) and one
+    running sum per scale, so with two or more columns memory does not
+    grow with the series.  A block's prefix sums are the cumulative sum of
+    ``[carry; block]``, and each scale's closed windows are added to its
+    running sum in window order, as the whole series' ``np.cumsum`` and
+    ``var.mean(axis=0)`` do: the slopes are bit for bit those of the whole
+    series.
     """
-    rows, m = y.shape
-    s1, s2 = np.zeros((rows + 1, m)), np.zeros((rows + 1, m))
-    np.cumsum(y, axis=0, out=s1[1:])
-    np.cumsum(np.square(y, out=s2[1:]), axis=0, out=s2[1:])
-    log_var = np.empty((scales.shape[0], m))
-    for i, w in enumerate(scales):
-        offs = np.arange(0, rows - w + 1, max(1, w // 2))
-        mu = (s1[offs + w] - s1[offs]) / w
-        var = (s2[offs + w] - s2[offs]) / w - mu * mu
-        log_var[i] = np.log(np.maximum(var.mean(axis=0), 1e-300))
-    lt = np.log(scales.astype(float))[:, None]
-    lt_c = lt - lt.mean(axis=0)
-    return (lt_c * (log_var - log_var.mean(axis=0))).sum(axis=0) / (
-        lt_c**2
-    ).sum(axis=0)
+
+    def __init__(self, rows: int, scales: Array, m: int):
+        self.scales = scales
+        hops = [max(1, w // 2) for w in scales.tolist()]
+        # (w, hop, number of windows) per scale
+        self.windows = [(w, h, (rows - w) // h + 1) for w, h in zip(scales.tolist(), hops)]
+        self.fed = 0
+        self.carry = np.zeros((2, m))
+        self.held = np.empty((0, 2, m))  # start rows of the open windows, scale by scale
+        self.first = [0] * len(scales)  # each scale's first window not yet closed
+        self.seen = [0] * len(scales)  # and its first window whose start is not held
+        # numpy sums a lone column pairwise, not in window order, so one
+        # column keeps its closed variances (fewer than rows values) whole
+        self.closed = [[] for _ in scales] if m == 1 else np.zeros((len(scales), m))
+
+    def feed(self, block: Array) -> None:
+        lo, hi, held = self.fed, self.fed + block.shape[0], self.held.shape[0]
+        rows = np.empty((held + block.shape[0] + 1, *self.carry.shape))
+        rows[:held] = self.held
+        pre = rows[held:]  # prefix sums of the series and its square at lo..hi
+        pre[0] = self.carry
+        pre[1:, 0] = block
+        np.square(block, out=pre[1:, 1])
+        np.cumsum(pre, axis=0, out=pre)
+        self.fed, self.carry = hi, pre[-1].copy()
+        # rows of the starts and ends of the windows that close in this
+        # block, and of the starts of those that stay open
+        base, slot = held - lo, 0
+        starts, ends, keep, widths, cuts = [], [], [], [], [0]
+        for i, (w, hop, count) in enumerate(self.windows):
+            first, seen = self.first[i], self.seen[i]
+            opened = min(count, hi // hop + 1)
+            shut = max(first, min(count, (hi - w) // hop + 1))
+            at = [*range(slot, slot + seen - first)]  # held starts, then new ones
+            at += range(base + seen * hop, base + opened * hop, hop)
+            slot += seen - first
+            starts += at[: shut - first]
+            ends += range(base + first * hop + w, base + shut * hop + w, hop)
+            keep += at[shut - first :]
+            widths += [w] * (shut - first)
+            cuts.append(len(starts))
+            self.first[i], self.seen[i] = shut, opened
+        c = len(starts)
+        picked = rows[starts + ends + keep]
+        self.held = picked[2 * c :].copy()
+        sums = picked[c : 2 * c] - picked[:c]
+        w = np.array(widths, dtype=float)[:, None]
+        mu = sums[:, 0] / w
+        var = sums[:, 1] / w - mu * mu
+        for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            if a == b:
+                continue
+            if isinstance(self.closed, list):
+                self.closed[i].append(var[a:b])
+            else:
+                var[a] += self.closed[i]
+                self.closed[i] = var[a:b].sum(axis=0)
+
+    def slopes(self) -> Array:
+        counts = np.array([[count] for _, _, count in self.windows])
+        if isinstance(self.closed, list):
+            mean = np.stack([np.concatenate(c).mean(axis=0) for c in self.closed])
+        else:
+            mean = self.closed / counts
+        log_var = np.log(np.maximum(mean, 1e-300))
+        lt = np.log(self.scales.astype(float))[:, None]
+        lt_c = lt - lt.mean(axis=0)
+        return (lt_c * (log_var - log_var.mean(axis=0))).sum(axis=0) / (
+            lt_c**2
+        ).sum(axis=0)
 
 
-def _probe_series(model: ArmaModel, f: Array, t_end: int, m: int, base_seed: int) -> Array:
-    """``Re(f^H x(t))`` on ``[0, t_end]`` for the paths of seeds ``base_seed + i``, i < m.
+def _probe_slopes(
+    model: ArmaModel, f: Array, t_end: int, m: int, base_seed: int
+) -> tuple[Array, Array]:
+    """Level and difference slopes of ``Re(f^H x(t))`` on ``[0, t_end]``.
 
-    Returns the functional's series as a ``(t_end + 1, m)`` float64 array;
-    the paths themselves live one block of ``_PROBE_ROWS`` rows at a time.
+    The paths are those of seeds ``base_seed + i``, i < m; they live one
+    block of ``_PROBE_ROWS`` rows at a time, and so does the functional's
+    series, which both slopes take in as it is made.
     """
     n = model.dim
     a0_inv = _checked_solve(model.a0, np.eye(n), "contemporaneous coefficient A_0")
@@ -327,27 +394,41 @@ def _probe_series(model: ArmaModel, f: Array, t_end: int, m: int, base_seed: int
     gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
     # Seed i draws n(-1), then the rows of each block in turn, from its own
     # generator; row 0 of the noise buffer carries n(t-1) into the block.
-    # The drive A_0^{-1} (F_0 n(t) + F_1 n(t-1)) of seed i is two (rows, n)
-    # @ (n, n) products, written into column i of the kernel's layout.
+    # The drive A_0^{-1} (F_0 n(t) + F_1 n(t-1)) of every seed is two
+    # products of the whole buffer, written into the kernel's layout.
     rngs = [np.random.default_rng(base_seed + i) for i in range(m)]
-    noise = np.empty((m, _PROBE_ROWS + 1, n))
+    # the products run over every row of the buffer, a short block's stale
+    # rows included, so it starts at zero
+    noise = np.zeros((m, _PROBE_ROWS + 1, n))
     for rng, seed_noise in zip(rngs, noise):
         rng.standard_normal((1, n), out=seed_noise[:1])
     x = np.empty((_PROBE_ROWS, n, m), dtype=np.result_type(step, gain0, gain1))
     state = np.zeros((n, m), dtype=x.dtype)
-    y = np.empty((t_end + 1, m))
+    y = np.empty((_PROBE_ROWS + 1, m))  # row 0 carries y(t-1) into the block
+    scales = np.unique(
+        np.geomspace(16, max(_PROBE_WINDOW, t_end // 4), PROBE_SCALES).astype(int)
+    )
+    level = _WindowVariances(t_end + 1, scales, m)
+    diff = _WindowVariances(t_end, scales, m)
     for lo in range(0, t_end + 1, _PROBE_ROWS):
         rows = min(_PROBE_ROWS, t_end + 1 - lo)
         for rng, seed_noise in zip(rngs, noise):
             rng.standard_normal((rows, n), out=seed_noise[1 : rows + 1])
-        block = noise[:, : rows + 1].astype(np.result_type(gain0, gain1), copy=False)
-        x[:rows] = (block[:, 1:] @ gain0.T).transpose(1, 2, 0)
-        x[:rows] += (block[:, :-1] @ gain1.T).transpose(1, 2, 0)
+        flat = noise.reshape(-1, n)
+        prod = (flat @ gain0.T).reshape(noise.shape)
+        x[:rows] = prod[:, 1 : rows + 1].transpose(1, 2, 0)
+        np.matmul(flat, gain1.T, out=prod.reshape(flat.shape))
+        x[:rows] += prod[:, :rows].transpose(1, 2, 0)
+        del prod  # freed before the slopes take in the block
         path = kernels.arma_recursion(step, x[:rows], state)
-        y[lo : lo + rows] = np.real(np.conj(f) @ path)
+        y[1 : rows + 1] = np.real(np.conj(f) @ path)
+        level.feed(y[1 : rows + 1])
+        # the first block has no y(-1): its differences start at row 1
+        diff.feed(np.diff(y[int(lo == 0) : rows + 1], axis=0))
         state[...] = path[-1]
         noise[:, 0] = noise[:, rows]
-    return y
+        y[0] = y[rows]
+    return level.slopes(), diff.slopes()
 
 
 def cointegration_probe(
@@ -378,9 +459,14 @@ def cointegration_probe(
     its own generator and draws only its next rows of noise, so the noise
     is the same as one draw over the whole horizon; the block's drive, in
     the kernel's ``(rows, n, n_seeds)`` layout, is advanced in place from
-    the last state of the block before.  Only the functional's series, one
-    ``(t_end + 1, n_seeds)`` array, outlives its block: memory grows with
-    ``t_end * n_seeds``, not with the ``t_end * n * n_seeds`` state.
+    the last state of the block before.  The functional's series lives one
+    block at a time too: each block of it, and of its first difference, is
+    taken into running prefix sums and per-scale running sums of the closed
+    windows' variances.  With two or more seeds no array grows with
+    ``t_end``, and memory is O(n_seeds * (n * 128 + number of scales)) at
+    any horizon; one seed also keeps its closed windows' variances, fewer
+    than ``t_end`` values, because numpy sums a lone column pairwise.  The
+    slopes are bit for bit those of the whole series' statistic.
 
     The noise is real, so the state has the result type of the model's four
     coefficients: float64 for a real model, complex128 otherwise.  Both give
@@ -395,12 +481,7 @@ def cointegration_probe(
     t_end = _checked_integer(t_end, "probe t_end", _PROBE_WINDOW)
     n_seeds = _checked_integer(n_seeds, "n_seeds", 1)
     base_seed = _checked_integer(base_seed, "base_seed", 0)
-    y = _probe_series(model, f, t_end, n_seeds, base_seed)
-    scales = np.unique(
-        np.geomspace(16, max(_PROBE_WINDOW, t_end // 4), PROBE_SCALES).astype(int)
-    )
-    level = _variance_time_slopes(y, scales)
-    diff = _variance_time_slopes(np.diff(y, axis=0), scales)
+    level, diff = _probe_slopes(model, f, t_end, n_seeds, base_seed)
 
     t0, t1, t2 = PROBE_THRESHOLDS
     labels = []

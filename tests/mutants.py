@@ -108,9 +108,10 @@ LEDGER = (
     Mutant(
         "essential-index",
         "pencil.py",
-        'kind = "essential_at_truncation" if k == n else "pole"',
-        'kind = "essential_at_truncation" if k == n + 1 else "pole"',
-        "classification: a collapse at k = n is a truncated essential singularity",
+        "truncated = k == n and _times_pow2(prev, e[k - 1]) <= floor",
+        "truncated = k == n + 1 and _times_pow2(prev, e[k - 1]) <= floor",
+        "classification: a collapse at k = n after the decay crossed the floor"
+        " is a truncated essential singularity",
         "live",
     ),
     Mutant(

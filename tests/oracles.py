@@ -298,6 +298,31 @@ def probe_drive_block(model, t_end, n_seeds, base_seed):
     return -(a0_inv @ model.a1), drive
 
 
+def variance_time_slopes_literal(y, scales):
+    """Log-log slope of the window sample variance against window length.
+
+    The order probe's statistic over the whole series at once: y has shape
+    (T+1, m); for each scale w the within-window variance is averaged over
+    half-overlapping windows, from the prefix sums of y and of its square.
+    Returns one slope per column.
+    """
+    rows, m = y.shape
+    s1, s2 = np.zeros((rows + 1, m)), np.zeros((rows + 1, m))
+    np.cumsum(y, axis=0, out=s1[1:])
+    np.cumsum(np.square(y, out=s2[1:]), axis=0, out=s2[1:])
+    log_var = np.empty((scales.shape[0], m))
+    for i, w in enumerate(scales):
+        offs = np.arange(0, rows - w + 1, max(1, w // 2))
+        mu = (s1[offs + w] - s1[offs]) / w
+        var = (s2[offs + w] - s2[offs]) / w - mu * mu
+        log_var[i] = np.log(np.maximum(var.mean(axis=0), 1e-300))
+    lt = np.log(scales.astype(float))[:, None]
+    lt_c = lt - lt.mean(axis=0)
+    return (lt_c * (log_var - log_var.mean(axis=0))).sum(axis=0) / (
+        lt_c**2
+    ).sum(axis=0)
+
+
 def _spectral_norm(a):
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
@@ -331,7 +356,9 @@ def classify_singularity_literal(basic, pencil, *, tol=1e-9, k_max=None, cliff_f
         if prev == 0.0:
             collapsed = True  # already exactly nilpotent at the previous index
         if collapsed:
-            kind = "essential_at_truncation" if k == n else "pole"
+            # a collapse at n is a truncation only after a smooth decay
+            truncated = k == n and prev <= tol * anchor
+            kind = "essential_at_truncation" if truncated else "pole"
             return kind, k
         prev_ratio = ratio
     return "inconclusive", None

@@ -27,7 +27,7 @@ from gjrep import (
 )
 from gjrep import kernels
 from gjrep.io import decode_complex, encode_complex
-from gjrep.represent import _PROBE_ROWS, PROBE_SCALES, _variance_time_slopes
+from gjrep.represent import _PROBE_ROWS, PROBE_SCALES
 from oracles import (
     causal_stack_apply,
     coeff_q,
@@ -37,6 +37,7 @@ from oracles import (
     cumulation_trend,
     probe_drive_block,
     regular_series,
+    variance_time_slopes_literal,
 )
 
 COMPONENTS = ("stochastic_trend", "stationary", "det_sin", "det_reg", "k_term")
@@ -305,6 +306,15 @@ def test_probe_shortest_horizon():
 # on two whole blocks, and one row past them
 BLOCK_HORIZONS = [(3, 9, rows - 1) for rows in (_PROBE_ROWS - 1, _PROBE_ROWS, _PROBE_ROWS + 1)]
 BLOCK_HORIZONS += [(3, 9, 2 * _PROBE_ROWS - 1), (3, 9, 2 * _PROBE_ROWS)]
+# horizons whose largest windows close exactly on block edges: at
+# t_end = 4 blocks the largest window is one block long with a hop of half
+# a block, so every other one of its windows ends on an edge of the
+# series' blocks; at t_end = 8 blocks - 1 it is 2 blocks - 1 long with a
+# hop of 1 block - 1, and its first window ends on the second edge of the
+# differenced series' blocks, which end one row before the series' own
+BLOCK_HORIZONS += [(3, 9, 4 * _PROBE_ROWS), (3, 9, 8 * _PROBE_ROWS - 1)]
+# one seed: numpy sums a lone column's window variances pairwise
+BLOCK_HORIZONS += [(5, 1, 999), (5, 1, 2000)]
 
 
 @pytest.mark.parametrize("turn", [1.0, np.exp(1j * np.pi / 3)], ids=["c0", "turned"])
@@ -313,9 +323,11 @@ BLOCK_HORIZONS += [(3, 9, 2 * _PROBE_ROWS - 1), (3, 9, 2 * _PROBE_ROWS)]
 )
 def test_probe_matches_the_whole_block_route(seed, n_seeds, t_end, turn):
     # the probe draws, drives and advances every seed one block of rows at a
-    # time; the route that draws each seed's whole horizon at once, forms the
-    # two products and runs the kernel over every row gives the same slopes
-    # bit for bit, for every PROBES coordinate
+    # time, and takes each block of the series into its slopes as it comes;
+    # the route that draws each seed's whole horizon at once, forms the two
+    # products, runs the kernel over every row and evaluates the statistic
+    # on the whole series gives the same slopes bit for bit, for every
+    # PROBES coordinate
     _, c0 = model_from_entry("c0", lam=0.25, n=10)
     model = ArmaModel(
         a0=turn * c0.a0, a1=turn * c0.a1, f0=turn * c0.f0, f1=turn * c0.f1, c=c0.c
@@ -329,26 +341,36 @@ def test_probe_matches_the_whole_block_route(seed, n_seeds, t_end, turn):
             model, f, t_end=t_end, n_seeds=n_seeds, base_seed=100 * seed
         )
         y = np.real(f @ x)
-        assert np.array_equal(rep.level_slopes, _variance_time_slopes(y, scales))
+        assert np.array_equal(rep.level_slopes, variance_time_slopes_literal(y, scales))
         assert np.array_equal(
-            rep.diff_slopes, _variance_time_slopes(np.diff(y, axis=0), scales)
+            rep.diff_slopes, variance_time_slopes_literal(np.diff(y, axis=0), scales)
         )
 
 
-def _probe_peak(n):
+def _probe_peak(n, t_end=2000):
     _, model = model_from_entry("c0", lam=0.25, n=n)
     tracemalloc.start()
     try:
-        cointegration_probe(model, np.eye(n)[0], t_end=2000, n_seeds=100)
+        cointegration_probe(model, np.eye(n)[0], t_end=t_end, n_seeds=100)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_probe_keeps_the_series_not_the_paths():
-    # n = 10, m = 100, T = 2000: the paths are (T+1) n m float64 = 16.0 MB and
-    # the functional's series (T+1) m = 1.6 MB; holding every path made 20.8 MB
-    assert _probe_peak(10) <= 12e6
+def test_probe_keeps_one_block_of_paths():
+    # n = 10, m = 100, T = 2000: the paths are (T+1) n m float64 = 16.0 MB;
+    # holding every path made 20.8 MB, and holding the functional's series
+    # with its difference and prefix sums 7.25 MB.  One block of noise, of
+    # drive and of the products is about 1 MB each
+    assert _probe_peak(10) <= 5e6
+
+
+def test_probe_memory_does_not_grow_with_the_horizon():
+    # ten times the horizon: the series, its difference and their prefix
+    # sums would take ten times the 7.25 MB they took at T = 2000
+    short, long = _probe_peak(10), _probe_peak(10, t_end=20000)
+    assert max(short, long) <= 5e6
+    assert abs(short - long) <= 0.5e6
 
 
 def test_probe_memory_does_not_grow_with_the_state():

@@ -102,13 +102,40 @@ def test_volterra128_is_essential_at_truncation():
     assert 0.0 < got.power_norms[-2] < 1e-260
 
 
-@pytest.mark.parametrize("n", [192, 256])
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 192, 256])
 def test_deep_volterra_powers_do_not_underflow_into_a_pole(n):
-    # ||N^k|| falls like 1/k! and leaves the doubles near k = 158: the scaled
-    # running power keeps the decay smooth, and the collapse comes at n
+    # ||N^k|| falls like 1/k!, crosses the floor well before k = n, and from
+    # n = 192 on leaves the doubles near k = 158: the scaled running power
+    # keeps the decay smooth, and the collapse at n is a truncation, not the
+    # pole of order n that a collapse straight from above the floor is
     pencil, basic = _closed(make("volterra", n=n))
     got = classify_singularity(basic, pencil)
     assert (got.kind, got.order) == ("essential_at_truncation", n)
+
+
+FULL_POLES = {
+    "simple-1x1": (np.zeros((1, 1)), np.ones((1, 1))),
+    **{f"J{d}": (np.eye(d, k=1), np.eye(d)) for d in (2, 3, 5, 8)},
+}
+
+
+@pytest.mark.parametrize("case", FULL_POLES)
+def test_a_pole_that_fills_the_space_is_a_pole(case, tmp_path):
+    # N = T_{-1} C_0 is nilpotent of index n: its powers stay above the floor
+    # up to N^{n-1} and collapse at n, which is a pole of order n, not the
+    # truncation of a smooth decay.  R(z) = 1/(z - 1) in the 1x1 case, and
+    # (J_d(0) + (z - 1) I)^{-1} has a pole of order d
+    pencil = LinearPencil(*FULL_POLES[case])
+    basic = basic_solution(pencil)
+    got = classify_singularity(basic, pencil)
+    assert (got.kind, got.order) == ("pole", pencil.dim)
+    assert classify_singularity_literal(basic, pencil) == ("pole", pencil.dim)
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(dump_pencil(pencil)))
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--pencil", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["singularity"] == {"kind": "pole", "order": pencil.dim}
 
 
 def test_powers_past_the_largest_double_classify_inconclusive():
