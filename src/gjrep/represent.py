@@ -320,7 +320,8 @@ class _WindowVariances:
         self.seen = [0] * len(scales)  # and its first window whose start is not held
         # numpy sums a lone column pairwise, not in window order, so one
         # column keeps its closed variances (fewer than rows values) whole
-        self.closed = [[] for _ in scales] if m == 1 else np.zeros((len(scales), m))
+        self.pairwise = m == 1
+        self.closed = [[] for _ in scales] if self.pairwise else np.zeros((len(scales), m))
 
     def feed(self, block: Array) -> None:
         lo, hi, held = self.fed, self.fed + block.shape[0], self.held.shape[0]
@@ -359,7 +360,7 @@ class _WindowVariances:
         for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
             if a == b:
                 continue
-            if isinstance(self.closed, list):
+            if self.pairwise:
                 self.closed[i].append(var[a:b])
             else:
                 var[a] += self.closed[i]
@@ -367,7 +368,7 @@ class _WindowVariances:
 
     def slopes(self) -> Array:
         counts = np.array([[count] for _, _, count in self.windows])
-        if isinstance(self.closed, list):
+        if self.pairwise:
             mean = np.stack([np.concatenate(c).mean(axis=0) for c in self.closed])
         else:
             mean = self.closed / counts
@@ -392,6 +393,10 @@ def _probe_slopes(
     a0_inv = _checked_solve(model.a0, np.eye(n), "contemporaneous coefficient A_0")
     step = -(a0_inv @ model.a1)
     gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
+    # both products write into one buffer, so the gains share one type even
+    # when only one of them is complex
+    dt = np.result_type(gain0, gain1)
+    gain0, gain1 = gain0.astype(dt, copy=False), gain1.astype(dt, copy=False)
     # Seed i draws n(-1), then the rows of each block in turn, from its own
     # generator; row 0 of the noise buffer carries n(t-1) into the block.
     # The drive A_0^{-1} (F_0 n(t) + F_1 n(t-1)) of every seed is two

@@ -317,21 +317,32 @@ BLOCK_HORIZONS += [(3, 9, 4 * _PROBE_ROWS), (3, 9, 8 * _PROBE_ROWS - 1)]
 BLOCK_HORIZONS += [(5, 1, 999), (5, 1, 2000)]
 
 
-@pytest.mark.parametrize("turn", [1.0, np.exp(1j * np.pi / 3)], ids=["c0", "turned"])
+def _probe_form(form):
+    # c0 itself; all four coefficients turned by the same phase; or only F_1
+    # complex, so that the two gains differ in type
+    _, c0 = model_from_entry("c0", lam=0.25, n=10)
+    turn = np.exp(1j * np.pi / 3)
+    if form == "turned":
+        return ArmaModel(
+            a0=turn * c0.a0, a1=turn * c0.a1, f0=turn * c0.f0, f1=turn * c0.f1, c=c0.c
+        )
+    if form == "complex-f1":
+        return ArmaModel(a0=c0.a0, a1=c0.a1, f0=c0.f0, f1=turn * c0.f1, c=c0.c)
+    return c0
+
+
+@pytest.mark.parametrize("form", ["c0", "turned", "complex-f1"])
 @pytest.mark.parametrize(
     "seed, n_seeds, t_end", [(0, 100, 2000), (7, 100, 2000), (7, 23, 64), *BLOCK_HORIZONS]
 )
-def test_probe_matches_the_whole_block_route(seed, n_seeds, t_end, turn):
+def test_probe_matches_the_whole_block_route(seed, n_seeds, t_end, form):
     # the probe draws, drives and advances every seed one block of rows at a
     # time, and takes each block of the series into its slopes as it comes;
     # the route that draws each seed's whole horizon at once, forms the two
     # products, runs the kernel over every row and evaluates the statistic
     # on the whole series gives the same slopes bit for bit, for every
     # PROBES coordinate
-    _, c0 = model_from_entry("c0", lam=0.25, n=10)
-    model = ArmaModel(
-        a0=turn * c0.a0, a1=turn * c0.a1, f0=turn * c0.f0, f1=turn * c0.f1, c=c0.c
-    )
+    model = _probe_form(form)
     step, drive = probe_drive_block(model, t_end, n_seeds, 100 * seed)
     x = kernels.arma_recursion(step, drive.transpose(1, 2, 0), np.zeros((10, n_seeds)))
     scales = np.unique(np.geomspace(16, max(64, t_end // 4), PROBE_SCALES).astype(int))
