@@ -32,7 +32,6 @@ from .augment import (
     PolynomialPencil,
     StackedArma,
     augment,
-    direct_recursion,
     reduce_arma,
     unpack_laurent,
 )
@@ -64,7 +63,6 @@ from .errors import (
     NumericError,
     OrderUndefined,
     SingularMatrixError,
-    UnsupportedModelError,
     VerificationError,
 )
 from .pencil import (
@@ -133,7 +131,6 @@ __all__ = [
     "SplitReport",
     "StackedArma",
     "Trajectory",
-    "UnsupportedModelError",
     "VerificationError",
     "annulus_estimate",
     "augment",
@@ -145,7 +142,6 @@ __all__ = [
     "cointegration_probe",
     "contour_coefficients",
     "default_radius",
-    "direct_recursion",
     "integration_order",
     "laurent_range",
     "ma1_g",

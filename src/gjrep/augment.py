@@ -216,33 +216,3 @@ def reduce_arma(
         a0=big_a0, a1=big_a1, f0=big_f0, f1=big_f1, block=r, base_dim=n
     )
 
-
-def direct_recursion(
-    a_coeffs: "list[Array]",
-    f_coeffs: "list[Array]",
-    w: Trajectory,
-    t_end: int,
-) -> Trajectory:
-    """Reference ARMA(p, q) path with zero presample state.
-
-    Solves ``A_0 x(t) = sum_k F_k w(t-k) - sum_{i>=1} A_i x(t-i)`` forward
-    from t = 0 with x(t) = 0 for t < 0; the noise must cover
-    ``[-q, t_end]``.
-    """
-    a_mats = [np.asarray(m, dtype=np.complex128) for m in a_coeffs]
-    f_mats = [np.asarray(m, dtype=np.complex128) for m in f_coeffs]
-    n = a_mats[0].shape[0]
-    p, q = len(a_mats) - 1, len(f_mats) - 1
-    if w.start > -q:
-        raise InputError(f"noise must start at or before {-q}")
-    hist = [np.zeros(n, dtype=np.complex128) for _ in range(p)]
-    out = np.empty((t_end + 1, n), dtype=np.complex128)
-    for t in range(t_end + 1):
-        rhs = sum(f_mats[k] @ w.at(t - k) for k in range(q + 1))
-        for i in range(1, p + 1):
-            rhs = rhs - a_mats[i] @ hist[i - 1]
-        x_t = np.linalg.solve(a_mats[0], rhs)
-        out[t] = x_t
-        if p:
-            hist = [x_t] + hist[:-1]
-    return Trajectory(start=0, values=out)

@@ -1,12 +1,15 @@
-"""Jordan-type chains of the pencil and the invariant subspaces they span.
+"""Jordan-type chains of the pencil and the deflating subspaces they span.
 
 A singular chain extends a seed backwards through
 ``C_0 x_{-n} + C_1 x_{-n-1} = 0``; its root-test rate bounds the inner
 radius of the resolvent annulus.  A regular chain extends forwards through
 ``C_1 x_n + C_0 x_{n+1} = 0``; its rate is the reciprocal of the outer
-radius.  The chain subspaces coincide with the ranges of the spectral
-projections computed from the basic solution, which gives an independent
-cross-check between the two routes.
+radius.  Their spans are the right deflating subspaces of ``(C_0, -C_1)``
+for the anchor's cluster of offsets and for the rest of the spectrum, read
+off the pencil's one QZ (``LinearPencil.qz``), which a singular ``C_1`` does
+not stop (Moler & Stewart, SIAM J. Numer. Anal. 10, 1973; Van Dooren, LAA 27,
+1979).  They coincide with the ranges of the spectral projections computed
+from the basic solution, an independent cross-check between the two routes.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ChainStepError
-from .pencil import Array, LinearPencil, as_vector
+from .pencil import Array, LinearPencil, _anchor_cluster, _generalized_offsets, as_vector
 
 # a chain step solves when its residual is at most CHAIN_TOL times the
 # largest coefficient norm and the current vector norm; a chain terminates
 # at CHAIN_TOL times its seed norm
 CHAIN_TOL = 1e-9
-# eigenvalues of M = C_1^{-1} C_0 at most ZERO_TOL * (1 + ||M||) form the
-# zero cluster
+# the chain bases cut the anchor's cluster on this tolerance
+# (``pencil._anchor_cluster``, which says why it is not ANCHOR_TOL)
 ZERO_TOL = 1e-6
 
 
@@ -139,27 +142,34 @@ def regular_chain(
 
 
 def _schur_basis(pencil: LinearPencil, singular: bool) -> Array:
-    """Reordered-Schur basis of ``M = C_1^{-1} C_0`` for its zero cluster
-    (``singular``) or for the complement of that cluster.
+    """Orthonormal basis of the right deflating subspace of ``(C_0, -C_1)``
+    for the anchor's cluster (``singular``) or for the rest of the spectrum.
 
-    Both sides reorder the pencil's one Schur form (LAPACK ``?trsen``; Bai &
-    Demmel, LAA 186, 1993), as ``scipy.linalg.schur(sort=)`` does to a fresh
-    one, and raise LinAlgError where it does."""
-    t, z, size = pencil.slope
-    thr = ZERO_TOL * size
-    select = (np.abs(np.diag(t)) <= thr) == singular
-    trsen = scipy.linalg.get_lapack_funcs("trsen", (t,))
-    ts, zs, _, sdim, _, _, info = trsen(select, t, z, job="N")
-    if info != 0 or not ((np.abs(np.diag(ts)[:sdim]) <= thr) == singular).all():
-        raise np.linalg.LinAlgError("Schur reordering failed or left the cluster unsorted")
+    Both sides reorder the pencil's one generalized Schur form (LAPACK
+    ``?tgsen``; Kagstrom & Poromaa, Numer. Algorithms 12, 1996) to put their
+    offsets first, as ``scipy.linalg.ordqz`` does to a fresh one; an infinite
+    offset is on the regular side.  A failed reordering, or one that rounding
+    leaves with a leading offset on the wrong side of the cut, raises
+    LinAlgError.
+    """
+    s, t, z, mu = pencil.qz
+    select = _anchor_cluster(pencil, mu, ZERO_TOL) == singular
+    tgsen = scipy.linalg.get_lapack_funcs("tgsen", (s,))
+    # with wantq=0 the left vectors are not referenced: z stands in for them
+    _, _, *ab, _, zs, sdim, _, _, _, info = tgsen(select, s, t, z, z, ijob=0, wantq=0)
+    leading = _anchor_cluster(pencil, _generalized_offsets(ab)[:sdim], ZERO_TOL)
+    if info != 0 or not (leading == singular).all():
+        raise np.linalg.LinAlgError("QZ reordering failed or left the cluster unsorted")
     return zs[:, :sdim]
 
 
 def sin_basis(pencil: LinearPencil) -> Array:
     """Orthonormal basis of the singular subspace (columns).
 
-    The invariant subspace of ``M = C_1^{-1} C_0`` for the eigenvalue
-    cluster at zero, which is the span of all terminating singular chains.
+    The right deflating subspace of ``(C_0, -C_1)`` for the anchor's cluster:
+    the offsets ``mu`` (``C_0 + mu C_1`` singular) with
+    ``|mu| <= ZERO_TOL * (1 + ||C_0|| / ||C_1||)``.  It is the span of all
+    terminating singular chains.  Real for a real pencil.
     """
     return _schur_basis(pencil, True)
 
@@ -167,8 +177,9 @@ def sin_basis(pencil: LinearPencil) -> Array:
 def reg_basis(pencil: LinearPencil) -> Array:
     """Orthonormal basis of the regular subspace (columns).
 
-    The invariant subspace of ``M`` for every eigenvalue outside the zero
-    cluster: the complement of sin_basis.
+    The right deflating subspace of ``(C_0, -C_1)`` for every offset outside
+    the anchor's cluster, the infinite ones of a singular ``C_1`` included:
+    the complement of sin_basis.
     """
     return _schur_basis(pencil, False)
 

@@ -16,10 +16,6 @@ class InputError(GjrepError):
     """Malformed or inconsistent input (shapes, schema, parameter ranges)."""
 
 
-class UnsupportedModelError(InputError):
-    """The requested operation needs structure this input does not have."""
-
-
 class VerificationError(GjrepError):
     """A residual or invariant check failed beyond its tolerance."""
 

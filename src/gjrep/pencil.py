@@ -53,7 +53,6 @@ from .errors import (
     InputError,
     NumericError,
     SingularMatrixError,
-    UnsupportedModelError,
 )
 
 Array = np.ndarray
@@ -67,7 +66,8 @@ TOL_FUND = 1e-9
 COND_CAP = 1e12
 START_NODES = 32  # first grid of the contour quadrature; doubling sets the rest
 MAX_NODES = 1 << 14  # node cap of the contour quadrature
-# offsets below ANCHOR_TOL * (1 + max |mu|) belong to the anchor's cluster
+# the contour radius and r_hat leave out the offsets in the anchor's cluster
+# on this tolerance (``_anchor_cluster``)
 ANCHOR_TOL = 1e-8
 # a pole shows as ||N^k|| dropping by this factor more than the step before
 CLIFF_FACTOR = 1e-3
@@ -241,7 +241,8 @@ class LinearPencil:
     Both coefficients are float64 when every entry of both has zero
     imaginary part, and complex128 otherwise (a mixed pair is promoted, since
     the contour reads its grid off ``c0.dtype``); everything computed from
-    the pencil follows that dtype.
+    the pencil follows that dtype.  Its spectral data are computed once:
+    ``norms``, the ``offsets`` and the QZ form ``qz`` of the chain bases.
     """
 
     c0: Array
@@ -288,20 +289,21 @@ class LinearPencil:
         return singular_offsets(self)
 
     @cached_property
-    def slope(self) -> tuple[Array, Array, float]:
-        """``(T, Z, 1 + ||M||)``: the complex Schur form ``M = Z T Z^H`` of
-        ``M = c1^{-1} c0``, computed once per pencil.
+    def qz(self) -> tuple[Array, Array, Array, Array]:
+        """``(S, T, Z, mu)``: the generalized Schur form ``Q^H (c0, -c1) Z = (S, T)``
+        with its right Schur vectors ``Z``, computed once per pencil.
 
-        M carries the whole spectral picture: the anchor singularity is its
-        eigenvalue 0 and every other singularity sits at offset -mu for an
-        eigenvalue mu.  Both chain bases reorder this one form.
+        LAPACK ``?gges`` in the pencil's dtype (a real pencil gets a real
+        QZ), without the left vectors ``Q``.  ``mu = alpha / beta`` are the
+        offsets in the order of the form: ``c0 + mu c1`` is singular, and
+        ``beta = 0`` (a singular ``c1``) gives an infinite or NaN ``mu``.
+        Both chain bases reorder this one form.
         """
-        try:
-            m = _checked_solve(self.c1, self.c0, "slope coefficient c1")
-        except SingularMatrixError as exc:
-            raise UnsupportedModelError(f"chain bases need an invertible slope: {exc}") from exc
-        t, z = scipy.linalg.schur(m, output="complex")
-        return t, z, 1.0 + spectral_norm(m)
+        gges = scipy.linalg.get_lapack_funcs("gges", (self.c0,))
+        s, t, _, *ab, _, z, _, info = gges(lambda *_: None, self.c0, -self.c1, jobvsl=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"QZ iteration failed (info {info})")
+        return s, t, z, _generalized_offsets(ab)
 
 
 @dataclass(frozen=True)
@@ -375,16 +377,38 @@ def singular_offsets(pencil: LinearPencil) -> Array:
     return mu[np.isfinite(mu)]
 
 
+def _generalized_offsets(ab) -> Array:
+    """``alpha / beta`` from a QZ's ``(alphar, alphai, beta)`` (real) or ``(alpha, beta)``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (ab[0] + 1j * ab[1] if len(ab) == 3 else ab[0]) / ab[-1]
+
+
+def _anchor_cluster(pencil: LinearPencil, mu: Array, tol: float) -> Array:
+    """Which offsets ``mu`` are in the anchor's cluster: the finite ones with
+    ``|mu| <= tol * (1 + ||c0|| / ||c1||)``, a cut that does not move when
+    the pencil is scaled (a zero ``c1`` has no finite offsets to cut).
+
+    ``ANCHOR_TOL`` (1e-8) cuts for the contour radius and ``r_hat``, which
+    must not take a near unit root into the cluster and enclose it;
+    ``chains.ZERO_TOL`` (1e-6) cuts for the chain bases, which must hold a
+    Jordan cluster that rounding splits to about ``eps^{1/d}``.  A rank rule
+    for the cluster size would replace both (ROADMAP item 2).
+    """
+    c0, c1 = pencil.norms
+    cut = tol * (1.0 + c0 / c1) if c1 > 0.0 else np.inf
+    return np.isfinite(mu) & (np.abs(mu) <= cut)
+
+
 def _outer_offset(pencil: LinearPencil) -> float:
-    """Distance to the nearest singularity but the anchor, inf for none; the
-    anchor's cluster is every offset at or below ``ANCHOR_TOL * (1 + max |mu|)``."""
-    mags = np.abs(pencil.offsets)
-    outside = mags[mags > ANCHOR_TOL * (1.0 + mags.max(initial=0.0))]
-    return float(outside.min(initial=np.inf))
+    """Distance to the nearest singularity but the anchor, inf for none: the
+    smallest offset outside the anchor's cluster on ``ANCHOR_TOL``."""
+    mu = pencil.offsets
+    return float(np.abs(mu[~_anchor_cluster(pencil, mu, ANCHOR_TOL)]).min(initial=np.inf))
 
 
 def default_radius(pencil: LinearPencil) -> float:
-    """Contour radius: half the distance to the nearest other singularity.
+    """Contour radius: half the distance to the nearest other singularity,
+    the smallest offset outside the anchor's cluster on ``ANCHOR_TOL``.
 
     When no other finite singularity exists the resolvent is analytic on the
     whole punctured plane and any radius works; 1.0 is returned.

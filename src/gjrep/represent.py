@@ -393,10 +393,11 @@ def _probe_slopes(
     a0_inv = _checked_solve(model.a0, np.eye(n), "contemporaneous coefficient A_0")
     step = -(a0_inv @ model.a1)
     gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
-    # both products write into one buffer, so the gains share one type even
-    # when only one of them is complex
+    # both products write into one buffer of the gains' one type; a complex
+    # gain acts on the real noise as the real view of its transpose, so the
+    # noise is never cast to complex and the product is read back as dt
     dt = np.result_type(gain0, gain1)
-    gain0, gain1 = gain0.astype(dt, copy=False), gain1.astype(dt, copy=False)
+    w0, w1 = (np.ascontiguousarray(g.T, dtype=dt).view(np.float64) for g in (gain0, gain1))
     # Seed i draws n(-1), then the rows of each block in turn, from its own
     # generator; row 0 of the noise buffer carries n(t-1) into the block.
     # The drive A_0^{-1} (F_0 n(t) + F_1 n(t-1)) of every seed is two
@@ -407,7 +408,7 @@ def _probe_slopes(
     noise = np.zeros((m, _PROBE_ROWS + 1, n))
     for rng, seed_noise in zip(rngs, noise):
         rng.standard_normal((1, n), out=seed_noise[:1])
-    x = np.empty((_PROBE_ROWS, n, m), dtype=np.result_type(step, gain0, gain1))
+    x = np.empty((_PROBE_ROWS, n, m), dtype=np.result_type(step, dt))
     state = np.zeros((n, m), dtype=x.dtype)
     y = np.empty((_PROBE_ROWS + 1, m))  # row 0 carries y(t-1) into the block
     scales = np.unique(
@@ -420,10 +421,10 @@ def _probe_slopes(
         for rng, seed_noise in zip(rngs, noise):
             rng.standard_normal((rows, n), out=seed_noise[1 : rows + 1])
         flat = noise.reshape(-1, n)
-        prod = (flat @ gain0.T).reshape(noise.shape)
-        x[:rows] = prod[:, 1 : rows + 1].transpose(1, 2, 0)
-        np.matmul(flat, gain1.T, out=prod.reshape(flat.shape))
-        x[:rows] += prod[:, :rows].transpose(1, 2, 0)
+        prod = flat @ w0
+        x[:rows] = prod.view(dt).reshape(noise.shape)[:, 1 : rows + 1].transpose(1, 2, 0)
+        np.matmul(flat, w1, out=prod)
+        x[:rows] += prod.view(dt).reshape(noise.shape)[:, :rows].transpose(1, 2, 0)
         del prod  # freed before the slopes take in the block
         path = kernels.arma_recursion(step, x[:rows], state)
         y[1 : rows + 1] = np.real(np.conj(f) @ path)

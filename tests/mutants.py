@@ -123,6 +123,23 @@ LEDGER = (
         "live",
     ),
     Mutant(
+        "anchor-cut",
+        "pencil.py",
+        "ANCHOR_TOL = 1e-8",
+        "ANCHOR_TOL = 1e-2",
+        "contour radius and r_hat: the anchor's cluster is"
+        " |mu| <= ANCHOR_TOL (1 + ||C_0|| / ||C_1||)",
+        "live",
+    ),
+    Mutant(
+        "basis-cut",
+        "chains.py",
+        "ZERO_TOL = 1e-6",
+        "ZERO_TOL = 1e-1",
+        "chain bases: the anchor's cluster is |mu| <= ZERO_TOL (1 + ||C_0|| / ||C_1||)",
+        "live",
+    ),
+    Mutant(
         "natural-gate",
         "represent.py",
         "if r_hat <= 1.0:",

@@ -178,27 +178,37 @@ def random_unit_root_pencil(rng, n, order, mu_min=0.4, mu_max=4.0):
     return c0, c1
 
 
-def _jordan_draw(n, seed, order):
-    """The unitary Q and the offsets ``mu`` (the first ``order`` zero) of
-    ``jordan_similarity``."""
+def _jordan_draw(n, seed, order, real=False):
+    """The unitary (real: orthogonal) Q and the offsets ``mu`` (the first
+    ``order`` zero) of ``jordan_similarity``."""
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    mu = rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n))
+    if real:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        mu = rng.uniform(1.0, 3.0, n)
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        mu = rng.uniform(1.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n))
     mu[:order] = 0.0
     return q, mu
 
 
-def jordan_similarity(n, seed, order=2):
+def jordan_similarity(n, seed, order=2, real=False):
     """``(C0, C1) = (Q blockdiag(J_order(0), diag(mu)) Q^H, I)`` with a seeded unitary Q.
 
     A pole of order ``order`` at the anchor; the other offsets have ``|mu|``
-    in [1, 3].
+    in [1, 3].  ``real`` draws a real orthogonal Q and real positive ``mu``.
     """
-    q, mu = _jordan_draw(n, seed, order)
+    q, mu = _jordan_draw(n, seed, order, real)
     block = np.diag(mu)
     for i in range(order - 1):
         block[i, i + 1] = 1.0
     return q @ block @ q.conj().T, np.eye(n)
+
+
+def jordan_span(n, seed, order=2, real=False):
+    """The first ``order`` columns of Q: an orthonormal basis of the singular
+    subspace of ``jordan_similarity(n, seed, order, real)``."""
+    return _jordan_draw(n, seed, order, real)[0][:, :order]
 
 
 def jordan_outer_radius(n, seed, order=2):
@@ -336,8 +346,7 @@ def classify_singularity_literal(basic, pencil, *, tol=1e-9, k_max=None, cliff_f
     n = pencil.c0.shape[0]
     if k_max is None:
         k_max = n + 2
-    t_scale = max(_spectral_norm(basic.t_zero), 1.0)
-    if _spectral_norm(basic.t_minus_one) <= tol * t_scale:
+    if _spectral_norm(basic.t_minus_one) <= tol * _spectral_norm(basic.t_zero):
         return "removable", None
     nil = basic.t_minus_one @ pencil.c0
     anchor = max(
@@ -407,18 +416,24 @@ def annulus_estimate_literal(basic, pencil, *, k_max=12, l_max=48):
     return s_hat, r_hat
 
 
-def schur_basis_sorted(c0, c1, singular, *, zero_tol=1e-6):
-    """Basis of ``M = C1^{-1} C0`` for its zero cluster (``singular``) or the
-    complement, from a Schur form computed and sorted for this side alone.
+def qz_basis_sorted(c0, c1, singular, *, zero_tol=1e-6):
+    """Basis of the right deflating subspace of ``(C0, -C1)`` for the anchor's
+    cluster (``singular``) or for the rest, from a QZ computed and sorted for
+    this side alone by ``scipy.linalg.ordqz`` (real for a real pencil).
 
-    The cluster is every eigenvalue at most ``zero_tol * (1 + ||M||)``.
+    The cluster is every finite ``mu = alpha / beta`` with
+    ``|mu| <= zero_tol * (1 + ||C0|| / ||C1||)``.
     """
-    m = np.linalg.solve(c1, c0)
-    thr = zero_tol * (1.0 + _spectral_norm(m))
-    _, z, sdim = scipy.linalg.schur(
-        m, output="complex", sort=lambda lam: bool(abs(lam) <= thr) == singular
-    )
-    return z[:, :sdim]
+    cut = zero_tol * (1.0 + _spectral_norm(c0) / _spectral_norm(c1))
+
+    def side(alpha, beta):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = alpha / beta
+        return (np.isfinite(mu) & (np.abs(mu) <= cut)) == singular
+
+    output = "real" if np.isrealobj(c0) else "complex"
+    _, _, alpha, beta, _, z = scipy.linalg.ordqz(c0, -c1, sort=side, output=output)
+    return z[:, : int(side(alpha, beta).sum())]
 
 
 def lstsq_chain(matrix, partner, seed, *, steps=16, tol=1e-9, project=None):

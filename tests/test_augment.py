@@ -10,7 +10,6 @@ from gjrep import (
     Trajectory,
     augment,
     basic_solution,
-    direct_recursion,
     laurent_range,
     ma1_g,
     reduce_arma,
@@ -175,13 +174,9 @@ def test_stacked_path_equals_direct_recursion():
     y = simulate_recursion(model, g, blocks - 1)
     x_from_blocks = stacked.unstack(y)
 
-    direct = direct_recursion(a, f, w, t_end)
-    got = x_from_blocks.window(0, t_end)
-    assert np.abs(got - direct.values).max() <= 1e-12
-
-    # and a third, fully independent recursion agrees too
+    # the literal ARMA(p, q) recursion on the original time axis
     want = arma_pq_path(a, f, w.values, w.start, t_end)
-    assert np.abs(direct.values - want).max() <= 1e-12
+    assert np.abs(x_from_blocks.window(0, t_end) - want).max() <= 1e-12
 
 
 def test_stack_validation():
@@ -195,11 +190,3 @@ def test_stack_validation():
         stacked.model(presample_x=np.zeros((3, 2)))
     with pytest.raises(InputError):
         reduce_arma([], [np.eye(2)])
-
-
-def test_direct_recursion_needs_presample_noise():
-    a = [np.eye(1), np.array([[0.5]])]
-    f = [np.eye(1), np.eye(1), np.eye(1)]
-    w = Trajectory(start=-1, values=np.ones((10, 1)))
-    with pytest.raises(InputError):
-        direct_recursion(a, f, w, 5)

@@ -6,8 +6,8 @@ import scipy.linalg
 
 from gjrep import (
     ChainStepError,
-    UnsupportedModelError,
     LinearPencil,
+    basic_solution,
     make,
     max_principal_angle,
     projections,
@@ -16,7 +16,7 @@ from gjrep import (
     sin_basis,
     singular_chain,
 )
-from oracles import jordan_similarity, random_unit_root_pencil, schur_basis_sorted
+from oracles import jordan_similarity, jordan_span, qz_basis_sorted, random_unit_root_pencil
 
 
 def _e(i, n):
@@ -118,10 +118,60 @@ def test_chain_zero_seed_rejected():
         singular_chain(e.pencil, np.zeros(2))
 
 
-def test_bases_need_invertible_slope():
-    pencil = LinearPencil(c0=np.eye(2), c1=np.zeros((2, 2)))
-    with pytest.raises(UnsupportedModelError):
-        sin_basis(pencil)
+def _singular_slope_pencil():
+    # X (J_2(0) + diag(2, 1)) Y and X diag(1, 1, 1, 0) Y: a pole of order 2,
+    # the offset -2 and an infinite one, mixed by seeded real orthogonal X, Y
+    x, y = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 4, 4)))[0]
+    c0 = np.diag([0.0, 0.0, 2.0, 1.0]) + np.diag([1.0, 0.0, 0.0], k=1)
+    return LinearPencil(x @ c0 @ y, x @ np.diag([1.0, 1.0, 1.0, 0.0]) @ y)
+
+
+SINGULAR_SLOPES = {
+    "diagonal": lambda: LinearPencil(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])),
+    "mixed": _singular_slope_pencil,
+}
+
+
+@pytest.mark.parametrize("name", SINGULAR_SLOPES)
+def test_bases_of_a_singular_slope_span_the_projection_ranges(name):
+    # C_1 is singular: the offsets where beta = 0 are infinite and belong to
+    # the regular side, and both bases are the ranges of the projections
+    # T_{-1} C_1 and T_0 C_0 of the verified basic solution
+    pencil = SINGULAR_SLOPES[name]()
+    pair = projections(basic_solution(pencil), pencil)
+    for basis, proj in ((sin_basis(pencil), pair.domain_sin), (reg_basis(pencil), pair.domain_reg)):
+        want = scipy.linalg.orth(proj, rcond=1e-10)
+        assert basis.shape == want.shape
+        assert max_principal_angle(basis, want) <= 1e-8
+    if name == "diagonal":
+        assert np.array_equal(np.abs(sin_basis(pencil)), [[1.0], [0.0]])
+        assert np.array_equal(np.abs(reg_basis(pencil)), [[0.0], [1.0]])
+
+
+def test_basis_cut_keeps_an_offset_of_a_tenth():
+    # c0 at lam = 0.9: the nearest other offset is (1 - lam) / lam = 0.111,
+    # and the cut ZERO_TOL (1 + ||C_0|| / ||C_1||) = 1.6e-6 leaves it out of
+    # the anchor's cluster; a cut a hundred thousand times looser takes it in
+    basis = sin_basis(make("c0", lam=0.9).pencil)
+    assert basis.shape == (10, 2)
+    assert max_principal_angle(basis, np.eye(10)[:, :2]) <= 1e-12
+
+
+J3_DRAWS = [(n, seed, real) for real in (True, False) for n in (8, 32, 64) for seed in range(3)]
+
+
+def test_j3_bases_that_hold_the_cluster_are_exact():
+    # rounding splits J_3(0) to about (eps ||C_0||)^{1/3}, a few 1e-6, right
+    # at the cut ZERO_TOL (1 + ||C_0||): some draws leave part of the cluster
+    # outside (ROADMAP item 2), but a basis with all three columns is the
+    # closed-form subspace.  12 of the 18 draws get all three columns
+    full = 0
+    for n, seed, real in J3_DRAWS:
+        basis = sin_basis(LinearPencil(*jordan_similarity(n, seed, 3, real)))
+        if basis.shape[1] == 3:
+            full += 1
+            assert max_principal_angle(basis, jordan_span(n, seed, 3, real)) <= 1e-8
+    assert full >= 12
 
 
 def _real_similarity():
@@ -150,35 +200,42 @@ BASIS_PENCILS = {
 def test_bases_match_one_sorted_schur_form_per_side(name):
     pencil = BASIS_PENCILS[name]()
     for basis, singular in ((sin_basis(pencil), True), (reg_basis(pencil), False)):
-        want = schur_basis_sorted(pencil.c0, pencil.c1, singular)
+        want = qz_basis_sorted(pencil.c0, pencil.c1, singular)
         assert basis.shape == want.shape and np.array_equal(basis, want), singular
 
 
 def test_both_bases_reorder_one_schur_form(monkeypatch):
-    real = scipy.linalg.schur
+    real = scipy.linalg.get_lapack_funcs
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(names, arrays=()):
+        calls.append(names)
+        return real(names, arrays)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
     pencil = LinearPencil(*jordan_similarity(16, 5))
     sin, reg = sin_basis(pencil), reg_basis(pencil)
-    assert (sin.shape[1], reg.shape[1], len(calls)) == (2, 14, 1)
+    assert (sin.shape[1], reg.shape[1], calls.count("gges")) == (2, 14, 1)
 
 
 @pytest.mark.parametrize("fault", ["info", "unsorted"])
 def test_a_failed_reordering_raises(fault, monkeypatch):
     # LAPACK's reordering either reports a failure or, after rounding, leaves
-    # a leading eigenvalue on the wrong side of the cut
-    def trsen(select, t, q, job):
-        sdim = int(np.sum(select))
-        if fault == "info":
-            return t, q, np.diag(t), sdim, 0.0, 0.0, 1
-        return t, q, np.diag(t), sdim, 0.0, 0.0, 0  # the form left unsorted
+    # a leading offset on the wrong side of the cut
+    pencil = make("c0").pencil
+    mu = pencil.qz[3]
+    assert (np.abs(mu[:2]) == 0.0).all()  # the form has the anchor's cluster first
+    real = scipy.linalg.get_lapack_funcs
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda name, arrays: trsen)
-    pencil = make("c0").pencil  # its Schur form has the zero cluster first
+    def tgsen(select, a, b, q, z, ijob, wantq):
+        info = int(fault == "info")
+        # the form returned as it came: unsorted for the regular side
+        return a, b, mu, np.ones_like(mu), q, z, int(np.sum(select)), 0.0, 0.0, None, info
+
+    monkeypatch.setattr(
+        scipy.linalg,
+        "get_lapack_funcs",
+        lambda names, arrays=(): tgsen if names == "tgsen" else real(names, arrays),
+    )
     with pytest.raises(np.linalg.LinAlgError):
         reg_basis(pencil)

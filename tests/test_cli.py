@@ -25,6 +25,7 @@ from gjrep import (
     default_radius,
     laurent_range,
     make,
+    sin_basis,
     unpack_laurent,
 )
 from gjrep import cli
@@ -87,6 +88,20 @@ def test_analyze_reads_a_scaled_pencil_as_the_unscaled_one(name, s, tmp_path):
     assert got["projections"]["domain_sin_rank"] == want["projections"]["domain_sin_rank"]
     assert got["radius"] == pytest.approx(want["radius"], rel=1e-12)
     assert got["fundamental"]["passed"] and got["separation"]["passed"]
+
+
+def test_analyze_c0_with_a_nearly_singular_slope(tmp_path):
+    # C_1 of c0 at lam = 0.05 has singular values down to 3.9e-11: the anchor's
+    # cluster keeps the pencil's scale, so the contour circles the pole alone
+    entry = make("c0", lam=0.05)
+    rep = _analyze_report(entry.pencil, tmp_path)
+    assert rep["singularity"] == {"kind": "pole", "order": 2}
+    assert rep["radius"] == pytest.approx(9.5, rel=1e-12)
+    assert rep["annulus"]["outer"] == pytest.approx(19.0, rel=1e-12)
+    got = _written_pair(rep)
+    assert np.abs(got.t_minus_one - entry.basic.t_minus_one).max() <= 1e-12
+    assert np.abs(got.t_zero - entry.basic.t_zero).max() <= 1e-12
+    assert rep["projections"]["domain_sin_rank"] == sin_basis(entry.pencil).shape[1] == 2
 
 
 def test_analyze_polynomial(tmp_path):

@@ -257,6 +257,13 @@ def _two_root_polynomial():
 OUTER_RADII = {  # pencil, and the smallest offset outside the anchor's cluster
     "matrix": (lambda: make("matrix", eps=0.5).pencil, 0.5),
     "c0": (lambda: make("c0", lam=0.25).pencil, 3.0),
+    # near unit roots: the anchor's cluster is cut at ANCHOR_TOL (1 + ||C_0|| /
+    # ||C_1||) = 1.6e-8, far inside the nearest offset (1 - lam) / lam = 0.0101
+    "c0-near-unit-root": (lambda: make("c0", lam=0.99).pencil, 0.01 / 0.99),
+    # a slope C_1 with singular values down to lam^8 = 3.9e-11 and offsets up
+    # to 2.6e10: the cut's scale is the pencil's norms, which far offsets do
+    # not move
+    "c0-near-singular-slope": (lambda: make("c0", lam=0.05).pencil, 19.0),
     "hierarchy": (lambda: make("hierarchy").pencil, 0.4 * (1.0 - 2.0**-8)),
     "polynomial": (lambda: augment(_two_root_polynomial()).pencil, 4.0),
     "volterra": (lambda: make("volterra", n=32).pencil, np.inf),

@@ -16,7 +16,6 @@ from gjrep import (
     basic_solution,
     classify_singularity,
     closed_form_resolvent,
-    direct_recursion,
     laurent_range,
     make,
     projections,
@@ -169,10 +168,8 @@ def test_stacked_reduction_matches_oracle(seed, p, q):
         (t_end + 1 + r, n)
     )
     w = Trajectory(start=-r, values=w_vals)
-    got = direct_recursion(a, f, w, t_end)
     want = arma_pq_path(a, f, w_vals, -r, t_end)
     scale = max(1.0, np.abs(want).max())
-    assert np.abs(got.values - want).max() <= 1e-10 * scale
 
     stacked = reduce_arma(a, f)
     big = stacked.stack(w)

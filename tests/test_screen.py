@@ -84,6 +84,14 @@ def test_screened_classification_and_annulus_match_all_svd(case):
     pencil, basic = CASES[case]()
     got = classify_singularity(basic, pencil)
     assert (got.kind, got.order) == classify_singularity_literal(basic, pencil)
+    # the classification is scale-free, and so is its literal oracle: the
+    # pencil times s and the pair over s read the same
+    for s in (1e-8, 1e10):
+        scaled = LinearPencil(s * pencil.c0, s * pencil.c1)
+        scaled_basic = BasicSolution(basic.t_minus_one / s, basic.t_zero / s)
+        scaled_got = classify_singularity(scaled_basic, scaled)
+        assert (scaled_got.kind, scaled_got.order) == (got.kind, got.order), s
+        assert classify_singularity_literal(scaled_basic, scaled) == (got.kind, got.order), s
     s_hat, r_hat = annulus_estimate(basic, pencil)
     s_literal, r_literal = annulus_estimate_literal(basic, pencil)
     # the same float bit for bit: the inner root is an exact SVD root
