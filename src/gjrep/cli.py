@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+from collections.abc import Callable
+from typing import TextIO
 
 import numpy as np
 
@@ -50,14 +53,17 @@ def _as_written(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(write: Callable[[TextIO], None], out: str | None) -> None:
+    """Stream a report: ``write`` encodes it into stdout, or into the file
+    ``out``, opened only now that the work is done."""
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        write(sys.stdout)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -142,7 +148,7 @@ def cmd_analyze(args) -> int:
         ok = ok and pfund.passed and disagreement <= TOL_FUND * t_size
     else:
         report, ok, _ = _analyze_linear(pencil, args)
-    _write_out(gio.dumps_report(report), args.out)
+    _write_out(functools.partial(gio._write_report, report), args.out)
     if not ok:
         raise VerificationError("analysis checks failed; see report")
     return 0
@@ -183,10 +189,9 @@ def cmd_represent(args) -> int:
         tables = dict(report.components)
         tables["xhat"] = report.xhat
         tables["oracle"] = report.oracle
-        body = gio.components_to_csv(tables, start=0)
+        _write_out(functools.partial(gio._write_components, tables, 0), args.out)
     else:
-        body = gio.dumps_report(summary)
-    _write_out(body, args.out)
+        _write_out(functools.partial(gio._write_report, summary), args.out)
     if args.out is not None:
         sys.stdout.write(
             f"residual_max={report.residual_max:.6e} passed={report.passed}\n"
@@ -320,9 +325,8 @@ def cmd_demo(args) -> int:
     entry = make(args.name, **params)
     checks = _demo_checks(entry)
     if args.format == "json":
-        body = gio.dumps_report(
-            {"name": entry.name, "params": entry.params, "checks": checks}
-        )
+        report = {"name": entry.name, "params": entry.params, "checks": checks}
+        _write_out(functools.partial(gio._write_report, report), args.out)
     else:
         lines = []
         for ch in checks:
@@ -332,7 +336,7 @@ def cmd_demo(args) -> int:
             )
             lines.append(f"{status} {entry.name}.{ch['check']}: {detail}")
         body = "\n".join(lines) + "\n"
-    _write_out(body, args.out)
+        _write_out(lambda fh: fh.write(body), args.out)
     if not all(ch["passed"] for ch in checks):
         raise VerificationError(f"demo {entry.name}: some checks failed")
     return 0

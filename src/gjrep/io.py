@@ -2,6 +2,10 @@
 
 Complex scalars travel as two-element ``[re, im]`` arrays.  All emitted
 JSON is deterministic: keys sorted, trailing newline, no timestamps.
+Reports and CSV tables are written to a text stream as they are encoded, a
+matrix row or a time step at a time, so the command line holds neither the
+whole document nor a list of all the leaves of a matrix; ``dumps_report``
+and ``components_to_csv`` collect the same text in memory.
 """
 
 from __future__ import annotations
@@ -144,11 +148,18 @@ def components_to_csv(
     the output is deterministic.
     """
     buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    _write_components(components, start, buf)
+    return buf.getvalue()
+
+
+def _write_components(components: dict[str, Array], start: int, fh) -> None:
+    """Write the CSV of ``components_to_csv`` to the text stream ``fh``, one
+    time step at a time."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["t", "component", "coordinate", "re", "im"])
     names = sorted(components)
     if not names:
-        return buf.getvalue()
+        return
     rows = {name: np.asarray(components[name]) for name in names}
     length = {arr.shape[0] for arr in rows.values()}
     if len(length) != 1:
@@ -156,11 +167,9 @@ def components_to_csv(
     for i in range(length.pop()):
         t = start + i
         for name in names:
-            vec = rows[name][i]
-            for coord, z in enumerate(np.atleast_1d(vec)):
+            for coord, z in enumerate(np.atleast_1d(rows[name][i]).tolist()):
                 z = complex(z)
                 writer.writerow([t, name, coord, repr(z.real), repr(z.imag)])
-    return buf.getvalue()
 
 
 def trajectory_to_csv(traj: Trajectory, component: str = "x") -> str:
@@ -171,72 +180,93 @@ def trajectory_to_csv(traj: Trajectory, component: str = "x") -> str:
 _NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"'}
 
 
-def _write_value(obj, level: int, out: list[str]) -> None:
-    """Append the JSON text of ``obj``, nested ``level`` deep, to ``out``."""
+def _write_value(obj, level: int, write) -> None:
+    """Hand the JSON text of ``obj``, nested ``level`` deep, to ``write``."""
     if isinstance(obj, np.ndarray):
-        _write_array(obj, level, out)
+        _write_array(obj, level, write)
     elif isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         _write_items(
-            "{}", [(json.dumps(key) + ": ", items[key]) for key in sorted(items)], level, out
+            "{}", [(json.dumps(key) + ": ", items[key]) for key in sorted(items)], level, write
         )
     elif isinstance(obj, (list, tuple)):
-        _write_items("[]", [("", v) for v in obj], level, out)
+        _write_items("[]", [("", v) for v in obj], level, write)
     elif isinstance(obj, complex):
-        _write_value([obj.real, obj.imag], level, out)
+        _write_value([obj.real, obj.imag], level, write)
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        out.append(repr(x) if math.isfinite(x) else f'"{x!r}"')
+        write(repr(x) if math.isfinite(x) else f'"{x!r}"')
     elif isinstance(obj, np.integer):
-        out.append(str(obj.item()))
+        write(str(obj.item()))
     else:
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
 
 
-def _write_items(brackets: str, items: list, level: int, out: list[str]) -> None:
+def _write_items(brackets: str, items: list, level: int, write) -> None:
     if not items:
-        out.append(brackets)
+        write(brackets)
         return
     inner = "\n" + "  " * (level + 1)
     lead = brackets[0] + inner
     for head, value in items:
-        out.append(lead + head)
-        _write_value(value, level + 1, out)
+        write(lead + head)
+        _write_value(value, level + 1, write)
         lead = "," + inner
-    out.append("\n" + "  " * level + brackets[1])
+    write("\n" + "  " * level + brackets[1])
 
 
-def _write_array(a: np.ndarray, level: int, out: list[str]) -> None:
-    """A float array as one block of leaves, each on its own line.
+def _write_array(a: np.ndarray, level: int, write) -> None:
+    """A float array with each leaf on its own line, one leading-axis row
+    at a time (a 1-D array is one row).
 
-    Complex entries become a trailing [re, im] axis.  The leaf texts come
-    from one C-encoder call; each separator closes and reopens as many
-    brackets as axes roll over between its two leaves.
+    Complex entries become a trailing [re, im] axis.  Each row's leaf texts
+    come from one C-encoder call and are interleaved with one separator
+    pattern, built once: each separator closes and reopens as many brackets
+    as axes roll over between its two leaves.
     """
     if a.dtype.kind == "c":
         a = np.stack([a.real, a.imag], -1)
     if a.dtype.kind != "f" or a.ndim == 0 or a.size == 0:
-        _write_value(a.tolist(), level, out)
+        _write_value(a.tolist(), level, write)
         return
-    flat = a.ravel()
-    leaves = json.dumps(flat.tolist())[1:-1].split(", ")
-    for i in np.flatnonzero(~np.isfinite(flat)):
-        leaves[i] = _NON_FINITE[leaves[i]]
-    rank, size = a.ndim, flat.size
+    rank = a.ndim
+    rows = a.reshape(a.shape[0] if rank > 1 else 1, -1)
+    width = rows.shape[1]
     ind = ["\n" + "  " * k for k in range(level + rank + 1)]
-    seps = ["," + ind[-1]] * (size - 1)
-    stride = 1
-    for k in range(1, rank):
-        stride *= a.shape[rank - k]
+
+    def rollover(k: int) -> str:
+        # the separator after a leaf where the k innermost axes roll over
         close = "".join(ind[level + rank - j] + "]" for j in range(1, k + 1))
         reopen = "".join(ind[level + j] + "[" for j in range(rank - k, rank))
-        seps[stride - 1 :: stride] = [close + "," + reopen + ind[-1]] * (size // stride - 1)
-    body = [""] * (2 * size - 1)
-    body[::2] = leaves
-    body[1::2] = seps
-    out.append("[" + "".join(ind[level + j] + "[" for j in range(1, rank)) + ind[-1])
-    out.append("".join(body))
-    out.append("".join(ind[level + j] + "]" for j in range(rank - 1, -1, -1)))
+        return close + "," + reopen + ind[-1]
+
+    # leaves go to the even slots, separators sit in the odd ones
+    body = [rollover(0)] * (2 * width - 1)
+    stride = 1
+    for k in range(1, rank - 1):
+        stride *= a.shape[rank - k]
+        body[2 * stride - 1 :: 2 * stride] = [rollover(k)] * (width // stride - 1)
+    between = rollover(rank - 1)
+    finite = np.isfinite(rows)
+    patch = not finite.all()
+    write("[" + "".join(ind[level + j] + "[" for j in range(1, rank)) + ind[-1])
+    for i, row in enumerate(rows):
+        leaves = json.dumps(row.tolist())[1:-1].split(", ")
+        if patch:
+            for j in np.flatnonzero(~finite[i]):
+                leaves[j] = _NON_FINITE[leaves[j]]
+        body[::2] = leaves
+        if i:
+            write(between)
+        write("".join(body))
+    write("".join(ind[level + j] + "]" for j in range(rank - 1, -1, -1)))
+
+
+def _write_report(report: dict, fh) -> None:
+    """Write the text of ``dumps_report(report)`` to the text stream ``fh``
+    while it is encoded: no whole-document string is built."""
+    _write_value(report, 0, fh.write)
+    fh.write("\n")
 
 
 def dumps_report(report: dict) -> str:
@@ -244,9 +274,9 @@ def dumps_report(report: dict) -> str:
 
     Keys are sorted and nesting is indented by two spaces.  Floats are
     written as their shortest repr, complex values as [re, im], and NaN and
-    infinities as the strings "nan", "inf" and "-inf".
+    infinities as the strings "nan", "inf" and "-inf".  The text is that of
+    the streaming writer the command line uses, collected in memory.
     """
-    out: list[str] = []
-    _write_value(report, 0, out)
-    out.append("\n")
-    return "".join(out)
+    buf = _io.StringIO()
+    _write_report(report, buf)
+    return buf.getvalue()

@@ -795,8 +795,6 @@ def closed_form_resolvent(basic: BasicSolution, pencil: LinearPencil, z: complex
 class SeparationReport:
     """Restriction of the pencil coefficients to the singular/regular split."""
 
-    sin_blocks: tuple[Array, Array]  # Q C_i P for i = 0, 1
-    reg_blocks: tuple[Array, Array]  # Q^c C_i P^c for i = 0, 1
     off_residuals: dict[str, float]
     passed: bool
 
@@ -813,18 +811,15 @@ def separate(pair: SpectralPair, pencil: LinearPencil) -> SeparationReport:
     carries ``C_i``.
     """
     off: dict[str, float] = {}
-    sin_blocks, reg_blocks = [], []
     c_size = max(pencil.norms)
     for i, ci in enumerate((pencil.c0, pencil.c1)):
-        sin_blocks.append(pair.range_sin @ ci @ pair.domain_sin)
-        reg_blocks.append(pair.range_reg @ ci @ pair.domain_reg)
+        sin_block = pair.range_sin @ ci @ pair.domain_sin  # Q C_i P
+        reg_block = pair.range_reg @ ci @ pair.domain_reg  # Q^c C_i P^c
         off[f"sin_to_reg_c{i}"] = spectral_norm(pair.range_reg @ ci @ pair.domain_sin)
         off[f"reg_to_sin_c{i}"] = spectral_norm(pair.range_sin @ ci @ pair.domain_reg)
-        off[f"reassemble_c{i}"] = spectral_norm(sin_blocks[i] + reg_blocks[i] - ci)
+        off[f"reassemble_c{i}"] = spectral_norm(sin_block + reg_block - ci)
     worst = max(off.values())
     return SeparationReport(
-        sin_blocks=tuple(sin_blocks),
-        reg_blocks=tuple(reg_blocks),
         off_residuals=off,
         passed=_screened(
             lambda p, q: worst <= TOL_FUND * c_size * max(1.0, p * q),

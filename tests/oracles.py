@@ -232,11 +232,11 @@ def _json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return complex_lists(obj) if np.iscomplexobj(obj) else obj.tolist()
+        return _json_ready(complex_lists(obj) if np.iscomplexobj(obj) else obj.tolist())
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_json_ready(obj.real), _json_ready(obj.imag)]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _json_ready(obj.item())
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj
@@ -244,9 +244,9 @@ def _json_ready(obj):
 
 def report_text(report):
     """Report JSON by the literal route: a recursive conversion to nested
-    lists (complex entries as [re, im], one ``complex()`` per entry), then
-    ``json.dumps(sort_keys=True, indent=2)``.  It agrees with the package
-    wherever every float is finite.
+    lists (complex entries as [re, im], one ``complex()`` per entry, and
+    each non-finite float as its repr, ``"nan"``, ``"inf"`` or ``"-inf"``),
+    then ``json.dumps(sort_keys=True, indent=2)``.
     """
     return json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"
 

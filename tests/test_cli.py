@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,9 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
     for name in ("LaurentExpansion", "ProjectionError"):
         assert not hasattr(gjrep, name), name
     assert not hasattr(gjrep.LinearPencil, "scale")
+    # separate keeps its diagonal blocks local to the reassembly residual
+    fields = {f.name for f in dataclasses.fields(gjrep.SeparationReport)}
+    assert not fields & {"sin_blocks", "reg_blocks"}
     # the verdicts read TOL_FUND; no report carries it
     for report in (gjrep.FundamentalReport, gjrep.SeparationReport, gjrep.SplitReport):
         assert "tol" not in {f.name for f in dataclasses.fields(report)}
@@ -585,19 +589,61 @@ def test_report_bytes_match_oracle(case, matrix_model_file, tmp_path, monkeypatc
         argv = ["demo", "--name", "c0", "--format", "json"]
     else:
         argv = ["represent", "--model", matrix_model_file, "--form", "extended_s", "--T", "60"]
+    # every command streams its report through the one private writer
     written = []
-    real = gio.dumps_report
+    real = gio._write_report
 
-    def recording(report):
-        written.append((report, real(report)))
-        return written[-1][1]
+    def recording(report, fh):
+        written.append(report)
+        real(report, fh)
 
-    monkeypatch.setattr(gio, "dumps_report", recording)
+    monkeypatch.setattr(gio, "_write_report", recording)
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
-    ((report, text),) = written
-    assert text == report_text(report)
-    assert out.read_text() == text
+    (report,) = written
+    assert out.read_text() == report_text(report)
+
+
+@pytest.mark.parametrize("command", ["analyze", "represent", "demo"])
+def test_unwritable_out_is_an_input_error(
+    command, matrix_pencil_file, matrix_model_file, tmp_path, capsys
+):
+    argv, bad_input = {
+        "analyze": (["analyze", "--pencil", matrix_pencil_file], "--radius=nan"),
+        "represent": (
+            ["represent", "--model", matrix_model_file, "--form", "extended_s", "--T", "20"],
+            "--radius=nan",
+        ),
+        "demo": (["demo", "--name", "matrix", "--format", "json"], "--param=eps=nan"),
+    }[command]
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main([*argv, "--out", str(out)]) == 3, out
+        assert f"input error: cannot write {out}" in capsys.readouterr().err
+    # a run that fails before its report leaves an existing file as it was
+    kept = tmp_path / "kept.json"
+    kept.write_text("old")
+    assert main([*argv, bad_input, "--out", str(kept)]) == 3
+    assert kept.read_text() == "old"
+
+
+def test_analyze_streams_a_large_report(tmp_path):
+    # Volterra at n = 128 (C_0 strictly lower with entries 1/n, C_1 = -(I - C_0)):
+    # its report is 3.8 MB.  Built whole, the text and its list of leaves
+    # held a traced peak of 15.0 MB; streamed a matrix row at a time, the
+    # run peaks at about 9.2 MB, mostly the pencil file's JSON and the analysis
+    n = 128
+    v = np.tril(np.full((n, n), 1.0 / n), -1)
+    path = tmp_path / "volterra128.json"
+    path.write_text(json.dumps(dump_pencil(LinearPencil(v, -(np.eye(n) - v)))))
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--pencil", str(path), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 3_500_000
+    assert peak <= 11e6, peak
 
 
 # fields patched into the 2x2 matrix model ("model") or pencil ("pencil") file
