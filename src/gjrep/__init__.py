@@ -28,7 +28,6 @@ from .arma import (
     simulate_recursion,
 )
 from .augment import (
-    AugmentedPencil,
     PolynomialPencil,
     StackedArma,
     augment,
@@ -83,7 +82,6 @@ from .pencil import (
     laurent_range,
     projections,
     separate,
-    singular_offsets,
     solve_at,
     spectral_norm,
     verify_fundamental,
@@ -103,7 +101,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArmaModel",
-    "AugmentedPencil",
     "BasicSolution",
     "ChainResult",
     "ChainStepError",
@@ -161,7 +158,6 @@ __all__ = [
     "simulate_recursion",
     "sin_basis",
     "singular_chain",
-    "singular_offsets",
     "solve_at",
     "spectral_norm",
     "split_projection",

@@ -5,11 +5,14 @@ The state equation is ``A_0 x(t) + A_1 x(t-1) = g(t)`` with the MA(1) drive
 in anchored form is ``C_0 = A_0 + A_1``, ``C_1 = A_1``, which places the unit
 root of the difference equation at the pencil anchor.
 Every array takes the result type of its inputs, whose dtype ``as_matrix``
-and ``as_vector`` set, so a real model's paths are float64.
+and ``as_vector`` set, so a real model's paths are float64.  The noise kind
+is read in one place: ``NoiseSpec`` checks its parameters on construction,
+and ``simulate_noise`` only runs the draw that check returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +84,9 @@ class NoiseSpec:
         _noise_law(self)
 
 
-def _noise_law(spec: NoiseSpec) -> tuple:
-    """The checked numeric parameters of ``spec.kind``, as ``simulate_noise`` uses them."""
+def _noise_law(spec: NoiseSpec) -> Callable[[np.random.Generator, tuple], Array]:
+    """The draw ``(rng, shape) -> values`` of ``spec.kind`` from its checked
+    parameters: the one place that reads the kind."""
     params = spec.params
     try:
         if spec.kind == "gaussian":
@@ -91,7 +95,7 @@ def _noise_law(spec: NoiseSpec) -> tuple:
                 raise InputError(f"sigma must be a scalar or {spec.dim} values, not {sigma.shape}")
             if not np.isfinite(sigma).all():
                 raise InputError(f"sigma must be finite, got {sigma}")
-            return (sigma,)
+            return lambda rng, shape: rng.standard_normal(shape) * sigma
         if spec.kind == "bernoulli_scaled":
             p = float(params.get("p", 0.5))
             if not 0.0 <= p <= 1.0:
@@ -99,14 +103,20 @@ def _noise_law(spec: NoiseSpec) -> tuple:
             eps = float(params.get("eps", 1.0))
             if not np.isfinite(eps):
                 raise InputError(f"eps must be finite, got {eps}")
-            return p, eps, bool(params.get("centered", True))
+            centered = bool(params.get("centered", True))
+
+            def bernoulli(rng, shape):
+                w = (rng.random(shape) >= p).astype(float)  # P[w = 0] = p
+                return eps * (w - (1.0 - p)) if centered else eps * w
+
+            return bernoulli
         if spec.kind == "table":
             values = as_vector(params["values"], name="table values")
             probs = np.asarray(params["probs"], dtype=float).reshape(-1)
             off = abs(probs.sum() - 1.0)  # Generator.choice allows sqrt(eps) = 2**-26
             if values.shape != probs.shape or (probs < 0).any() or not off <= 2**-26:
                 raise InputError("table noise needs matching values/probs, probs >= 0 summing to 1")
-            return values, probs
+            return lambda rng, shape: values[rng.choice(values.shape[0], size=shape, p=probs)]
     except KeyError as exc:
         raise InputError(f"{spec.kind} noise needs params[{exc}]") from None
     except (TypeError, ValueError) as exc:
@@ -157,24 +167,12 @@ def simulate_noise(spec: NoiseSpec, t_end: int) -> Trajectory:
     Identical spec (kind, params, seed, burn_in) and horizon give a
     bit-identical path.
     """
-    law = _noise_law(spec)
+    draw = _noise_law(spec)
     start = -spec.burn_in - 1
     length = t_end - start + 1
     if length <= 0:
         raise InputError(f"empty noise horizon: t_end={t_end}, start={start}")
-    rng = np.random.default_rng(spec.seed)
-    shape = (length, spec.dim)
-    if spec.kind == "gaussian":
-        (sigma,) = law
-        vals = rng.standard_normal(shape) * sigma
-    elif spec.kind == "bernoulli_scaled":
-        p, eps, centered = law
-        w = (rng.random(shape) >= p).astype(float)  # P[w = 0] = p
-        vals = eps * (w - (1.0 - p)) if centered else eps * w
-    else:
-        values, probs = law
-        idx = rng.choice(values.shape[0], size=shape, p=probs)
-        vals = values[idx]
+    vals = draw(np.random.default_rng(spec.seed), (length, spec.dim))
     return Trajectory(start=start, values=vals)
 
 

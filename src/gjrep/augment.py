@@ -53,15 +53,6 @@ class PolynomialPencil:
         return acc
 
 
-@dataclass(frozen=True)
-class AugmentedPencil:
-    """Linearization of a polynomial pencil, with the bookkeeping to unpack it."""
-
-    pencil: LinearPencil
-    degree: int
-    base_dim: int
-
-
 def _block_companion(mats: "tuple[Array, ...] | list[Array]", r: int) -> tuple[Array, Array]:
     """Block companion pair of ``mats = (M_0, ..., M_k)`` on r consecutive times.
 
@@ -82,7 +73,7 @@ def _block_companion(mats: "tuple[Array, ...] | list[Array]", r: int) -> tuple[A
     return lag0, lag1
 
 
-def augment(poly: PolynomialPencil) -> AugmentedPencil:
+def augment(poly: PolynomialPencil) -> LinearPencil:
     """Block linearization of a degree-p polynomial pencil.
 
     The augmented anchored pair (dimension n*p) is the block companion pair
@@ -98,13 +89,13 @@ def augment(poly: PolynomialPencil) -> AugmentedPencil:
     if p < 1:
         raise InputError("augmentation needs degree >= 1")
     c0, c1 = _block_companion(poly.coeffs, p)
-    return AugmentedPencil(pencil=LinearPencil(c0=c0, c1=c1), degree=p, base_dim=poly.dim)
+    return LinearPencil(c0=c0, c1=c1)
 
 
 def unpack_laurent(
-    aug: AugmentedPencil, coefficients: dict[int, Array]
+    poly: PolynomialPencil, coefficients: dict[int, Array]
 ) -> tuple[dict[int, Array], float]:
-    """Polynomial Laurent coefficients from augmented ones.
+    """Polynomial Laurent coefficients from the coefficients of ``augment(poly)``.
 
     Each polynomial index m = J*p + a - b is covered by every block (a, b)
     of every augmented coefficient J that reaches it; the returned table
@@ -112,7 +103,7 @@ def unpack_laurent(
     deviation of any copy from its average, a consistency measure of the
     linearization that the caller judges.
     """
-    p, n = aug.degree, aug.base_dim
+    p, n = poly.degree, poly.dim
     copies: dict[int, list[Array]] = {}
     for j, big in coefficients.items():
         big = as_matrix(big, f"coefficients[{j}]")

@@ -8,7 +8,9 @@ radius.  Their spans are the right deflating subspaces of ``(C_0, -C_1)``
 for the anchor's cluster of offsets and for the rest of the spectrum, read
 off the pencil's one QZ (``LinearPencil.qz``), which a singular ``C_1`` does
 not stop (Moler & Stewart, SIAM J. Numer. Anal. 10, 1973; Van Dooren, LAA 27,
-1979).  They coincide with the ranges of the spectral projections computed
+1979).  Where the cluster ends is the pencil module's decision: the bases
+are ``pencil._schur_basis``, beside the contour radius's cut of the same
+cluster.  They coincide with the ranges of the spectral projections computed
 from the basic solution, an independent cross-check between the two routes.
 """
 
@@ -20,15 +22,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ChainStepError
-from .pencil import Array, LinearPencil, _anchor_cluster, _generalized_offsets, as_vector
+from .pencil import Array, LinearPencil, _schur_basis, as_vector
 
 # a chain step solves when its residual is at most CHAIN_TOL times the
 # largest coefficient norm and the current vector norm; a chain terminates
 # at CHAIN_TOL times its seed norm
 CHAIN_TOL = 1e-9
-# the chain bases cut the anchor's cluster on this tolerance
-# (``pencil._anchor_cluster``, which says why it is not ANCHOR_TOL)
-ZERO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,28 +138,6 @@ def regular_chain(
     """
     seed = as_vector(seed, pencil.dim, "seed")
     return _extend(pencil.c0, pencil.c1, max(pencil.norms), seed, steps, project)
-
-
-def _schur_basis(pencil: LinearPencil, singular: bool) -> Array:
-    """Orthonormal basis of the right deflating subspace of ``(C_0, -C_1)``
-    for the anchor's cluster (``singular``) or for the rest of the spectrum.
-
-    Both sides reorder the pencil's one generalized Schur form (LAPACK
-    ``?tgsen``; Kagstrom & Poromaa, Numer. Algorithms 12, 1996) to put their
-    offsets first, as ``scipy.linalg.ordqz`` does to a fresh one; an infinite
-    offset is on the regular side.  A failed reordering, or one that rounding
-    leaves with a leading offset on the wrong side of the cut, raises
-    LinAlgError.
-    """
-    s, t, z, mu = pencil.qz
-    select = _anchor_cluster(pencil, mu, ZERO_TOL) == singular
-    tgsen = scipy.linalg.get_lapack_funcs("tgsen", (s,))
-    # with wantq=0 the left vectors are not referenced: z stands in for them
-    _, _, *ab, _, zs, sdim, _, _, _, info = tgsen(select, s, t, z, z, ijob=0, wantq=0)
-    leading = _anchor_cluster(pencil, _generalized_offsets(ab)[:sdim], ZERO_TOL)
-    if info != 0 or not (leading == singular).all():
-        raise np.linalg.LinAlgError("QZ reordering failed or left the cluster unsorted")
-    return zs[:, :sdim]
 
 
 def sin_basis(pencil: LinearPencil) -> Array:

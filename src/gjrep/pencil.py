@@ -7,7 +7,11 @@ resolvent ``R(z) = A(z)^{-1}`` then has a Laurent expansion
 pair ``(T_{-1}, T_0)`` determines every other coefficient through a pair of
 one-step recurrences.  This module computes that pair by contour quadrature,
 expands it, verifies the defining identities, classifies the singularity, and
-evaluates the closed-form (partial-fraction) resolvent.
+evaluates the closed-form (partial-fraction) resolvent.  It also owns the
+anchor's cluster of offsets for both of its users: the contour radius and
+``r_hat`` cut it on ``ANCHOR_TOL`` from ``LinearPencil.offsets``, and the
+chain bases (``_schur_basis``, which ``chains`` only calls) on ``ZERO_TOL``
+from ``LinearPencil.qz``.
 
 The quadrature is the trapezoid rule on nested grids.  The m-point grid is
 the even half of the 2m-point grid, so node doubling solves only the new odd
@@ -66,9 +70,11 @@ TOL_FUND = 1e-9
 COND_CAP = 1e12
 START_NODES = 32  # first grid of the contour quadrature; doubling sets the rest
 MAX_NODES = 1 << 14  # node cap of the contour quadrature
-# the contour radius and r_hat leave out the offsets in the anchor's cluster
-# on this tolerance (``_anchor_cluster``)
+# the anchor's cluster (``_anchor_cluster``) on two tolerances: the contour
+# radius and r_hat leave out the offsets within ANCHOR_TOL, and the chain
+# bases (``_schur_basis``) take those within ZERO_TOL
 ANCHOR_TOL = 1e-8
+ZERO_TOL = 1e-6
 # a pole shows as ||N^k|| dropping by this factor more than the step before
 CLIFF_FACTOR = 1e-3
 INNER_TERMS = 12  # principal coefficients the annulus root test samples
@@ -285,8 +291,11 @@ class LinearPencil:
 
     @cached_property
     def offsets(self) -> Array:
-        """The finite offsets of ``singular_offsets``, computed once per pencil."""
-        return singular_offsets(self)
+        """Finite offsets ``mu`` (from the anchor) where ``c0 + mu c1`` is
+        singular, from one eigenvalues-only QZ, computed once per pencil."""
+        with np.errstate(all="ignore"):
+            mu = scipy.linalg.eigvals(self.c0, -self.c1)
+        return mu[np.isfinite(mu)]
 
     @cached_property
     def qz(self) -> tuple[Array, Array, Array, Array]:
@@ -370,13 +379,6 @@ def solve_at(pencil: LinearPencil, z: complex) -> Array:
     return r
 
 
-def singular_offsets(pencil: LinearPencil) -> Array:
-    """Finite offsets ``mu`` (from the anchor) where ``C0 + mu*C1`` is singular."""
-    with np.errstate(all="ignore"):
-        mu = scipy.linalg.eigvals(pencil.c0, -pencil.c1)
-    return mu[np.isfinite(mu)]
-
-
 def _generalized_offsets(ab) -> Array:
     """``alpha / beta`` from a QZ's ``(alphar, alphai, beta)`` (real) or ``(alpha, beta)``."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -390,13 +392,36 @@ def _anchor_cluster(pencil: LinearPencil, mu: Array, tol: float) -> Array:
 
     ``ANCHOR_TOL`` (1e-8) cuts for the contour radius and ``r_hat``, which
     must not take a near unit root into the cluster and enclose it;
-    ``chains.ZERO_TOL`` (1e-6) cuts for the chain bases, which must hold a
-    Jordan cluster that rounding splits to about ``eps^{1/d}``.  A rank rule
-    for the cluster size would replace both (ROADMAP item 2).
+    ``ZERO_TOL`` (1e-6) cuts for the chain bases, which must hold a Jordan
+    cluster that rounding splits to about ``eps^{1/d}``.  A rank rule for
+    the cluster size would replace both (ROADMAP item 2).
     """
     c0, c1 = pencil.norms
     cut = tol * (1.0 + c0 / c1) if c1 > 0.0 else np.inf
     return np.isfinite(mu) & (np.abs(mu) <= cut)
+
+
+def _schur_basis(pencil: LinearPencil, singular: bool) -> Array:
+    """Orthonormal basis of the right deflating subspace of ``(C_0, -C_1)``
+    for the anchor's cluster on ``ZERO_TOL`` (``singular``) or for the rest
+    of the spectrum.
+
+    Both sides reorder the pencil's one generalized Schur form (LAPACK
+    ``?tgsen``; Kagstrom & Poromaa, Numer. Algorithms 12, 1996) to put their
+    offsets first, as ``scipy.linalg.ordqz`` does to a fresh one; an infinite
+    offset is on the regular side.  A failed reordering, or one that rounding
+    leaves with a leading offset on the wrong side of the cut, raises
+    LinAlgError.
+    """
+    s, t, z, mu = pencil.qz
+    select = _anchor_cluster(pencil, mu, ZERO_TOL) == singular
+    tgsen = scipy.linalg.get_lapack_funcs("tgsen", (s,))
+    # with wantq=0 the left vectors are not referenced: z stands in for them
+    _, _, *ab, _, zs, sdim, _, _, _, info = tgsen(select, s, t, z, z, ijob=0, wantq=0)
+    leading = _anchor_cluster(pencil, _generalized_offsets(ab)[:sdim], ZERO_TOL)
+    if info != 0 or not (leading == singular).all():
+        raise np.linalg.LinAlgError("QZ reordering failed or left the cluster unsorted")
+    return zs[:, :sdim]
 
 
 def _outer_offset(pencil: LinearPencil) -> float:
@@ -418,17 +443,15 @@ def default_radius(pencil: LinearPencil) -> float:
 
 
 def contour_coefficients(
-    pencil: LinearPencil,
-    js: tuple[int, ...] | list[int],
-    radius: float | None = None,
+    pencil: LinearPencil, radius: float | None = None
 ) -> tuple[dict[int, Array], dict]:
-    """Laurent coefficients by trapezoid quadrature with node doubling.
+    """The pair ``{-1: T_{-1}, 0: T_0}`` by trapezoid quadrature with node doubling.
 
     Equispaced nodes ``z_k = 1 + radius e^{2 pi i k/m}`` on the circle; the
     node count m starts at ``START_NODES`` and doubles, up to ``MAX_NODES``,
     until ``max_j ||T_j(2m) - T_j(m)|| <= TOL_CONTOUR * max_j ||T_j(2m)||``
-    over the requested set: one screened verdict per doubling, relative to
-    the largest coefficient, so a coefficient that is zero in exact
+    over the pair: one screened verdict per doubling, relative to
+    the larger coefficient, so a coefficient that is zero in exact
     arithmetic (``T_0`` of a Volterra section) settles once its rounding
     noise is small beside the others, at any scale.  Each node goes through
     ``_checked_solve``: a node singular up to rounding raises
@@ -456,6 +479,7 @@ def contour_coefficients(
     if not 0.0 < radius < np.inf:  # also False for NaN
         raise InputError(f"contour radius must be finite and positive, got {radius}")
     half = pencil.c0.dtype.kind == "f"  # the solves cover the upper half circle
+    js = (-1, 0)  # the pair fixes every other coefficient (``laurent_range``)
     sums = {j: np.zeros_like(pencil.c0) for j in js}
 
     def add_nodes(m: int, ks: range) -> dict[int, Array]:
@@ -530,7 +554,7 @@ def basic_solution(pencil: LinearPencil, radius: float | None = None) -> BasicSo
     ``T C T`` to ``TOL_FUND * t^2 * c``: both bounds keep their ratio to
     the residual when the pencil is scaled, whatever its size.
     """
-    coeffs, _ = contour_coefficients(pencil, (-1, 0), radius)
+    coeffs, _ = contour_coefficients(pencil, radius)
     basic = BasicSolution(coeffs[-1], coeffs[0])
     t_size, c_size = max(basic.norms), max(pencil.norms)
     defects = _basic_defects(basic, pencil)
@@ -735,35 +759,32 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
     return SingularityClass(kind="inconclusive", order=None, power_norms=tuple(frobenius))
 
 
-def annulus_estimate(basic: BasicSolution, pencil: LinearPencil) -> tuple[float, float]:
+def annulus_estimate(
+    basic: BasicSolution, pencil: LinearPencil, sclass: SingularityClass
+) -> tuple[float, float]:
     """The annulus of convergence ``(s_hat, r_hat)`` of the Laurent expansion.
 
     ``r_hat`` is exact and scale-free: the regular series converges exactly
     on ``|z - 1| <`` the smallest offset outside the anchor's cluster (inf
-    for none), the offset ``default_radius`` halves.  ``s_hat`` is the root
-    test ``max ||T_{-k}||^{1/k}`` over the top half of k up to
-    ``INNER_TERMS``, an exact SVD root (the other norms only screened), and
-    0 for a terminating principal part; it is the only view of a truncated
-    essential singularity, whose offsets all sit at the anchor.
+    for none), the offset ``default_radius`` halves.  ``s_hat`` reads the
+    pair's class ``sclass`` (``classify_singularity``): the principal part
+    of a removable singularity or a pole is a finite sum, which converges
+    on the whole punctured plane, so ``s_hat`` is 0.  Otherwise it is the
+    root test ``max ||T_{-k}||^{1/k}`` over k = 6..12 (``INNER_TERMS // 2``
+    to ``INNER_TERMS``), an exact SVD root (the other norms only screened):
+    the only view of a truncated essential singularity, whose offsets all
+    sit at the anchor.
     """
-    # terms (index, T_{-k}, lo, hi) with lo <= ||T_{-k}|| <= hi
+    if sclass.kind in ("removable", "pole"):
+        return 0.0, _outer_offset(pencil)
+    # terms (k, T_{-k}, lo, hi) with lo <= ||T_{-k}|| <= hi
     orbit = _laurent_orbit(basic.t_minus_one @ pencil.c0, basic.t_minus_one)
-    ks = range(1, INNER_TERMS + 1)
-    neg = [(k, acc, *_norm_bounds(acc)) for k, acc in zip(ks, orbit)]
-
-    # A principal part that terminates inside the window converges on the
-    # whole punctured disc: a vanishing trailing norm forces s_hat = 0.
-    los, his = [t[2] for t in neg], [t[3] for t in neg]
-    if max(his) == 0.0 or his[-1] <= 1e-13 * max(los):
-        terminates = True
-    elif los[-1] > 1e-13 * max(his):
-        terminates = False
-    else:
-        exact = [spectral_norm(t[1]) for t in neg]
-        neg = [(k, acc, v, v) for (k, acc, _, _), v in zip(neg, exact)]
-        terminates = max(exact) == 0.0 or exact[-1] <= 1e-13 * max(exact)
-    s_hat = 0.0 if terminates else _screened_max(neg[INNER_TERMS // 2 - 1 :])
-    return s_hat, _outer_offset(pencil)
+    top = [
+        (k, acc, *_norm_bounds(acc))
+        for k, acc in zip(range(1, INNER_TERMS + 1), orbit)
+        if k >= INNER_TERMS // 2
+    ]
+    return _screened_max(top), _outer_offset(pencil)
 
 
 def closed_form_parts(

@@ -125,10 +125,14 @@ def represent(
 
     Simulates the seeded noise, builds the MA(1) drive, runs the plain
     recursion as the oracle, assembles the five components of the requested
-    form, and reports the worst reconstruction error.
+    form, and reports the worst reconstruction error, which passes at or
+    below ``tol_rep``.  A ``tol_rep`` that is not finite and positive would
+    pass or fail every path, so it raises InputError, before any work.
     """
     if form not in FORMS:
         raise InputError(f"unknown form {form!r}; expected one of {FORMS}")
+    if not 0.0 < tol_rep < np.inf:  # also False for NaN
+        raise InputError(f"tol_rep must be finite and positive, got {tol_rep}")
     t_end = _checked_integer(t_end, "t_end", 0)
     pencil = model.pencil()
     if basic is None:
@@ -143,7 +147,7 @@ def represent(
             "the principal part T_{-1} C_0 is not nilpotent: the contour may "
             "enclose a singularity other than the unit root"
         )
-    s_hat, r_hat = annulus_estimate(basic, pencil)
+    s_hat, r_hat = annulus_estimate(basic, pencil, sclass)
 
     n = model.dim
     horizon = t_end + 1

@@ -115,11 +115,12 @@ LEDGER = (
         "live",
     ),
     Mutant(
-        "annulus-termination",
+        "annulus-class",
         "pencil.py",
-        "if max(his) == 0.0 or his[-1] <= 1e-13 * max(los):",
-        "if max(his) == 0.0 or his[-1] <= 1e-3 * max(los):",
-        "annulus_estimate: a principal part terminates below 1e-13 of its largest term",
+        'if sclass.kind in ("removable", "pole"):',
+        'if sclass.kind in ("removable",):',
+        "annulus_estimate: the principal part of a removable singularity or a pole"
+        " is finite, and s_hat is 0",
         "live",
     ),
     Mutant(
@@ -133,7 +134,7 @@ LEDGER = (
     ),
     Mutant(
         "basis-cut",
-        "chains.py",
+        "pencil.py",
         "ZERO_TOL = 1e-6",
         "ZERO_TOL = 1e-1",
         "chain bases: the anchor's cluster is |mu| <= ZERO_TOL (1 + ||C_0|| / ||C_1||)",

@@ -373,12 +373,14 @@ def classify_singularity_literal(basic, pencil, *, tol=1e-9, k_max=None, cliff_f
     return "inconclusive", None
 
 
-def annulus_estimate_literal(basic, pencil, *, k_max=12, l_max=48):
+def annulus_estimate_literal(basic, pencil, kind, *, k_max=12, l_max=48):
     """Root-test annulus ``(s_hat, r_hat)`` with an SVD for every norm.
 
-    ``r_hat`` is ``1 / max ||T_l||^{1/l}`` over the top half of l up to
-    ``l_max``: a biased estimate of the exact outer radius, kept as a
-    cross-check of the pair.
+    ``s_hat`` is 0 for a removable ``kind`` or a pole, whose principal part
+    is a finite sum, and otherwise ``max ||T_{-k}||^{1/k}`` over the top
+    half of k up to ``k_max``.  ``r_hat`` is ``1 / max ||T_l||^{1/l}`` over
+    the top half of l up to ``l_max``: a biased estimate of the exact outer
+    radius, kept as a cross-check of the pair.
     """
     neg_norms = []
     acc = basic.t_minus_one
@@ -395,8 +397,7 @@ def annulus_estimate_literal(basic, pencil, *, k_max=12, l_max=48):
             break
         acc = -(step @ acc)
 
-    scale = max(neg_norms)
-    if scale == 0.0 or neg_norms[-1] <= 1e-13 * scale:
+    if kind in ("removable", "pole"):
         s_hat = 0.0
     else:
         s_candidates = [

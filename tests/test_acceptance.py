@@ -137,7 +137,7 @@ def test_criterion_2_cascade_example():
         closed_err = max(closed_err, np.abs(got - solve_at(pencil, z)).max())
     basis = sin_basis(pencil)
     angles = scipy.linalg.subspace_angles(basis, np.eye(10)[:, :2])
-    _, r_hat = annulus_estimate(basic, pencil)
+    _, r_hat = annulus_estimate(basic, pencil, sclass)
     elapsed = time.perf_counter() - t0
     verdict(
         2,
@@ -313,9 +313,9 @@ def test_criterion_9_reduction_and_unpacking():
         )
     )
     aug = augment(poly)
-    basic = basic_solution(aug.pencil)
-    table = laurent_range(basic, aug.pencil, -3, 3)
-    _, disagreement = unpack_laurent(aug, table)
+    basic = basic_solution(aug)
+    table = laurent_range(basic, aug, -3, 3)
+    _, disagreement = unpack_laurent(poly, table)
     verdict(
         9,
         "stacked reduction equals direct recursion; block-consistent unpacking",

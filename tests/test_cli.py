@@ -33,7 +33,7 @@ from gjrep import cli
 from gjrep import io as gio
 from gjrep.cli import main
 from gjrep.io import dump_model, dump_pencil
-from oracles import jordan_similarity, report_text
+from oracles import annulus_estimate_literal, jordan_similarity, report_text
 
 
 @pytest.fixture
@@ -105,6 +105,33 @@ def test_analyze_c0_with_a_nearly_singular_slope(tmp_path):
     assert rep["projections"]["domain_sin_rank"] == sin_basis(entry.pencil).shape[1] == 2
 
 
+@pytest.mark.parametrize("n", [12, 14, 20])
+def test_analyze_reads_a_long_pole_as_a_finite_principal_part(n, tmp_path):
+    # C_0 = J_n(0), C_1 = I: ||T_{-k}|| = ||J^{k-1}|| = 1 up to k = n, so the
+    # twelve principal terms of the root test never show the sum ending.
+    # The class does: a pole's principal part is finite, so s_hat is 0
+    rep = _analyze_report(LinearPencil(np.eye(n, k=1), np.eye(n)), tmp_path)
+    assert rep["singularity"] == {"kind": "pole", "order": n}
+    assert rep["annulus"]["inner"] == 0.0
+
+
+# inner radii of Volterra truncations: n = 11 ends inside the root test's
+# twelve terms, and the class still calls for the test
+VOLTERRA_INNER = {11: 0.3455141196031962, 16: 0.3865135918441724, 64: 0.45403339512556556}
+
+
+@pytest.mark.parametrize("n", VOLTERRA_INNER)
+def test_analyze_gives_a_truncation_the_root_test(n, tmp_path):
+    pencil = make("volterra", n=n).pencil
+    rep = _analyze_report(pencil, tmp_path)
+    assert rep["singularity"] == {"kind": "essential_at_truncation", "order": n}
+    # the same float as the all-SVD root test over the orbit of the same pair
+    basic = basic_solution(pencil, radius=default_radius(pencil))
+    want, _ = annulus_estimate_literal(basic, pencil, "essential_at_truncation")
+    assert rep["annulus"]["inner"] == want
+    assert want == pytest.approx(VOLTERRA_INNER[n], rel=1e-12)
+
+
 def test_analyze_polynomial(tmp_path):
     rng = np.random.default_rng(5)
     c0 = np.array([[1.0], [0.5]]) @ np.array([[1.0, -1.0]])
@@ -173,9 +200,9 @@ def test_written_augmented_pair_rebuilds_the_polynomial_table(tmp_path):
     poly = _degree2_pencil()
     report = _analyze_report(poly, tmp_path)
     aug = augment(poly)
-    rebuilt = laurent_range(_written_pair(report), aug.pencil, -3, 6)
-    got, got_spread = unpack_laurent(aug, rebuilt)
-    want, want_spread = unpack_laurent(aug, _live_table(aug.pencil))
+    rebuilt = laurent_range(_written_pair(report), aug, -3, 6)
+    got, got_spread = unpack_laurent(poly, rebuilt)
+    want, want_spread = unpack_laurent(poly, _live_table(aug))
     assert got_spread == want_spread == report["polynomial"]["unpack_disagreement"]
     assert got.keys() == want.keys()
     for m, block in want.items():
@@ -207,8 +234,8 @@ def test_analyze_input_errors(tmp_path):
 
 def test_config_validation(matrix_pencil_file, matrix_model_file, tmp_path):
     rep = ["represent", "--model", matrix_model_file, "--form", "extended_ns", "--T", "20"]
-    assert main([*rep, "--tol-rep", "-1e-9"]) == 3
-    assert main([*rep, "--tol-rep", "0"]) == 3
+    for tol_rep in ("-1e-9", "0", "inf"):
+        assert main([*rep, "--tol-rep", tol_rep]) == 3, tol_rep
     # a contour radius that is not finite and positive, for both commands
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
@@ -225,8 +252,8 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
     # each of these keywords had one value in use; it is a module constant now
     # or, for the probe's noise scale, gone because it changed no result
     removed = {
-        gjrep.basic_solution: ("nodes",),
-        gjrep.contour_coefficients: ("start_nodes",),
+        gjrep.basic_solution: ("nodes", "tol", "verify_tol"),
+        gjrep.contour_coefficients: ("start_nodes", "tol", "js"),
         gjrep.default_radius: ("zero_tol",),
         gjrep.classify_singularity: ("tol", "k_max", "cliff_factor"),
         gjrep.annulus_estimate: ("k_max", "l_max"),
@@ -238,8 +265,6 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
         gjrep.cointegration_probe: ("sigma", "n_scales", "thresholds"),
         gjrep.unpack_laurent: ("tol",),
         gjrep.solve_at: ("tol",),
-        gjrep.contour_coefficients: ("tol",),
-        gjrep.basic_solution: ("tol", "verify_tol"),
         gjrep.projections: ("tol",),
         gjrep.verify_fundamental: ("tol",),
         gjrep.separate: ("tol",),
@@ -251,6 +276,9 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
                 fn(**{keyword: None})
     assert not hasattr(gjrep, "laurent_coefficient")
+    # augment returns the linear pencil, and its offsets are the pencil's own
+    for name in ("AugmentedPencil", "singular_offsets"):
+        assert not hasattr(gjrep, name), name
     # laurent_range returns its dict, and projections checks nothing that
     # basic_solution has not already checked
     for name in ("LaurentExpansion", "ProjectionError"):
@@ -358,8 +386,8 @@ def test_analyze_fails_a_planted_block_disagreement_at_any_scale(
 ):
     real = cli.unpack_laurent
 
-    def planted(aug, coefficients):
-        n = aug.base_dim
+    def planted(poly, coefficients):
+        n = poly.dim
         big = coefficients[0].copy()
         # blocks (0, 0) and (1, 1) are the two copies of T_0; the balanced
         # error leaves their average, and so the fundamental check, as it was
@@ -367,7 +395,7 @@ def test_analyze_fails_a_planted_block_disagreement_at_any_scale(
         big[:n, :n] += error
         if balanced:
             big[n:, n:] -= error
-        return real(aug, {**coefficients, 0: big})
+        return real(poly, {**coefficients, 0: big})
 
     monkeypatch.setattr(cli, "unpack_laurent", planted)
     for scale in SCALES:
@@ -515,7 +543,7 @@ def test_demo_volterra_checks_its_outer_radius(monkeypatch, capsys):
     assert main(["demo", "--name", "volterra"]) == 0
     assert "PASS volterra.annulus_outer" in capsys.readouterr().out
     real = cli.annulus_estimate
-    monkeypatch.setattr(cli, "annulus_estimate", lambda b, p: (real(b, p)[0], 5.0))
+    monkeypatch.setattr(cli, "annulus_estimate", lambda b, p, c: (real(b, p, c)[0], 5.0))
     assert main(["demo", "--name", "volterra"]) == 2
     assert "FAIL volterra.annulus_outer" in capsys.readouterr().out
 

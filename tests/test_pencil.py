@@ -25,7 +25,6 @@ from gjrep import (
     make,
     projections,
     separate,
-    singular_offsets,
     solve_at,
     spectral_norm,
     verify_fundamental,
@@ -76,7 +75,7 @@ def _degree2_augmented():
     rng = np.random.default_rng(5)
     c0 = rng.standard_normal((4, 1)) @ rng.standard_normal((1, 4))
     poly = PolynomialPencil((c0, rng.standard_normal((4, 4)), 0.3 * np.eye(4)))
-    return augment(poly).pencil
+    return augment(poly)
 
 
 CONTOUR_PENCILS = {
@@ -92,7 +91,7 @@ def test_contour_matches_all_node_trapezoid(name):
     # running sums over the new odd nodes give the all-node rule of each round
     pencil = CONTOUR_PENCILS[name]()
     radius = default_radius(pencil)
-    got, info = contour_coefficients(pencil, (-1, 0), radius)
+    got, info = contour_coefficients(pencil, radius)
     want, nodes = trapezoid_doubling(pencil.c0, pencil.c1, (-1, 0), radius)
     assert info == {"radius": radius, "nodes": nodes}
     scale = max(spectral_norm(want[j]) for j in want)
@@ -108,7 +107,7 @@ def test_contour_keeps_no_node_values():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _, info = contour_coefficients(pencil, (-1, 0), radius)
+        _, info = contour_coefficients(pencil, radius)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -138,7 +137,7 @@ def test_default_radius_values():
 
 def test_singular_offsets_matrix():
     # the anchor contributes the zero offset; the other singularity sits at eps
-    offs = np.sort(np.abs(singular_offsets(make("matrix", eps=0.5).pencil)))
+    offs = np.sort(np.abs(make("matrix", eps=0.5).pencil.offsets))
     assert offs.size == 2
     assert offs[0] == pytest.approx(0.0, abs=1e-12)
     assert offs[1] == pytest.approx(0.5)
@@ -209,7 +208,7 @@ def test_contour_and_class_are_scale_free(name, s):
     build, want = SCALE_FREE[name]
     pencil = build()
     scaled = LinearPencil(s * pencil.c0, s * pencil.c1)
-    _, info = contour_coefficients(scaled, (-1, 0))
+    _, info = contour_coefficients(scaled)
     assert info["nodes"] == 64
     got = classify_singularity(basic_solution(scaled), scaled)
     assert (got.kind, got.order) == want
@@ -221,8 +220,8 @@ def test_contour_settles_to_the_exact_pair(name):
     # decides the accuracy: 512 nodes meet 1e-13, and TOL_CONTOUR = 1e-5
     # stops at 256 nodes with errors of order 1e-12
     e = make(name)
-    _, r_hat = annulus_estimate(e.basic, e.pencil)
-    got, _ = contour_coefficients(e.pencil, (-1, 0), 0.9 * r_hat)
+    _, r_hat = annulus_estimate(e.basic, e.pencil, classify_singularity(e.basic, e.pencil))
+    got, _ = contour_coefficients(e.pencil, 0.9 * r_hat)
     want = {-1: e.basic.t_minus_one, 0: e.basic.t_zero}
     size = max(e.basic.norms)
     for j in want:
@@ -231,19 +230,19 @@ def test_contour_settles_to_the_exact_pair(name):
 
 def test_annulus_estimates():
     e = make("matrix", eps=0.5)
-    s_hat, r_hat = annulus_estimate(e.basic, e.pencil)
+    s_hat, r_hat = annulus_estimate(e.basic, e.pencil, classify_singularity(e.basic, e.pencil))
     assert s_hat == 0.0
     assert abs(r_hat - 0.5) <= 0.05
     e = make("c0")
-    s_hat, r_hat = annulus_estimate(e.basic, e.pencil)
+    s_hat, r_hat = annulus_estimate(e.basic, e.pencil, classify_singularity(e.basic, e.pencil))
     assert s_hat == 0.0
     assert abs(r_hat - 3.0) <= 0.3
     e = make("volterra", n=32)
-    s_hat, r_hat = annulus_estimate(e.basic, e.pencil)
+    s_hat, r_hat = annulus_estimate(e.basic, e.pencil, classify_singularity(e.basic, e.pencil))
     assert s_hat > 0.1
     assert np.isinf(r_hat)
     e = make("hierarchy")
-    s_hat, r_hat = annulus_estimate(e.basic, e.pencil)
+    s_hat, r_hat = annulus_estimate(e.basic, e.pencil, classify_singularity(e.basic, e.pencil))
     assert s_hat == 0.0
     assert abs(r_hat - 0.3984375) <= 0.04
 
@@ -265,7 +264,7 @@ OUTER_RADII = {  # pencil, and the smallest offset outside the anchor's cluster
     # not move
     "c0-near-singular-slope": (lambda: make("c0", lam=0.05).pencil, 19.0),
     "hierarchy": (lambda: make("hierarchy").pencil, 0.4 * (1.0 - 2.0**-8)),
-    "polynomial": (lambda: augment(_two_root_polynomial()).pencil, 4.0),
+    "polynomial": (lambda: augment(_two_root_polynomial()), 4.0),
     "volterra": (lambda: make("volterra", n=32).pencil, np.inf),
 }
 
@@ -275,14 +274,17 @@ def test_outer_radius_is_the_smallest_offset_at_any_scale(name):
     build, want = OUTER_RADII[name]
     pencil = build()
     basic = basic_solution(pencil)
-    _, r_hat = annulus_estimate(basic, pencil)
+    sclass = classify_singularity(basic, pencil)
+    _, r_hat = annulus_estimate(basic, pencil, sclass)
     assert r_hat == pytest.approx(want, rel=1e-12)
     # the contour radius halves the same offset, or falls back to 1.0
     assert default_radius(pencil) == (r_hat / 2.0 if r_hat < np.inf else 1.0)
     for s in (1e-8, 1e8):
         scaled = LinearPencil(s * pencil.c0, s * pencil.c1)
         scaled_basic = BasicSolution(basic.t_minus_one / s, basic.t_zero / s)
-        assert annulus_estimate(scaled_basic, scaled)[1] == pytest.approx(want, rel=1e-12)
+        assert annulus_estimate(scaled_basic, scaled, sclass)[1] == pytest.approx(
+            want, rel=1e-12
+        )
 
 
 def test_projections_frozen_and_idempotent():
@@ -450,8 +452,8 @@ def test_real_route_agrees_with_the_full_complex_grid(name):
     # the rotated pair against the rotated pencil rebuilds the real analysis
     s_real, s_full = classify_singularity(real, pencil), classify_singularity(full, rotated)
     assert (s_real.kind, s_real.order) == (s_full.kind, s_full.order)
-    assert annulus_estimate(real, pencil) == pytest.approx(
-        annulus_estimate(full, rotated), rel=1e-12
+    assert annulus_estimate(real, pencil, s_real) == pytest.approx(
+        annulus_estimate(full, rotated, s_full), rel=1e-12
     )
 
 
@@ -476,7 +478,7 @@ def test_real_route_solves_half_the_grid(name, monkeypatch):
     sizes, counts = [], []
     for pen in (pencil, _rotated(pencil)):
         calls.clear()
-        got, info = contour_coefficients(pen, (-1, 0), radius)
+        got, info = contour_coefficients(pen, radius)
         assert {b.dtype for b in got.values()} == {pen.c0.dtype}
         sizes.append(info["nodes"])
         counts.append(len(calls))
@@ -495,7 +497,7 @@ def test_contour_through_a_real_singular_point_raises_on_both_routes(factor, mon
     pencil = LinearPencil(c0=factor * pencil.c0, c1=factor * pencil.c1)
     calls = _count_solves(monkeypatch)
     with pytest.raises(SingularMatrixError, match="angle 0.0000"):
-        contour_coefficients(pencil, (-1, 0), 0.5)
+        contour_coefficients(pencil, 0.5)
     assert len(calls) == 1
 
 

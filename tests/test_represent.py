@@ -249,6 +249,10 @@ def test_represent_validation():
         represent("extended_ns", model, spec, True)
     with pytest.raises(InputError):
         represent("extended_ns", model, spec, 10.0)
+    # a bound that is not finite and positive passes or fails every path
+    for tol_rep in (np.inf, np.nan, 0.0, -1e-9):
+        with pytest.raises(InputError, match="tol_rep must be finite and positive"):
+            represent("extended_ns", model, spec, 10, tol_rep=tol_rep)
     assert represent("extended_ns", model, spec, np.int64(10)).t_end == 10
 
 

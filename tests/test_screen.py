@@ -92,8 +92,9 @@ def test_screened_classification_and_annulus_match_all_svd(case):
         scaled_got = classify_singularity(scaled_basic, scaled)
         assert (scaled_got.kind, scaled_got.order) == (got.kind, got.order), s
         assert classify_singularity_literal(scaled_basic, scaled) == (got.kind, got.order), s
-    s_hat, r_hat = annulus_estimate(basic, pencil)
-    s_literal, r_literal = annulus_estimate_literal(basic, pencil)
+    s_hat, r_hat = annulus_estimate(basic, pencil, got)
+    kind, _ = classify_singularity_literal(basic, pencil)
+    s_literal, r_literal = annulus_estimate_literal(basic, pencil, kind)
     # the same float bit for bit: the inner root is an exact SVD root
     assert s_hat == s_literal
     # the outer radius is exact, and the biased root test lands within 10%
