@@ -29,6 +29,7 @@ from .errors import GjrepError, InputError, NumericError, VerificationError
 from .pencil import (
     TOL_FUND,
     LinearPencil,
+    _max_norm,
     annulus_estimate,
     basic_residuals,
     basic_solution,
@@ -96,14 +97,11 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, dict[int, n
         "radius": radius,
         "default_radius": auto_radius,
         "basic_residuals": residuals,
-        # the pair (T_{-1}, T_0) fixes every other block: laurent_range rebuilds them
+        # the pair (T_{-1}, T_0) fixes every other block and its norm, and
+        # Q = C_1 T_{-1}: laurent_range and one product rebuild them, so the
+        # report keeps only the pair's own exact norms, which the checks took
         "laurent": {str(j): _as_written(expansion[j]) for j in (-1, 0)},
-        "laurent_norms": {
-            str(j): spectral_norm(expansion[j])
-            for j in range(J_LO, J_HI + 1)
-            if j not in (-1, 0)  # T_{-1} and T_0: exact norms the checks took
-        }
-        | dict(zip(("-1", "0"), basic.norms)),
+        "laurent_norms": dict(zip(("-1", "0"), basic.norms)),
         "fundamental": {
             "window": [J_LO + 1, J_HI],
             "max_residual": fund.max_residual,
@@ -111,7 +109,6 @@ def _analyze_linear(pencil: LinearPencil, args) -> tuple[dict, bool, dict[int, n
         },
         "projections": {
             "domain_sin": _as_written(pair.domain_sin),
-            "range_sin": _as_written(pair.range_sin),
             "domain_sin_rank": int(round(np.trace(pair.domain_sin).real)),
             "range_sin_rank": int(round(np.trace(pair.range_sin).real)),
         },
@@ -142,8 +139,8 @@ def cmd_analyze(args) -> int:
             "fundamental_passed": pfund.passed,
         }
         # the block copies are rounded copies of one another: their spread
-        # scales with the augmented coefficients
-        t_size = max(report["laurent_norms"].values())
+        # scales with the augmented coefficients, the largest of the window
+        t_size = _max_norm(expansion.values())
         ok = ok and pfund.passed and disagreement <= TOL_FUND * t_size
     else:
         report, ok, _ = _analyze_linear(pencil, args)

@@ -14,6 +14,7 @@ import csv
 import io as _io
 import json
 import math
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -154,22 +155,45 @@ def components_to_csv(
 
 def _write_components(components: dict[str, Array], start: int, fh) -> None:
     """Write the CSV of ``components_to_csv`` to the text stream ``fh``, one
-    time step at a time."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "component", "coordinate", "re", "im"])
+    time step at a time, each step's rows in one write.
+
+    A component name goes through ``csv`` once, so it is quoted as a
+    ``csv.writer`` row would quote it; every other field is an integer or a
+    float repr, which needs no quoting.
+    """
+    fh.write("t,component,coordinate,re,im\n")
     names = sorted(components)
-    if not names:
-        return
-    rows = {name: np.asarray(components[name]) for name in names}
-    length = {arr.shape[0] for arr in rows.values()}
-    if len(length) != 1:
+    columns = []
+    for name in names:
+        table = np.asarray(components[name])
+        if table.dtype.kind not in "fc":
+            table = table.astype(np.complex128)  # as complex() reads an integer
+        if table.ndim not in (1, 2):
+            raise InputError(f"component {name!r} must be a (T + 1,) or (T + 1, n) table")
+        if table.ndim == 1:
+            table = table[:, None]
+        head = _csv_fields(name)
+        columns.append(([f"{head}{c}," for c in range(table.shape[1])], table))
+    if len({len(table) for _, table in columns}) > 1:
         raise InputError("all components must share one time range")
-    for i in range(length.pop()):
-        t = start + i
-        for name in names:
-            for coord, z in enumerate(np.atleast_1d(rows[name][i]).tolist()):
-                z = complex(z)
-                writer.writerow([t, name, coord, repr(z.real), repr(z.imag)])
+    for i in range(len(columns[0][1]) if columns else 0):
+        t = str(start + i)
+        lines = []
+        for fields, table in columns:
+            row = table[i]
+            if row.dtype.kind == "c":
+                re, im = row.real.tolist(), row.imag.tolist()
+            else:
+                re, im = row.tolist(), repeat(0.0)
+            lines += [f"{t}{f}{x!r},{y!r}\n" for f, x, y in zip(fields, re, im)]
+        fh.write("".join(lines))
+
+
+def _csv_fields(name: str) -> str:
+    """``",name,"``: the separators around ``name`` in a ``csv.writer`` row."""
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", name, ""])
+    return buf.getvalue()[:-1]
 
 
 def trajectory_to_csv(traj: Trajectory, component: str = "x") -> str:

@@ -7,6 +7,8 @@ sides of every comparison fail independently.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from math import comb
 
@@ -249,6 +251,22 @@ def report_text(report):
     then ``json.dumps(sort_keys=True, indent=2)``.
     """
     return json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"
+
+
+def components_csv_literal(components, start):
+    """The CSV of ``components_to_csv`` by the literal route: one
+    ``csv.writer`` row per entry, with a ``complex()`` and two ``repr`` calls."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "component", "coordinate", "re", "im"])
+    names = sorted(components)
+    rows = {name: np.asarray(components[name]) for name in names}
+    for i in range(len(rows[names[0]]) if names else 0):
+        for name in names:
+            for coord, z in enumerate(np.atleast_1d(rows[name][i]).tolist()):
+                z = complex(z)
+                writer.writerow([start + i, name, coord, repr(z.real), repr(z.imag)])
+    return buf.getvalue()
 
 
 def causal_stack_apply(stack: np.ndarray, signal: np.ndarray) -> np.ndarray:

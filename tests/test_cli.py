@@ -26,6 +26,7 @@ from gjrep import (
     default_radius,
     laurent_range,
     make,
+    projections,
     sin_basis,
     unpack_laurent,
 )
@@ -33,6 +34,7 @@ from gjrep import cli
 from gjrep import io as gio
 from gjrep.cli import main
 from gjrep.io import dump_model, dump_pencil
+from gjrep.pencil import _max_norm
 from oracles import annulus_estimate_literal, jordan_similarity, report_text
 
 
@@ -69,9 +71,11 @@ def test_analyze_report(matrix_pencil_file, tmp_path):
     assert rep["fundamental"]["passed"] is True
     assert rep["fundamental"]["max_residual"] <= 1e-10
     assert rep["separation"]["passed"] is True
-    # the report keeps the determining pair; the norms still span the window
+    # the report keeps the determining pair and its norms, and of Q = C_1 T_{-1}
+    # only the rank: the pair rebuilds the rest
     assert set(rep["laurent"]) == {"-1", "0"}
-    assert set(rep["laurent_norms"]) == {str(j) for j in range(-3, 7)}
+    assert set(rep["laurent_norms"]) == {"-1", "0"}
+    assert set(rep["projections"]) == {"domain_sin", "domain_sin_rank", "range_sin_rank"}
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e10])
@@ -170,6 +174,28 @@ PAIR_PENCILS = {
 }
 
 
+@pytest.mark.parametrize("case", [*PAIR_PENCILS, "similarity"])
+def test_written_pair_rebuilds_range_sin_and_its_rank(case, tmp_path):
+    # Q = C_1 T_{-1} is one product of the pencil with the written pair: the
+    # same operation as projections(), so the same bits, real pencils included
+    pencil = {**PAIR_PENCILS, "similarity": _similarity_pencil}[case]()
+    report = _analyze_report(pencil, tmp_path)
+    rebuilt = pencil.c1 @ _written_pair(report).t_minus_one
+    basic = basic_solution(pencil, radius=default_radius(pencil))
+    assert np.array_equal(rebuilt, projections(basic, pencil).range_sin)
+    assert round(np.trace(rebuilt).real) == report["projections"]["range_sin_rank"]
+
+
+def test_polynomial_unpack_scale_is_the_largest_exact_norm():
+    # the unpack bound's scale: the screened maximum over the ten blocks of
+    # the window is the exact SVD maximum, bit for bit
+    aug = augment(_degree2_pencil())
+    table = _live_table(aug)
+    assert len(table) == 10
+    want = max(float(np.linalg.norm(block, 2)) for block in table.values())
+    assert _max_norm(table.values()) == want
+
+
 @pytest.mark.parametrize("case", PAIR_PENCILS)
 def test_written_pair_rebuilds_the_whole_table(case, tmp_path):
     # floats are written as their shortest repr, so the pair reads back bit
@@ -189,7 +215,7 @@ def test_real_pencil_writes_complex_pairs_with_zero_imaginary_parts(tmp_path):
     assert pencil.c0.dtype == np.float64
     report = _analyze_report(pencil, tmp_path)
     mats = [report["laurent"][j] for j in ("-1", "0")]
-    mats += [report["projections"][k] for k in ("domain_sin", "range_sin")]
+    mats.append(report["projections"]["domain_sin"])
     for mat in mats:
         arr = np.asarray(mat)
         assert arr.dtype == np.float64 and arr.shape == (12, 12, 2)
@@ -656,9 +682,10 @@ def test_unwritable_out_is_an_input_error(
 
 def test_analyze_streams_a_large_report(tmp_path):
     # Volterra at n = 128 (C_0 strictly lower with entries 1/n, C_1 = -(I - C_0)):
-    # its report is 3.8 MB.  Built whole, the text and its list of leaves
-    # held a traced peak of 15.0 MB; streamed a matrix row at a time, the
-    # run peaks at about 9.2 MB, mostly the pencil file's JSON and the analysis
+    # its report is 2.9 MB (3.8 MB while it carried range_sin).  Built whole,
+    # the 3.8 MB text and its list of leaves held a traced peak of 15.0 MB;
+    # streamed a matrix row at a time, the run peaks at about 9.2 MB, mostly
+    # the pencil file's JSON and the analysis
     n = 128
     v = np.tril(np.full((n, n), 1.0 / n), -1)
     path = tmp_path / "volterra128.json"
@@ -670,7 +697,7 @@ def test_analyze_streams_a_large_report(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.stat().st_size > 3_500_000
+    assert out.stat().st_size > 2_800_000
     assert peak <= 11e6, peak
 
 

@@ -27,7 +27,7 @@ from gjrep.io import (
     trajectory_to_csv,
 )
 from gjrep.arma import Trajectory
-from oracles import complex_lists, report_text
+from oracles import complex_lists, components_csv_literal, report_text
 
 
 def test_complex_roundtrip():
@@ -152,6 +152,26 @@ def test_trajectory_csv():
     lines = text.strip().split("\n")
     assert lines[1].split(",")[:3] == ["2", "x", "0"]
     assert len(lines) == 3
+
+
+def test_csv_bytes_match_the_row_by_row_writer():
+    rng = np.random.default_rng(3)
+    tables = {
+        "complex": rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)),
+        "real": rng.standard_normal((6, 2)) * 10.0 ** rng.integers(-300, 300, (6, 2)),
+        "one_d": rng.standard_normal(6),
+        "non_finite": np.array(
+            [[complex(np.nan, 0.0), complex(-0.0, np.nan)], [complex(np.inf, -np.inf), 1.0],
+             [complex(-np.inf, 1e-320), complex(2.0, np.inf)]] * 2
+        ),
+        "real_non_finite": np.array([[np.nan, -0.0], [np.inf, -np.inf], [5e-324, 1e308]] * 2),
+        "int": np.arange(12).reshape(6, 2),
+        'needs "quotes", here': np.full((6, 1), 0.5),
+        "": np.zeros(6),
+    }
+    for names in (tables, {"real": tables["real"]}, {"one_d": tables["one_d"]}, {}):
+        assert components_to_csv(names, -2) == components_csv_literal(names, -2)
+    assert '\n-2,"needs ""quotes"", here",0,0.5,0.0\n' in components_to_csv(tables, -2)
 
 
 def test_reports_deterministic_and_sorted():
