@@ -17,6 +17,9 @@ The package splits into:
 - :mod:`gjrep.corpus` -- worked examples with closed forms attached.
 - :mod:`gjrep.io` / :mod:`gjrep.cli` -- JSON/CSV serialisation and the
   command-line front end.
+
+A representation reads two inputs, each with one owner: the pair
+``(T_{-1}, T_0)`` from ``basic_solution``, and ``ArmaModel.a0_inv``.
 """
 
 from .arma import (
@@ -36,7 +39,6 @@ from .augment import (
 )
 from .chains import (
     ChainResult,
-    max_principal_angle,
     reg_basis,
     regular_chain,
     sin_basis,
@@ -75,7 +77,6 @@ from .pencil import (
     basic_residuals,
     basic_solution,
     classify_singularity,
-    closed_form_parts,
     closed_form_resolvent,
     contour_coefficients,
     default_radius,
@@ -134,7 +135,6 @@ __all__ = [
     "basic_residuals",
     "basic_solution",
     "classify_singularity",
-    "closed_form_parts",
     "closed_form_resolvent",
     "cointegration_probe",
     "contour_coefficients",
@@ -147,7 +147,6 @@ __all__ = [
     "make_hierarchy_example",
     "make_matrix_example",
     "make_volterra_example",
-    "max_principal_angle",
     "projections",
     "reduce_arma",
     "reg_basis",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,14 @@ class ArmaModel:
 
     def pencil(self) -> LinearPencil:
         return LinearPencil(c0=self.a0 + self.a1, c1=self.a1)
+
+    @cached_property
+    def a0_inv(self) -> Array:
+        """``A_0^{-1}``, read-only and solved once per model: the one factorisation
+        of ``A_0`` that the oracle, the extended forms and the order probe read."""
+        inv = _checked_solve(self.a0, np.eye(self.dim), "contemporaneous coefficient A_0")
+        inv.flags.writeable = False
+        return inv
 
 
 @dataclass(frozen=True)
@@ -195,8 +204,7 @@ def simulate_recursion(model: ArmaModel, g: Trajectory, t_end: int) -> Trajector
     """
     if g.start > 0 or g.end < t_end:
         raise InputError(f"drive must cover [0, {t_end}], has [{g.start}, {g.end}]")
-    a0_inv = _checked_solve(model.a0, np.eye(model.dim), "contemporaneous coefficient A_0")
-    step = -(a0_inv @ model.a1)
-    drive = g.window(0, t_end) @ a0_inv.T
+    step = -(model.a0_inv @ model.a1)
+    drive = g.window(0, t_end) @ model.a0_inv.T
     path = kernels.arma_recursion(step, drive[:, :, None], model.c[:, None])
     return Trajectory(start=0, values=path[:, :, 0])

@@ -137,18 +137,13 @@ class StackedArma:
     block: int
     base_dim: int
 
-    def model(self, presample_x: Array | None = None) -> ArmaModel:
-        """Stacked model with initial state ``(x(-r), ..., x(-1))``.
-
-        ``presample_x`` has shape (r, n); omitted means a zero presample,
+    def model(self) -> ArmaModel:
+        """Stacked model with the zero initial state ``(x(-r), ..., x(-1))``,
         which is exact because the stacked coefficients never reach values
-        of x below the autoregressive depth.
-        """
-        r, n = self.block, self.base_dim
-        x = np.zeros((r, n)) if presample_x is None else np.asarray(presample_x)
-        if x.shape != (r, n):
-            raise InputError(f"presample_x must be ({r}, {n})")
-        return ArmaModel(a0=self.a0, a1=self.a1, f0=self.f0, f1=self.f1, c=x.reshape(r * n))
+        of x below the autoregressive depth."""
+        return ArmaModel(
+            a0=self.a0, a1=self.a1, f0=self.f0, f1=self.f1, c=np.zeros(self.block * self.base_dim)
+        )
 
     def stack(self, w: Trajectory) -> Trajectory:
         """Noise blocks ``(w(r*tau), ..., w(r*tau + r - 1))`` from block time -1.

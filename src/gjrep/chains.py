@@ -12,6 +12,9 @@ not stop (Moler & Stewart, SIAM J. Numer. Anal. 10, 1973; Van Dooren, LAA 27,
 are ``pencil._schur_basis``, beside the contour radius's cut of the same
 cluster.  They coincide with the ranges of the spectral projections computed
 from the basic solution, an independent cross-check between the two routes.
+
+Only the pencil is read here: the pair is ``basic_solution``'s, and
+``A_0^{-1}`` is ``ArmaModel.a0_inv``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ChainStepError
 from .pencil import Array, LinearPencil, _schur_basis, as_vector
@@ -160,12 +162,3 @@ def reg_basis(pencil: LinearPencil) -> Array:
     """
     return _schur_basis(pencil, False)
 
-
-def max_principal_angle(a: Array, b: Array) -> float:
-    """Largest principal angle between the column spans (radians)."""
-    if a.shape[1] != b.shape[1]:
-        return float(np.pi / 2)
-    if a.shape[1] == 0:
-        return 0.0
-    angles = scipy.linalg.subspace_angles(a, b)
-    return float(angles.max()) if angles.size else 0.0

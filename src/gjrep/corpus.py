@@ -69,7 +69,6 @@ def make_matrix_example(eps: float = 0.5) -> CorpusEntry:
             "range_sin": np.array([[0.0, 1.0], [0.0, 1.0]]),
             "pole_order": 1,
             "annulus": (0.0, abs(eps)),
-            "other_offsets": (eps,),
             "default_radius": abs(eps) / 2.0,
             "resolvent": resolvent,
             "t_neg": t_neg,

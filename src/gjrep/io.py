@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .arma import ArmaModel, NoiseSpec, Trajectory
+from .arma import ArmaModel, NoiseSpec
 from .augment import PolynomialPencil
 from .errors import InputError
 from .pencil import Array, LinearPencil
@@ -194,10 +194,6 @@ def _csv_fields(name: str) -> str:
     buf = _io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(["", name, ""])
     return buf.getvalue()[:-1]
-
-
-def trajectory_to_csv(traj: Trajectory, component: str = "x") -> str:
-    return components_to_csv({component: traj.values}, traj.start)
 
 
 # the C encoder's text for non-finite floats -> the strings a report carries instead

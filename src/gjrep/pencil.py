@@ -267,15 +267,6 @@ class LinearPencil:
     def dim(self) -> int:
         return self.c0.shape[0]
 
-    # Lag-polynomial view A(z) = a0 + a1*z of the same pencil.
-    @property
-    def a0(self) -> Array:
-        return self.c0 - self.c1
-
-    @property
-    def a1(self) -> Array:
-        return self.c1
-
     @property
     def coeffs(self) -> tuple[Array, Array]:
         """``(c0, c1)``: the degree-1 case of ``PolynomialPencil.coeffs``."""
@@ -787,14 +778,13 @@ def annulus_estimate(
     return _screened_max(top), _outer_offset(pencil)
 
 
-def closed_form_parts(
-    basic: BasicSolution, pencil: LinearPencil, z: complex
-) -> tuple[Array, Array]:
-    """Singular and regular resolvent parts at ``z`` in closed form.
+def closed_form_resolvent(basic: BasicSolution, pencil: LinearPencil, z: complex) -> Array:
+    """The resolvent at ``z`` summed in closed form from the pair.
 
     ``R_sin(z) = [ (z-1) I + T_{-1} C_0 ]^{-1} T_{-1}`` sums the whole
-    principal series; ``R_reg(z) = [ I + T_0 C_1 (z-1) ]^{-1} T_0`` sums the
-    regular series.  Valid on the annulus of the expansion.
+    principal series and ``R_reg(z) = [ I + T_0 C_1 (z-1) ]^{-1} T_0`` the
+    regular series; ``R(z) = R_sin(z) + R_reg(z)`` on the annulus of the
+    expansion.
     """
     w = z - 1.0
     eye = np.eye(pencil.dim, dtype=np.result_type(w, pencil.c0))
@@ -804,11 +794,6 @@ def closed_form_parts(
         sin_core, basic.t_minus_one, f"closed-form singular factor at z = {z}"
     )
     r_reg = _checked_solve(reg_core, basic.t_zero, f"closed-form regular factor at z = {z}")
-    return r_sin, r_reg
-
-
-def closed_form_resolvent(basic: BasicSolution, pencil: LinearPencil, z: complex) -> Array:
-    r_sin, r_reg = closed_form_parts(basic, pencil, z)
     return r_sin + r_reg
 
 

@@ -55,6 +55,10 @@ over every difference order.  That radius is the exact ``r_hat`` of
 Each form runs in the result type of the pencil, the pair, the drive and
 the initial state: float64 for a real model and its own pair, complex128
 once any of them, a complex ``basic`` included, is complex.
+
+The pair ``(T_{-1}, T_0)`` is the caller's ``basic`` (by default
+``basic_solution`` of the model's pencil), and ``A_0^{-1}`` is the model's
+cached ``ArmaModel.a0_inv``; the extended forms take ``A_1`` from the model.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from .pencil import (
 )
 
 FORMS = ("natural_ns", "natural_s", "extended_ns", "extended_s")
+TOL_REP = 1e-6  # largest reconstruction error a path passes with
 SPLIT_TOL = 1e-8  # largest leak the projection split allows
 PROBE_SCALES = 10  # window lengths on the probe's geometric grid
 PROBE_THRESHOLDS = (0.3, 0.6, 1.4)  # variance-slope cuts between the probe's labels
@@ -103,11 +108,9 @@ class RepresentationReport:
     oracle: Array
     residual_max: float
     residual_mean: float
-    budgets: dict[str, float]
     s_hat: float
     r_hat: float
     singularity: SingularityClass
-    tol_rep: float
     passed: bool
 
 
@@ -118,25 +121,21 @@ def represent(
     t_end: int,
     *,
     basic: BasicSolution | None = None,
-    tol_rep: float = 1e-6,
-    radius: float | None = None,
 ) -> RepresentationReport:
     """Decompose the simulated path per ``form`` and verify the reconstruction.
 
     Simulates the seeded noise, builds the MA(1) drive, runs the plain
     recursion as the oracle, assembles the five components of the requested
     form, and reports the worst reconstruction error, which passes at or
-    below ``tol_rep``.  A ``tol_rep`` that is not finite and positive would
-    pass or fail every path, so it raises InputError, before any work.
+    below ``TOL_REP``.  ``basic`` is the Laurent pair of the model's pencil;
+    omitted, it is ``basic_solution(model.pencil())``.
     """
     if form not in FORMS:
         raise InputError(f"unknown form {form!r}; expected one of {FORMS}")
-    if not 0.0 < tol_rep < np.inf:  # also False for NaN
-        raise InputError(f"tol_rep must be finite and positive, got {tol_rep}")
     t_end = _checked_integer(t_end, "t_end", 0)
     pencil = model.pencil()
     if basic is None:
-        basic = basic_solution(pencil, radius=radius)
+        basic = basic_solution(pencil)
 
     g = ma1_g(model, simulate_noise(noise, t_end))  # covers [-burn_in, t_end]
     oracle = simulate_recursion(model, g, t_end)
@@ -168,7 +167,6 @@ def represent(
     sin = kernels.arma_recursion(w_sin, drive, np.zeros((n, 2)))
     trend, det_sin = sin[:, :, 0], sin[:, :, 1]
 
-    budgets: dict[str, float] = {"presample": float(presample)}
     start = presample if form.endswith("_s") else 0
     if form.startswith("natural"):
         if r_hat <= 1.0:
@@ -184,10 +182,8 @@ def represent(
     else:
         # Q_s = (P^c S_A)^s P^c A_0^{-1}: every extended term is a recursion in
         # the projected step, which is zero on the singular directions
-        a0_inv = _checked_solve(pencil.a0, eye, "contemporaneous coefficient A_0")
-        gain = basic.t_zero @ pencil.c0 @ a0_inv
-        step = -(gain @ pencil.a1)
-        budgets["convolution_depth"] = float(t_end + start)
+        gain = basic.t_zero @ pencil.c0 @ model.a0_inv
+        step = -(gain @ model.a1)
     # columns: the drive from -start on; the impulse -gain C_1 c at t = 0;
     # minus the presample drive alone, which from t = 0 on is the
     # propagated history -step^(t+1) z(-1)
@@ -225,12 +221,10 @@ def represent(
         oracle=oracle.values,
         residual_max=residual_max,
         residual_mean=residual_mean,
-        budgets=budgets,
         s_hat=s_hat,
         r_hat=r_hat,
         singularity=sclass,
-        tol_rep=tol_rep,
-        passed=residual_max <= tol_rep,
+        passed=residual_max <= TOL_REP,
     )
 
 
@@ -394,9 +388,8 @@ def _probe_slopes(
     series, which both slopes take in as it is made.
     """
     n = model.dim
-    a0_inv = _checked_solve(model.a0, np.eye(n), "contemporaneous coefficient A_0")
-    step = -(a0_inv @ model.a1)
-    gain0, gain1 = a0_inv @ model.f0, a0_inv @ model.f1
+    step = -(model.a0_inv @ model.a1)
+    gain0, gain1 = model.a0_inv @ model.f0, model.a0_inv @ model.f1
     # both products write into one buffer of the gains' one type; a complex
     # gain acts on the real noise as the real view of its transpose, so the
     # noise is never cast to complex and the product is read back as dt

@@ -167,9 +167,9 @@ LEDGER = (
     Mutant(
         "tol-rep",
         "represent.py",
-        "passed=residual_max <= tol_rep,",
-        "passed=residual_max <= 1e3 * tol_rep,",
-        "represent: residual_max <= tol_rep",
+        "passed=residual_max <= TOL_REP,",
+        "passed=residual_max <= 1e3 * TOL_REP,",
+        "represent: residual_max <= TOL_REP",
         "waits: ROADMAP item 3 (the relative path verdicts)",
     ),
     Mutant(
@@ -184,7 +184,7 @@ LEDGER = (
 
 
 def _tier1(tree: Path) -> str | None:
-    """Run tier-1 in ``tree`` (a copy of src/, tests/ and pyproject.toml);
+    """Run tier-1 in ``tree`` (a copy of src/, tests/, pyproject.toml and README.md);
     the first failing test, or None when the suite passes."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -202,7 +202,8 @@ def _fresh_tree(base: Path) -> Path:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, tree / part, ignore=ignore)
-    shutil.copy(ROOT / "pyproject.toml", tree)
+    for name in ("pyproject.toml", "README.md"):  # tier-1 reads the README's flag list
+        shutil.copy(ROOT / name, tree)
     return tree
 
 

@@ -455,6 +455,17 @@ def qz_basis_sorted(c0, c1, singular, *, zero_tol=1e-6):
     return z[:, : int(side(alpha, beta).sum())]
 
 
+def max_principal_angle(a, b):
+    """Largest principal angle between the column spans (radians); pi / 2
+    when the spans differ in dimension."""
+    if a.shape[1] != b.shape[1]:
+        return float(np.pi / 2)
+    if a.shape[1] == 0:
+        return 0.0
+    angles = scipy.linalg.subspace_angles(a, b)
+    return float(angles.max()) if angles.size else 0.0
+
+
 def lstsq_chain(matrix, partner, seed, *, steps=16, tol=1e-9, project=None):
     """Chain ``matrix @ x_next = -partner @ x`` with one ``lstsq`` per step.
 

@@ -187,6 +187,4 @@ def test_stack_validation():
     with pytest.raises(InputError):
         stacked.stack(Trajectory(start=0, values=np.zeros((6, 2))))
     with pytest.raises(InputError):
-        stacked.model(presample_x=np.zeros((3, 2)))
-    with pytest.raises(InputError):
         reduce_arma([], [np.eye(2)])

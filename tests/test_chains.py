@@ -9,14 +9,19 @@ from gjrep import (
     LinearPencil,
     basic_solution,
     make,
-    max_principal_angle,
     projections,
     reg_basis,
     regular_chain,
     sin_basis,
     singular_chain,
 )
-from oracles import jordan_similarity, jordan_span, qz_basis_sorted, random_unit_root_pencil
+from oracles import (
+    jordan_similarity,
+    jordan_span,
+    max_principal_angle,
+    qz_basis_sorted,
+    random_unit_root_pencil,
+)
 
 
 def _e(i, n):

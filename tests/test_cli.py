@@ -1,9 +1,11 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -259,9 +261,6 @@ def test_analyze_input_errors(tmp_path):
 
 
 def test_config_validation(matrix_pencil_file, matrix_model_file, tmp_path):
-    rep = ["represent", "--model", matrix_model_file, "--form", "extended_ns", "--T", "20"]
-    for tol_rep in ("-1e-9", "0", "inf"):
-        assert main([*rep, "--tol-rep", tol_rep]) == 3, tol_rep
     # a contour radius that is not finite and positive, for both commands
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
@@ -274,7 +273,7 @@ def test_config_validation(matrix_pencil_file, matrix_model_file, tmp_path):
             assert main([*argv, f"--radius={radius}"]) == 3, (argv, radius)
 
 
-def test_one_value_settings_are_gone(matrix_pencil_file):
+def test_one_value_settings_are_gone(matrix_pencil_file, matrix_model_file):
     # each of these keywords had one value in use; it is a module constant now
     # or, for the probe's noise scale, gone because it changed no result
     removed = {
@@ -324,6 +323,26 @@ def test_one_value_settings_are_gone(matrix_pencil_file):
     assert not hasattr(gjrep, "BlockInconsistent")
     # an unknown flag is a usage error, whatever its value
     assert main(["analyze", "--pencil", matrix_pencil_file, "--nodes", "32"]) == 3
+    # represent takes the pair as its one contour input and reads TOL_REP;
+    # the pair's caller picks the radius
+    for keyword in ("tol_rep", "radius"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            gjrep.represent(**{keyword: None})
+    fields = {f.name for f in dataclasses.fields(gjrep.RepresentationReport)}
+    assert not fields & {"tol_rep", "budgets"}
+    rep = ["represent", "--model", matrix_model_file, "--form", "extended_ns", "--T", "20"]
+    assert main([*rep, "--tol-rep", "1e-6"]) == 3
+    # analyze writes JSON only: its one-choice --format is gone
+    assert main(["analyze", "--pencil", matrix_pencil_file, "--format", "json"]) == 3
+    # no caller but the tests passed a presample or called these names; the
+    # extended forms read A_0 and A_1 from the model, not from the pencil
+    with pytest.raises(TypeError, match="unexpected keyword argument 'presample_x'"):
+        gjrep.reduce_arma([np.eye(2)] * 2, [np.eye(2)]).model(presample_x=np.zeros((1, 2)))
+    for name in ("closed_form_parts", "max_principal_angle"):
+        assert not hasattr(gjrep, name), name
+    assert not hasattr(gio, "trajectory_to_csv")
+    for name in ("a0", "a1"):
+        assert not hasattr(gjrep.LinearPencil, name), name
 
 
 def test_literal_regular_series_is_gone(matrix_model_file, tmp_path):
@@ -344,7 +363,7 @@ def test_literal_regular_series_is_gone(matrix_model_file, tmp_path):
     assert main([*base, "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert "tol_tail" not in rep
-    assert set(rep["budgets"]) == {"presample", "convolution_depth"}
+    assert "budgets" not in rep and rep["tol_rep"] == 1e-6
 
 
 def _scaled(pencil, s):
@@ -448,7 +467,7 @@ def test_represent_json_and_csv(matrix_model_file, tmp_path, capsys):
     assert rep["passed"] is True
     assert rep["residual_max"] <= 1e-6
     assert rep["form"] == "extended_s"
-    assert "budgets" in rep and "annulus" in rep
+    assert "annulus" in rep
 
     csv_out = tmp_path / "rep.csv"
     code = main(
@@ -807,3 +826,17 @@ def test_represent_refuses_a_contour_around_a_second_root(radius, tmp_path, caps
     assert main(argv) == 0
     assert main([*argv, f"--radius={radius}"]) == 4
     assert "ClassificationInconclusive" in capsys.readouterr().err
+
+
+def test_readme_documents_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        f"{command} {flag}"
+        for command, subparser in sub.choices.items()
+        for action in subparser._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+        and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme)
+    ]
+    assert missing == []

@@ -12,7 +12,6 @@ from gjrep import (
     make,
     make_hierarchy_example,
     make_volterra_example,
-    max_principal_angle,
     projections,
     regular_chain,
     sin_basis,
@@ -20,6 +19,7 @@ from gjrep import (
     solve_at,
     spectral_norm,
 )
+from oracles import max_principal_angle
 
 ALL = ("matrix", "c0", "volterra", "hierarchy")
 

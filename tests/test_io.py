@@ -24,7 +24,6 @@ from gjrep.io import (
     encode_complex,
     load_model,
     load_pencil,
-    trajectory_to_csv,
 )
 from gjrep.arma import Trajectory
 from oracles import complex_lists, components_csv_literal, report_text
@@ -148,7 +147,7 @@ def test_components_csv_layout():
 
 def test_trajectory_csv():
     traj = Trajectory(start=2, values=np.array([[1.0, 2.0]], dtype=complex))
-    text = trajectory_to_csv(traj)
+    text = components_to_csv({"x": traj.values}, traj.start)
     lines = text.strip().split("\n")
     assert lines[1].split(",")[:3] == ["2", "x", "0"]
     assert len(lines) == 3

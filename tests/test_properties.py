@@ -173,7 +173,7 @@ def test_stacked_reduction_matches_oracle(seed, p, q):
 
     stacked = reduce_arma(a, f)
     big = stacked.stack(w)
-    model = stacked.model(None)
+    model = stacked.model()
     blocks = big.values.shape[0]
     drive = np.stack(
         [
