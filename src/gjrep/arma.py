@@ -50,7 +50,10 @@ class ArmaModel:
     def dim(self) -> int:
         return self.a0.shape[0]
 
+    @cached_property
     def pencil(self) -> LinearPencil:
+        """The anchored pencil ``(A_0 + A_1, A_1)``, built once per model, so
+        its cached offsets and norms serve every caller."""
         return LinearPencil(c0=self.a0 + self.a1, c1=self.a1)
 
     @cached_property

@@ -36,15 +36,14 @@ CHAIN_TOL = 1e-9
 class ChainResult:
     """A finite stretch of a chain with its decay/growth diagnostics.
 
-    ``vectors[0]`` is the seed.  ``root_rates[i]`` is ``||x_n||^{1/n}``
-    for n = i + 1; ``tail_ratio`` is the last consecutive norm ratio,
-    which converges much faster than the root test on exactly geometric
-    chains.  ``terminated`` marks a chain that hit (numerical) zero.
+    ``vectors[0]`` is the seed.  ``tail_ratio`` is the last consecutive
+    norm ratio, which converges much faster than the root test
+    ``||x_n||^{1/n}`` on exactly geometric chains.  ``terminated`` marks a
+    chain that hit (numerical) zero.
     """
 
     vectors: tuple[Array, ...]
     norms: tuple[float, ...]
-    root_rates: tuple[float, ...]
     tail_ratio: float
     terminated: bool
 
@@ -88,14 +87,12 @@ def _extend(
         if nrm <= CHAIN_TOL * norms[0]:
             terminated = True
             break
-    root_rates = tuple(norms[n] ** (1.0 / n) for n in range(1, len(norms)))
     tail_ratio = 0.0
     if len(norms) >= 2 and norms[-2] > 0:
         tail_ratio = norms[-1] / norms[-2]
     return ChainResult(
         vectors=tuple(vectors),
         norms=tuple(norms),
-        root_rates=root_rates,
         tail_ratio=tail_ratio,
         terminated=terminated,
     )

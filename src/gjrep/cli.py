@@ -29,7 +29,7 @@ from .errors import GjrepError, InputError, NumericError, VerificationError
 from .pencil import (
     TOL_FUND,
     LinearPencil,
-    _max_norm,
+    _screened,
     annulus_estimate,
     basic_residuals,
     basic_solution,
@@ -140,8 +140,10 @@ def cmd_analyze(args) -> int:
         }
         # the block copies are rounded copies of one another: their spread
         # scales with the augmented coefficients, the largest of the window
-        t_size = _max_norm(expansion.values())
-        ok = ok and pfund.passed and disagreement <= TOL_FUND * t_size
+        unpacked = _screened(
+            lambda *t_sizes: disagreement <= TOL_FUND * max(t_sizes), helpful=expansion.values()
+        )
+        ok = ok and pfund.passed and unpacked
     else:
         report, ok, _ = _analyze_linear(pencil, args)
     _write_out(functools.partial(gio._write_report, report), args.out)
@@ -157,7 +159,7 @@ def cmd_represent(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     if args.burn_in is not None:
         spec = dataclasses.replace(spec, burn_in=args.burn_in)
-    basic = basic_solution(model.pencil(), radius=args.radius)
+    basic = basic_solution(model.pencil, radius=args.radius)
     report = represent(args.form, model, spec, args.T, basic=basic)
     summary = {
         "form": report.form,

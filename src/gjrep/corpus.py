@@ -29,7 +29,6 @@ class CorpusEntry:
     pencil: LinearPencil
     basic: BasicSolution
     expected: dict = field(default_factory=dict)
-    notes: str = ""
 
 
 def make_matrix_example(eps: float = 0.5) -> CorpusEntry:
@@ -75,10 +74,6 @@ def make_matrix_example(eps: float = 0.5) -> CorpusEntry:
             "t_pos": t_pos,
             "sin_span": np.array([[1.0], [0.0]]),
         },
-        notes=(
-            "order-1 pole; the lone other singular offset eps makes the "
-            "regular annulus razor thin for small eps"
-        ),
     )
 
 
@@ -153,10 +148,6 @@ def make_c0_example(lam: float = 0.25, n: int = 10) -> CorpusEntry:
             "singular_chain_rate": lambda m: (1.0 - lam**m) / lam**m,
             "regular_chain_rate": lambda m: lam**m / (1.0 - lam**m),
         },
-        notes=(
-            "order-2 pole from the Jordan block; AR coordinates give "
-            "explicit geometric regular coefficients"
-        ),
     )
 
 
@@ -201,10 +192,6 @@ def make_volterra_example(n: int = 64) -> CorpusEntry:
             "annulus_outer": np.inf,
             "default_radius": 1.0,
         },
-        notes=(
-            "strictly-triangular averaging kernel; all generalized "
-            "eigenvalue offsets vanish, so the default radius falls back"
-        ),
     )
 
 
@@ -281,10 +268,6 @@ def make_hierarchy_example(base: float = 0.4, n: int = 8) -> CorpusEntry:
             "t_pos": t_pos,
             "regular_chain_rate": 1.0 / sigma,
         },
-        notes=(
-            "nilpotent cascade of depth n plus a rank-one relaxing "
-            "aggregate; pole order n inside dimension n + 1"
-        ),
     )
 
 

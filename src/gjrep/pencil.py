@@ -25,12 +25,13 @@ every one-step matrix recurrence ``X_{t+1} = -S X_t`` through one generator
 Spectral norms follow one rule.  A norm that a report writes is an exact SVD
 norm (``spectral_norm``), computed once per object where several checks share
 it (``LinearPencil.norms``, ``BasicSolution.norms``).  A norm that only feeds
-a pass/fail verdict is first screened with certified two-sided bounds
-(``_norm_bounds``, O(n^2) work), and the SVD is taken only when the bounds
-straddle the verdict's threshold.  The verdicts are therefore exactly those
-of the all-SVD evaluation.  A written maximum over many terms
-(``_screened_max``) is exact too: only the terms whose upper bound reaches
-the largest lower bound can hold it, so only those take an SVD.
+a pass/fail verdict is screened: one ``_Norm`` holds the matrix, its
+certified two-sided bounds (``_norm_bounds``, O(n^2) work) and, once taken,
+its exact SVD norm.  ``_screened`` takes the SVDs only when the bounds
+straddle the verdict's threshold, so the verdicts are exactly those of the
+all-SVD evaluation, the classification's included.  A written maximum over
+many terms (``_screened_max``) is exact too: only the terms whose upper
+bound reaches the largest lower bound can hold it, so only those take an SVD.
 
 A real pencil (both coefficients with zero imaginary part) is stored in
 float64.  Its resolvent satisfies ``R(conj z) = conj R(z)``, so its Laurent
@@ -195,49 +196,60 @@ def _times_pow2(x: float, e: int) -> float:
         return np.inf
 
 
+class _Norm:
+    """``||a||`` as the screens read it: ``lo <= ||a|| <= hi`` from
+    ``_norm_bounds``, or from ``bounds`` (``(x, x)`` for a norm already
+    exact), narrowed to the exact SVD norm at most once by ``exact``."""
+
+    def __init__(self, a: Array | None, bounds: tuple[float, float] | None = None):
+        self.a = a
+        self.lo, self.hi = _norm_bounds(a) if bounds is None else bounds
+
+    def exact(self) -> float:
+        if self.lo != self.hi:
+            self.lo = self.hi = spectral_norm(self.a)
+        return self.lo
+
+
 def _screened(test, harmful=(), helpful=()) -> bool:
-    """``test(*norms)`` on the spectral norms of ``harmful`` then ``helpful``.
+    """``test(*norms)`` on the spectral norms of ``harmful`` then ``helpful``,
+    each a matrix or a ``_Norm``.
 
     ``test`` must be monotone: a larger harmful norm or a smaller helpful one
     can only turn True into False.  Rounded ``*``, ``/`` and ``max`` keep that
     order in floating point, so evaluating ``test`` at the worst and at the
-    best ends of the bounds certifies the exact verdict; the SVDs are taken
-    only when those two disagree.
+    best ends of the bounds certifies the exact verdict; the exact norms are
+    taken only when those two disagree.
     """
-    bounds = [_norm_bounds(a) for a in harmful]
-    bounds += [_norm_bounds(a)[::-1] for a in helpful]
-    if all(max(b) < np.inf for b in bounds):
-        if test(*(b[1] for b in bounds)):
+    harmful, helpful = (
+        [x if isinstance(x, _Norm) else _Norm(x) for x in side] for side in (harmful, helpful)
+    )
+    if all(x.hi < np.inf for x in (*harmful, *helpful)):
+        if test(*(x.hi for x in harmful), *(x.lo for x in helpful)):
             return True
-        if not test(*(b[0] for b in bounds)):
+        if not test(*(x.lo for x in harmful), *(x.hi for x in helpful)):
             return False
-    return bool(test(*(spectral_norm(a) for a in (*harmful, *helpful))))
+    return bool(test(*(x.exact() for x in (*harmful, *helpful))))
 
 
 def _screened_max(terms) -> float:
-    """Exact ``max ||a|| ** (1 / j)`` over terms ``(j, a, lo, hi)`` with
-    ``lo <= ||a|| <= hi`` and ``j >= 1``; 0.0 when there is no term.
+    """Exact ``max ||a|| ** (1 / j)`` over terms ``(j, norm)`` with a
+    ``_Norm`` of ``a`` and ``j >= 1``; 0.0 when there is no term.
 
     ``j = 1`` gives the plain maximum norm.  Only terms whose upper-bound
     root reaches the largest lower-bound root can hold the maximum, so only
-    those need the exact norm; a term whose bounds meet already holds it,
-    and the others take an SVD.
+    those need the exact norm.
     """
     terms = list(terms)
-    floor = max((lo ** (1.0 / j) for j, _, lo, _ in terms), default=0.0)
+    floor = max((x.lo ** (1.0 / j) for j, x in terms), default=0.0)
     return max(
-        (
-            (lo if lo == hi else spectral_norm(a)) ** (1.0 / j)
-            for j, a, lo, hi in terms
-            if hi ** (1.0 / j) >= floor
-        ),
-        default=0.0,
+        (x.exact() ** (1.0 / j) for j, x in terms if x.hi ** (1.0 / j) >= floor), default=0.0
     )
 
 
 def _max_norm(mats) -> float:
     """Exact ``max(spectral_norm(a) for a in mats)``, 0.0 for none, screened."""
-    return _screened_max((1, a, *_norm_bounds(a)) for a in mats)
+    return _screened_max((1, _Norm(a)) for a in mats)
 
 
 @dataclass(frozen=True)
@@ -683,9 +695,10 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
     ``C_1 = [[1]]``.  Norms that plateau without collapsing by
     ``k = n + 2`` give ``inconclusive``.
 
-    Each ``a_k = ||N^k||`` is screened: the collapse is ruled out from the
-    bounds of ``a_{k-2..k}`` whenever they decide it, and the exact norms
-    are taken only at the indices where they do not.
+    The collapse rule is one monotone predicate, ``kept`` (no collapse at
+    ``k``), screened by ``_screened`` on the ``_Norm`` of each power: the
+    bounds decide a certain collapse as well as a certain continuation, and
+    each power takes at most one SVD, only where its bounds do not decide.
     """
     n = pencil.dim
     t_minus_norm, t_zero_norm = basic.norms
@@ -694,21 +707,20 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
     nil = basic.t_minus_one @ pencil.c0
     anchor = max(t_minus_norm * pencil.norms[0], np.finfo(float).tiny)
     floor = TOL_FUND * anchor
-    # N^k = 2^e[k] powers[k]: each power is scaled by an exact power of two
-    # so that its largest entry lies in [1/2, 1), and a power that decays
-    # like 1/k! keeps all its entries clear of underflow.  ||powers[k]|| lies
-    # in [lo[k], hi[k]], and a(k) narrows both to the exact norm on demand;
-    # a_0 is the anchor, and only the last three powers are kept.
-    lo, hi, e, powers = [anchor], [anchor], [0], {}
+    # N^k = 2^e power: each power is scaled by an exact power of two so that
+    # its largest entry lies in [1/2, 1), and a power that decays like 1/k!
+    # keeps all its entries clear of underflow.  The last three norms and
+    # exponents are kept; the exact anchor stands in for N^0, and for N^{-1}
+    # so that the ratio before k = 1 is 1.  A zero power collapses at its own
+    # index, so no norm that ``kept`` divides by is zero.
+    norms, e = [_Norm(None, (anchor, anchor))] * 2, [0, 0]
 
-    def a(k: int) -> float:
-        if lo[k] != hi[k]:
-            lo[k] = hi[k] = spectral_norm(powers[k])
-        return lo[k]
-
-    def ratio(x: float, k: int, y: float) -> float:
-        """``(2^e[k] x) / (2^e[k-1] y)``, the ratio of two consecutive norms."""
-        return _times_pow2(x / y, e[k] - e[k - 1])
+    def kept(prev: float, cur: float, before: float) -> bool:
+        """No collapse at the newest power: its norm is above the floor, or
+        its ratio to ``prev`` drops by less than the cliff."""
+        step = _times_pow2(cur / prev, e[2] - e[1])
+        prev_step = _times_pow2(prev / before, e[1] - e[0])
+        return _times_pow2(cur, e[2]) > floor or step > CLIFF_FACTOR * prev_step
 
     frobenius: list[float] = []
     power = np.eye(n, dtype=nil.dtype)
@@ -718,33 +730,12 @@ def classify_singularity(basic: BasicSolution, pencil: LinearPencil) -> Singular
         top = float(np.abs(flat).max())
         shift = frexp(top)[1] if 0.0 < top < np.inf else 0
         np.ldexp(flat, -shift, out=flat)
-        e.append(e[-1] + shift)
-        powers[k] = power
-        powers.pop(k - 3, None)
+        norms, e = [*norms[-2:], _Norm(power)], [*e[-2:], e[-1] + shift]
         fro = float(scipy.linalg.norm(power.ravel(), check_finite=False))
-        frobenius.append(_times_pow2(fro, e[k]))
-        bounds = _norm_bounds(power)
-        lo.append(bounds[0])
-        hi.append(bounds[1])
-        # Certified no collapse at k: a_{k-1} > 0, and either
-        # a_k > TOL_FUND * anchor or ratio = a_k / a_{k-1} >= lo_k / hi_{k-1}
-        # exceeds the cliff times prev_ratio = a_{k-1} / a_{k-2}
-        # <= hi_{k-1} / lo_{k-2} (1 at k = 1).
-        if lo[k - 1] > 0.0:
-            if _times_pow2(lo[k], e[k]) > floor:
-                continue
-            if k == 1 or lo[k - 2] > 0.0:
-                prev_ratio_hi = 1.0 if k == 1 else ratio(hi[k - 1], k - 1, lo[k - 2])
-                if ratio(lo[k], k, hi[k - 1]) > CLIFF_FACTOR * prev_ratio_hi:
-                    continue
-        prev = a(k - 1)
-        prev_ratio = 1.0 if k == 1 else (ratio(prev, k - 1, a(k - 2)) if a(k - 2) > 0 else 0.0)
-        step = ratio(a(k), k, prev) if prev > 0 else 0.0
-        collapsed = _times_pow2(a(k), e[k]) <= floor and step <= CLIFF_FACTOR * prev_ratio
-        if prev == 0.0:
-            collapsed = True  # already exactly nilpotent at the previous index
-        if collapsed:
-            truncated = k == n and _times_pow2(prev, e[k - 1]) <= floor
+        frobenius.append(_times_pow2(fro, e[2]))
+        before, prev, cur = norms
+        if not _screened(kept, (prev,), (cur, before)):
+            truncated = k == n and _screened(lambda p: _times_pow2(p, e[1]) <= floor, (prev,))
             kind = "essential_at_truncation" if truncated else "pole"
             return SingularityClass(kind=kind, order=k, power_norms=tuple(frobenius))
     return SingularityClass(kind="inconclusive", order=None, power_norms=tuple(frobenius))
@@ -768,10 +759,9 @@ def annulus_estimate(
     """
     if sclass.kind in ("removable", "pole"):
         return 0.0, _outer_offset(pencil)
-    # terms (k, T_{-k}, lo, hi) with lo <= ||T_{-k}|| <= hi
     orbit = _laurent_orbit(basic.t_minus_one @ pencil.c0, basic.t_minus_one)
     top = [
-        (k, acc, *_norm_bounds(acc))
+        (k, _Norm(acc))
         for k, acc in zip(range(1, INNER_TERMS + 1), orbit)
         if k >= INNER_TERMS // 2
     ]

@@ -128,12 +128,12 @@ def represent(
     recursion as the oracle, assembles the five components of the requested
     form, and reports the worst reconstruction error, which passes at or
     below ``TOL_REP``.  ``basic`` is the Laurent pair of the model's pencil;
-    omitted, it is ``basic_solution(model.pencil())``.
+    omitted, it is ``basic_solution(model.pencil)``.
     """
     if form not in FORMS:
         raise InputError(f"unknown form {form!r}; expected one of {FORMS}")
     t_end = _checked_integer(t_end, "t_end", 0)
-    pencil = model.pencil()
+    pencil = model.pencil
     if basic is None:
         basic = basic_solution(pencil)
 

@@ -32,7 +32,7 @@ def small_model(seed=0):
 
 def test_model_pencil_centering():
     m = small_model()
-    p = m.pencil()
+    p = m.pencil
     assert np.allclose(p.c0, m.a0 + m.a1)
     assert np.allclose(p.c1, m.a1)
 
@@ -212,11 +212,11 @@ DTYPE_TABLE = {
         (REAL, CPLX, REAL, REAL, REAL),
     ),
     "model_complex_a1_pencil": (
-        lambda: ArmaModel(EYE, TURN, EYE, EYE, np.ones(2)).pencil().coeffs,
+        lambda: ArmaModel(EYE, TURN, EYE, EYE, np.ones(2)).pencil.coeffs,
         (CPLX, CPLX),
     ),
     "model_complex_c_pencil": (
-        lambda: ArmaModel(EYE, -EYE, EYE, EYE, [1.0, 1j]).pencil().coeffs,
+        lambda: ArmaModel(EYE, -EYE, EYE, EYE, [1.0, 1j]).pencil.coeffs,
         (REAL, REAL),
     ),
 }

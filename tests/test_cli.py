@@ -605,8 +605,9 @@ def test_demo_outer_radius_inf_matches_only_inf():
     assert not annulus_check("volterra", 3.0)
 
 
-def test_analyze_takes_one_spectrum_per_pencil(matrix_pencil_file, tmp_path, monkeypatch):
-    # the contour radius and the outer radius read one set of offsets
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """One entry per ``scipy.linalg.eigvals`` call made from here on."""
     real = scipy.linalg.eigvals
     calls = []
 
@@ -615,12 +616,30 @@ def test_analyze_takes_one_spectrum_per_pencil(matrix_pencil_file, tmp_path, mon
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigvals", counting)
+    return calls
+
+
+def test_analyze_takes_one_spectrum_per_pencil(matrix_pencil_file, tmp_path, eigvals_calls):
+    # the contour radius and the outer radius read one set of offsets
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
     for path in (matrix_pencil_file, str(poly)):
-        calls.clear()
+        eigvals_calls.clear()
         assert main(["analyze", "--pencil", path, "--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == 1, path
+        assert len(eigvals_calls) == 1, path
+
+
+def test_represent_takes_one_spectrum_per_model(tmp_path, eigvals_calls):
+    # the pair and the decomposition read one pencil of the model, so its
+    # offsets take one eigenvalues-only QZ
+    e = make("c0")
+    eye = np.eye(10)
+    model = ArmaModel(e.pencil.c0 - e.pencil.c1, e.pencil.c1, eye, 0.5 * eye, np.ones(10))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dump_model(model, NoiseSpec(kind="gaussian", dim=10, seed=0))))
+    argv = ["represent", "--model", str(path), "--form", "extended_ns", "--T", "50"]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(eigvals_calls) == 1
 
 
 def test_demo_unknown_name():

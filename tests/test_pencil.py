@@ -155,6 +155,25 @@ def test_solve_at_matches_inverse():
     assert np.abs(solve_at(e.pencil, z) - want).max() <= 1e-12
 
 
+def test_solve_at_rejects_an_unstable_lu():
+    # Wilkinson's growth matrix (I minus the strictly lower ones) with a
+    # seeded last column: partial pivoting swaps no rows and the last column
+    # grows like 2^39.  At z = 1 + 1e-3 the 1-norm condition is about 158, so
+    # the condition cap passes it, but the LU inverse is off by about 1e-5
+    # against a QR inverse and its residual ||A R - I|| / (||A|| ||R||) is
+    # about 9e-7: only the residual check can turn it down
+    n = 40
+    w = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    w[:, -1] = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    a = w + 1e-3 * np.eye(n)
+    assert np.linalg.cond(a, 1) < 200
+    q, r = np.linalg.qr(a)
+    stable = np.linalg.solve(r, q.T)
+    assert spectral_norm(np.linalg.inv(a) - stable) > 1e-6 * spectral_norm(stable)
+    with pytest.raises(SingularMatrixError, match="residual check"):
+        solve_at(LinearPencil(w, np.eye(n)), 1 + 1e-3)
+
+
 def test_classifications():
     cases = {
         "matrix": ("pole", 1),

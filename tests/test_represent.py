@@ -463,7 +463,7 @@ def test_a_complex_pair_on_a_real_model(form):
     # the whole form complex and must give the float64 pair's path
     model, _, _ = _turned_c0(11)
     spec = NoiseSpec(kind="gaussian", dim=10, seed=3, burn_in=40)
-    basic = basic_solution(model.pencil())
+    basic = basic_solution(model.pencil)
     assert basic.t_minus_one.dtype == basic.t_zero.dtype == np.float64
     pair = (basic.t_minus_one, basic.t_zero)
     wide = BasicSolution(*(decode_complex(encode_complex(t)) for t in pair))
@@ -493,7 +493,7 @@ def test_extended_forms_match_literal_convolution(label):
     # the projected recursion against the literal sum over Q_s = R_s - U_s
     build, t_end = LITERAL_CASES[label]
     model = build()
-    pencil = model.pencil()
+    pencil = model.pencil
     basic = basic_solution(pencil, radius=default_radius(pencil))
     spec = NoiseSpec(kind="gaussian", dim=model.dim, seed=4, burn_in=30)
     g = ma1_g(model, simulate_noise(spec, t_end))
@@ -566,7 +566,7 @@ def test_trend_filter_is_exact_on_deep_volterra_poles(n):
     # a cumulation series of depth n loses every digit here; the filter has
     # no depth and sums the series exactly
     model = _volterra_model(n)
-    pencil = model.pencil()
+    pencil = model.pencil
     basic = basic_solution(pencil, radius=default_radius(pencil))
     spec = NoiseSpec(kind="gaussian", dim=n, seed=0)
     short = represent("extended_ns", model, spec, 200, basic=basic)
@@ -588,7 +588,7 @@ TREND_ORACLE_CASES = {
 def test_trend_matches_literal_cumulation(label):
     build, bound = TREND_ORACLE_CASES[label]
     model = build()
-    pencil = model.pencil()
+    pencil = model.pencil
     basic = basic_solution(pencil, radius=default_radius(pencil))
     spec = NoiseSpec(kind="gaussian", dim=model.dim, seed=3, burn_in=20)
     t_end = 200
@@ -627,7 +627,7 @@ def test_natural_stationary_matches_literal_series(label):
     # outer radius 3: terms shrink like (2/3)^l, so 150 difference orders
     # reach rounding; V_s = S^s G are the filter's weights written out
     model = SERIES_CASES[label]()
-    pencil = model.pencil()
+    pencil = model.pencil
     basic = basic_solution(pencil)
     spec = NoiseSpec(kind="gaussian", dim=model.dim, seed=6, burn_in=15)
     t_end = 40
@@ -650,7 +650,7 @@ def test_literal_series_reaches_the_filter_inside_the_gap():
     # cancel; the literal sum settles on the filter, up to the rounding of
     # its largest terms (about 3e-8 here)
     model = model_from_entry("matrix", c=np.array([1.0, -2.0]), eps=1.5)[1]
-    pencil = model.pencil()
+    pencil = model.pencil
     basic = basic_solution(pencil)
     spec = NoiseSpec(kind="gaussian", dim=2, seed=3, burn_in=10)
     g = ma1_g(model, simulate_noise(spec, 30)).window(0, 30)
