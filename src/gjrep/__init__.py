@@ -70,7 +70,6 @@ from .pencil import (
     BasicSolution,
     FundamentalReport,
     LinearPencil,
-    SeparationReport,
     SingularityClass,
     SpectralPair,
     annulus_estimate,
@@ -82,7 +81,6 @@ from .pencil import (
     default_radius,
     laurent_range,
     projections,
-    separate,
     solve_at,
     spectral_norm,
     verify_fundamental,
@@ -122,7 +120,6 @@ __all__ = [
     "PolynomialPencil",
     "ProbeReport",
     "RepresentationReport",
-    "SeparationReport",
     "SingularMatrixError",
     "SingularityClass",
     "SpectralPair",
@@ -152,7 +149,6 @@ __all__ = [
     "reg_basis",
     "regular_chain",
     "represent",
-    "separate",
     "simulate_noise",
     "simulate_recursion",
     "sin_basis",

@@ -610,10 +610,15 @@ def projections(basic: BasicSolution, pencil: LinearPencil) -> SpectralPair:
 
     The four products are returned unchecked: the identities that
     ``basic_solution`` verifies already make them complementary
-    projections.  ``P + P^c - I`` is the left-unit defect, and
+    projections that split the pencil.  ``P + P^c - I`` is the left-unit
+    defect, and
     ``P^2 - P = -(T_{-1} C_1 T_0) C_0 + P (T_{-1} C_1 + T_0 C_0 - I)``, a
     cross product times ``C_0`` plus ``P`` times that defect; the range
-    side is the mirror image, with the right-unit defect.
+    side is the mirror image, with the right-unit defect.  The cross blocks
+    of each coefficient are cross products too,
+    ``Q C_i P^c = C_1 (T_{-1} C_i T_0) C_0`` and
+    ``Q^c C_i P = C_0 (T_0 C_i T_{-1}) C_1``, and the diagonal blocks
+    reassemble ``C_i`` up to those blocks and the unit defects times ``C_i``.
     """
     return SpectralPair(
         domain_sin=basic.t_minus_one @ pencil.c1,
@@ -785,40 +790,3 @@ def closed_form_resolvent(basic: BasicSolution, pencil: LinearPencil, z: complex
     )
     r_reg = _checked_solve(reg_core, basic.t_zero, f"closed-form regular factor at z = {z}")
     return r_sin + r_reg
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    """Restriction of the pencil coefficients to the singular/regular split."""
-
-    off_residuals: dict[str, float]
-    passed: bool
-
-
-def separate(pair: SpectralPair, pencil: LinearPencil) -> SeparationReport:
-    """Verify the coefficients act block-diagonally across the split.
-
-    Both cross blocks ``Q C_i P^c`` and ``Q^c C_i P`` must vanish and the
-    retained diagonal blocks reconstruct ``C_i``: each residual is held to
-    ``TOL_FUND * max_i ||C_i|| * max(1, ||P|| ||Q||)``, which scales with
-    the pencil as the residuals do; the projections do not scale.  The one
-    clamp is on ``||P|| ||Q||``: it is at least 1 for nonzero projections
-    and 0 at a removable singularity, where the reassembly residual still
-    carries ``C_i``.
-    """
-    off: dict[str, float] = {}
-    c_size = max(pencil.norms)
-    for i, ci in enumerate((pencil.c0, pencil.c1)):
-        sin_block = pair.range_sin @ ci @ pair.domain_sin  # Q C_i P
-        reg_block = pair.range_reg @ ci @ pair.domain_reg  # Q^c C_i P^c
-        off[f"sin_to_reg_c{i}"] = spectral_norm(pair.range_reg @ ci @ pair.domain_sin)
-        off[f"reg_to_sin_c{i}"] = spectral_norm(pair.range_sin @ ci @ pair.domain_reg)
-        off[f"reassemble_c{i}"] = spectral_norm(sin_block + reg_block - ci)
-    worst = max(off.values())
-    return SeparationReport(
-        off_residuals=off,
-        passed=_screened(
-            lambda p, q: worst <= TOL_FUND * c_size * max(1.0, p * q),
-            helpful=(pair.domain_sin, pair.range_sin),
-        ),
-    )

@@ -58,11 +58,11 @@ LEDGER = (
         "live",
     ),
     Mutant(
-        "separate",
-        "pencil.py",
-        "worst <= TOL_FUND * c_size * max(1.0, p * q)",
-        "worst <= 1e3 * TOL_FUND * c_size * max(1.0, p * q)",
-        "separate: TOL_FUND max||C_i|| max(1, ||P|| ||Q||)",
+        "closed-form",
+        "cli.py",
+        "closed_err <= TOL_FUND * r",
+        "closed_err <= 1e3 * TOL_FUND * r",
+        "analyze's closed form against solve_at: TOL_FUND ||R(z)||",
         "live",
     ),
     Mutant(
@@ -184,8 +184,8 @@ LEDGER = (
 
 
 def _tier1(tree: Path) -> str | None:
-    """Run tier-1 in ``tree`` (a copy of src/, tests/, pyproject.toml and README.md);
-    the first failing test, or None when the suite passes."""
+    """Run tier-1 in ``tree`` (a copy of src/, tests/, pyproject.toml, README.md
+    and pipebench/inputs.py); the first failing test, or None when it passes."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            f"--ignore={FUZZ}"]
@@ -204,6 +204,8 @@ def _fresh_tree(base: Path) -> Path:
         shutil.copytree(ROOT / part, tree / part, ignore=ignore)
     for name in ("pyproject.toml", "README.md"):  # tier-1 reads the README's flag list
         shutil.copy(ROOT / name, tree)
+    (tree / "pipebench").mkdir()  # a CLI test analyzes a benchmark deck member
+    shutil.copy(ROOT / "pipebench" / "inputs.py", tree / "pipebench")
     return tree
 
 

@@ -355,6 +355,25 @@ def _spectral_norm(a):
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
+def separation_within_bound(pair, pencil, tol=1e-9):
+    """Whether every cross block ``Q C_i P^c``, ``Q^c C_i P`` and every
+    reassembly residual ``Q C_i P + Q^c C_i P^c - C_i`` of a ``SpectralPair``
+    is within ``tol max ||C_i|| max(1, ||P|| ||Q||)``, all by SVD; with the
+    largest of those norms."""
+    c0, c1 = pencil.c0, pencil.c1
+    worst = 0.0
+    for ci in (c0, c1):
+        for block in (
+            pair.range_reg @ ci @ pair.domain_sin,
+            pair.range_sin @ ci @ pair.domain_reg,
+            pair.range_sin @ ci @ pair.domain_sin + pair.range_reg @ ci @ pair.domain_reg - ci,
+        ):
+            worst = max(worst, _spectral_norm(block))
+    size = max(_spectral_norm(c0), _spectral_norm(c1))
+    pq = _spectral_norm(pair.domain_sin) * _spectral_norm(pair.range_sin)
+    return worst <= tol * size * max(1.0, pq), worst
+
+
 def classify_singularity_literal(basic, pencil, *, tol=1e-9, k_max=None, cliff_factor=1e-3):
     """Singularity dichotomy with an SVD for every norm, as ``(kind, order)``.
 

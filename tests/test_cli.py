@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -30,6 +31,7 @@ from gjrep import (
     make,
     projections,
     sin_basis,
+    solve_at,
     unpack_laurent,
 )
 from gjrep import cli
@@ -70,9 +72,11 @@ def test_analyze_report(matrix_pencil_file, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["singularity"] == {"kind": "pole", "order": 1}
     assert rep["projections"]["domain_sin_rank"] == 1
-    assert rep["fundamental"]["passed"] is True
-    assert rep["fundamental"]["max_residual"] <= 1e-10
-    assert rep["separation"]["passed"] is True
+    # the closed form against a direct solve at z = 1 + radius / 2, the one
+    # route that shares no code with the contour
+    resolvent = solve_at(make("matrix", eps=0.5).pencil, 1.0 + rep["radius"] / 2)
+    assert rep["closed_form_error"] <= 1e-10 * np.linalg.norm(resolvent, 2)
+    assert not {"fundamental", "separation"} & set(rep)
     # the report keeps the determining pair and its norms, and of Q = C_1 T_{-1}
     # only the rank: the pair rebuilds the rest
     assert set(rep["laurent"]) == {"-1", "0"}
@@ -94,7 +98,10 @@ def test_analyze_reads_a_scaled_pencil_as_the_unscaled_one(name, s, tmp_path):
     assert got["singularity"] == want["singularity"]
     assert got["projections"]["domain_sin_rank"] == want["projections"]["domain_sin_rank"]
     assert got["radius"] == pytest.approx(want["radius"], rel=1e-12)
-    assert got["fundamental"]["passed"] and got["separation"]["passed"]
+    # the closed-form error is rounding of the resolvent, whose norm is 1 / s
+    scaled = LinearPencil(s * pencil.c0, s * pencil.c1)
+    resolvent = solve_at(scaled, 1.0 + got["radius"] / 2)
+    assert got["closed_form_error"] <= 1e-10 * np.linalg.norm(resolvent, 2)
 
 
 def test_analyze_c0_with_a_nearly_singular_slope(tmp_path):
@@ -292,7 +299,6 @@ def test_one_value_settings_are_gone(matrix_pencil_file, matrix_model_file):
         gjrep.solve_at: ("tol",),
         gjrep.projections: ("tol",),
         gjrep.verify_fundamental: ("tol",),
-        gjrep.separate: ("tol",),
     }
     for fn, keywords in removed.items():
         for keyword in keywords:
@@ -309,11 +315,13 @@ def test_one_value_settings_are_gone(matrix_pencil_file, matrix_model_file):
     for name in ("LaurentExpansion", "ProjectionError"):
         assert not hasattr(gjrep, name), name
     assert not hasattr(gjrep.LinearPencil, "scale")
-    # separate keeps its diagonal blocks local to the reassembly residual
-    fields = {f.name for f in dataclasses.fields(gjrep.SeparationReport)}
-    assert not fields & {"sin_blocks", "reg_blocks"}
+    # the separation blocks are sums of the defects that basic_solution
+    # bounds, so analyze no longer checks them a second time
+    for name in ("separate", "SeparationReport"):
+        assert not hasattr(gjrep, name), name
+        assert not hasattr(gjrep.pencil, name), name
     # the verdicts read TOL_FUND; no report carries it
-    for report in (gjrep.FundamentalReport, gjrep.SeparationReport, gjrep.SplitReport):
+    for report in (gjrep.FundamentalReport, gjrep.SplitReport):
         assert "tol" not in {f.name for f in dataclasses.fields(report)}
     # the probe's cuts are PROBE_THRESHOLDS; no report carries them
     assert "thresholds" not in {f.name for f in dataclasses.fields(gjrep.ProbeReport)}
@@ -411,6 +419,67 @@ def test_analyze_fails_a_planted_laurent_error_at_any_scale(j, tmp_path, monkeyp
     _plant_in_contour(monkeypatch, j)
     for scale in SCALES:
         assert _analyze_code(_scaled(make("c0").pencil, scale), tmp_path) == 2, scale
+
+
+def _deck_sim16() -> LinearPencil:
+    """The first member of the benchmark deck of seed 0 (``sim16``), built by
+    ``pipebench/inputs.py``, which shares no code with the package."""
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("pipebench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # the dataclasses look their module up
+    try:
+        spec.loader.exec_module(inputs)
+        member = inputs.build_deck(0)[0]
+    finally:
+        del sys.modules[spec.name]
+    assert member.name == "sim16"
+    return LinearPencil(member.c0, member.c1)
+
+
+@pytest.mark.parametrize(
+    "make_pencil",
+    [lambda: make("c0").pencil, lambda: make("matrix").pencil, _deck_sim16],
+    ids=["c0", "matrix", "sim16"],
+)
+def test_closed_form_fails_a_pair_planted_past_the_identities(
+    make_pencil, tmp_path, monkeypatch
+):
+    # the pair passes basic_solution's identity check and only then takes a
+    # relative 1e-6 error: the closed form against a direct solve reads
+    # 6.4e-8 to 1.0e-6 of ||R(z)||, 64 times the bound or more, at every scale
+    real = cli.basic_solution
+    pencil = make_pencil()
+    for scale in (1e-8, 1.0, 1e10):
+        for j in (None, -1, 0):
+            def planted(*args, **kwargs):
+                basic = real(*args, **kwargs)
+                pair = [basic.t_minus_one, basic.t_zero]
+                if j is not None:
+                    pair[j + 1] = _plant(pair[j + 1])
+                return BasicSolution(*pair)
+
+            monkeypatch.setattr(cli, "basic_solution", planted)
+            want = 0 if j is None else 2
+            assert _analyze_code(_scaled(pencil, scale), tmp_path) == want, (scale, j)
+
+
+def test_linear_analyze_runs_no_fundamental_window(matrix_pencil_file, tmp_path, monkeypatch):
+    # the window and the table it reads are sums of the identities that
+    # basic_solution has checked: only the polynomial path builds them
+    calls = []
+    for name in ("verify_fundamental", "laurent_range"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+        )
+    out = str(tmp_path / "r.json")
+    assert main(["analyze", "--pencil", matrix_pencil_file, "--out", out]) == 0
+    assert calls == []
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
+    assert main(["analyze", "--pencil", str(poly), "--out", out]) == 0
+    assert calls == ["laurent_range", "verify_fundamental"]
 
 
 @pytest.mark.parametrize("j", [-1, 0])
@@ -529,6 +598,9 @@ def test_demo_all_pass(capsys):
 
 def test_demo_param_override(capsys):
     assert main(["demo", "--name", "matrix", "--param", "eps=0.25"]) == 0
+    # the default radius is eps / 2, held to 1e-9 of itself: at 5e7 its
+    # rounding is 1.5e-8, which an absolute 1e-9 failed
+    assert main(["demo", "--name", "matrix", "--param", "eps=1e8"]) == 0
     assert main(["demo", "--name", "matrix", "--param", "eps"]) == 3
     assert main(["demo", "--name", "matrix", "--param", "eps=big"]) == 3
     # a name outside the example's signature, an integer parameter that is
@@ -560,7 +632,8 @@ def test_demo_outer_radius_is_exact(name, param, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, params", [("c0", {}), ("c0", {"lam": 0.99}), ("matrix", {"eps": 0.01})]
+    "name, params",
+    [("c0", {}), ("c0", {"lam": 0.99}), ("matrix", {"eps": 0.01}), ("matrix", {"eps": 1e8})],
 )
 @pytest.mark.parametrize(
     "key, check",
@@ -568,14 +641,16 @@ def test_demo_outer_radius_is_exact(name, param, tmp_path):
         ("t_neg", "principal_coefficients"),
         ("t_pos", "regular_coefficients"),
         ("resolvent", "resolvent_law"),
+        ("default_radius", "default_radius"),
     ],
 )
 def test_demo_coefficient_checks_fail_a_planted_relative_error(name, params, key, check):
     entry = make(name, **params)
     exact = entry.expected[key]
-    planted = dataclasses.replace(
-        entry, expected={**entry.expected, key: lambda arg: (1 + 1e-6) * exact(arg)}
+    wrong = (
+        (lambda arg: (1 + 1e-6) * exact(arg)) if callable(exact) else (1 + 1e-6) * exact
     )
+    planted = dataclasses.replace(entry, expected={**entry.expected, key: wrong})
     def verdict(e):
         return {ch["check"]: ch["passed"] for ch in cli._demo_checks(e)}[check]
 
@@ -858,4 +933,35 @@ def test_readme_documents_every_flag():
         if flag not in ("-h", "--help")
         and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme)
     ]
+    assert missing == []
+
+
+def _report_keys(report: dict) -> set[str]:
+    """Every key of a JSON report, the keys of nested objects included."""
+    keys = set(report)
+    for value in report.values():
+        if isinstance(value, dict):
+            keys |= _report_keys(value)
+    return keys
+
+
+def test_readme_documents_every_report_key(matrix_pencil_file, matrix_model_file, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("### Report format")
+    section = readme[start : readme.index("\n## ", start)]
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
+    out = tmp_path / "report.json"
+    keys = set()
+    for argv in (
+        ["analyze", "--pencil", matrix_pencil_file],
+        ["analyze", "--pencil", str(poly)],
+        ["represent", "--model", matrix_model_file, "--form", "extended_s", "--T", "20"],
+    ):
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        keys |= _report_keys(json.loads(out.read_text()))
+    # each key is named in code style or quoted: `dim`, `"-1"`, `annulus.inner`
+    missing = sorted(
+        key for key in keys if not re.search(rf'[`".]{re.escape(key)}[`".]', section)
+    )
     assert missing == []

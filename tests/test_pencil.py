@@ -1,5 +1,6 @@
 """Laurent machinery against frozen closed forms and a fresh quadrature oracle."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import gjrep.pencil
 from gjrep import (
     BasicSolution,
     ClassificationInconclusive,
+    FundamentalResidualError,
     InputError,
     LinearPencil,
     PolynomialPencil,
@@ -24,15 +26,17 @@ from gjrep import (
     laurent_range,
     make,
     projections,
-    separate,
     solve_at,
     spectral_norm,
     verify_fundamental,
 )
+from gjrep import cli
+from gjrep.io import dump_pencil
 from oracles import (
     jordan_similarity,
     random_unit_root_pencil,
     scalar_laurent,
+    separation_within_bound,
     trapezoid_doubling,
     trapezoid_laurent,
 )
@@ -318,29 +322,43 @@ def test_projections_frozen_and_idempotent():
 
 
 def test_separation_blocks_vanish():
+    # the blocks that basic_solution's cross products already bound: Q C_i P^c
+    # = C_1 (T_{-1} C_i T_0) C_0 and Q^c C_i P = C_0 (T_0 C_i T_{-1}) C_1
     for name in ("matrix", "c0", "hierarchy"):
         e = make(name)
-        pair = projections(e.basic, e.pencil)
-        rep = separate(pair, e.pencil)
-        assert rep.passed, name
-        assert max(rep.off_residuals.values()) <= 1e-10
+        passed, worst = separation_within_bound(projections(e.basic, e.pencil), e.pencil)
+        assert passed, name
+        assert worst <= 1e-10
 
 
 @pytest.mark.parametrize("s", [1e-8, 1.0, 1e6])
 @pytest.mark.parametrize("name", ["matrix", "c0", "hierarchy"])
-def test_separation_fails_a_planted_relative_error_at_any_scale(name, s):
-    # a relative 1e-7 error in T_0 leaves residuals 70 to 147 times the bound
-    # on these pencils, at every scale, so a bound 1e3 looser passes it; the
-    # exact pair passes
+def test_separation_fails_a_planted_relative_error_at_any_scale(name, s, tmp_path, monkeypatch):
+    # a relative 1e-7 error in T_0 leaves basic_solution's identities 31 to 49
+    # times their bound on these pencils, and the closed form 14 to 61 times
+    # the verdict's bound, at every scale; the exact pair passes both
     e = make(name)
     pencil = LinearPencil(s * e.pencil.c0, s * e.pencil.c1)
     t_minus, t_zero = e.basic.t_minus_one / s, e.basic.t_zero / s
     plant = np.random.default_rng(0).standard_normal(t_zero.shape)
     plant *= 1e-7 * spectral_norm(t_zero) / spectral_norm(plant)
-    clean = BasicSolution(t_minus, t_zero)
-    assert separate(projections(clean, pencil), pencil).passed
-    bad = BasicSolution(t_minus, t_zero + plant)
-    assert not separate(projections(bad, pencil), pencil).passed
+    radius = default_radius(pencil)
+    for t0, passes in ((t_zero, True), (t_zero + plant, False)):
+        pair = {-1: t_minus, 0: t0}
+        with monkeypatch.context() as m:
+            m.setattr(gjrep.pencil, "contour_coefficients", lambda *a, **k: (pair, {}))
+            if passes:
+                basic_solution(pencil, radius=radius)
+            else:
+                with pytest.raises(FundamentalResidualError):
+                    basic_solution(pencil, radius=radius)
+        # analyze with the identity check bypassed: the closed-form verdict
+        with monkeypatch.context() as m:
+            m.setattr(cli, "basic_solution", lambda *a, **k: BasicSolution(t_minus, t0))
+            path = tmp_path / "pencil.json"
+            path.write_text(json.dumps(dump_pencil(pencil)))
+            code = cli.main(["analyze", "--pencil", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == (0 if passes else 2)
 
 
 def test_fundamental_window():
