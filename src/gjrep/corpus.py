@@ -187,7 +187,9 @@ def make_volterra_example(n: int = 64) -> CorpusEntry:
             "domain_sin": np.eye(n),
             "range_sin": np.eye(n),
             "collapse_index": n,
-            "operator_norm_limit": 2.0 / np.pi,
+            # the singular values of V are 1 / (2 n sin((2k - 1) pi / (2 (2n - 1)))),
+            # k = 1..n-1, plus a 0, and the largest tends to 2/pi
+            "operator_norm": 1.0 / (2 * n * np.sin(np.pi / (2 * (2 * n - 1)))),
             "t_neg": t_neg,
             "annulus_outer": np.inf,
             "default_radius": 1.0,

@@ -92,9 +92,17 @@ LEDGER = (
     Mutant(
         "unpack",
         "cli.py",
-        "disagreement <= TOL_FUND * max(t_sizes)",
-        "disagreement <= 1e-3 * max(t_sizes)",
-        "analyze's polynomial unpack bound: TOL_FUND max||T_J||",
+        "disagreement <= TOL_FUND * max(basic.norms)",
+        "disagreement <= 1e-3 * max(basic.norms)",
+        "analyze's polynomial unpack bound: TOL_FUND max(||T_{-1}||, ||T_0||)",
+        "live",
+    ),
+    Mutant(
+        "operator-norm",
+        "cli.py",
+        "err, tol = abs(norm - want), 1e-12 * want",
+        "err, tol = abs(norm - want), 1e-3 * want",
+        "demo's Volterra norm: 1e-12 of 1 / (2n sin(pi / (2 (2n - 1))))",
         "live",
     ),
     Mutant(

@@ -154,8 +154,10 @@ def test_analyze_polynomial(tmp_path):
     out = tmp_path / "rep.json"
     assert main(["analyze", "--pencil", str(path), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
+    # the pair's identities are the polynomial's block by block: no window
+    # of the unpacked table is checked again, and its keys are gone
+    assert rep["polynomial"].keys() == {"degree", "base_dim", "unpack_disagreement"}
     assert rep["polynomial"]["degree"] == 2
-    assert rep["polynomial"]["fundamental_passed"] is True
     assert rep["polynomial"]["unpack_disagreement"] <= 1e-9
 
 
@@ -196,9 +198,13 @@ def test_written_pair_rebuilds_range_sin_and_its_rank(case, tmp_path):
 
 
 def test_polynomial_unpack_scale_is_the_largest_exact_norm():
-    # the unpack bound's scale: the screened maximum over the ten blocks of
-    # the window is the exact SVD maximum, bit for bit
+    # the unpack bound's scale is the pair's own exact norms, the SVD ones;
+    # the screened maximum that measures the spread is exact too, here over
+    # the ten blocks of a window, bit for bit
     aug = augment(_degree2_pencil())
+    basic = basic_solution(aug, radius=default_radius(aug))
+    pair = (basic.t_minus_one, basic.t_zero)
+    assert basic.norms == tuple(float(np.linalg.norm(t, 2)) for t in pair)
     table = _live_table(aug)
     assert len(table) == 10
     want = max(float(np.linalg.norm(block, 2)) for block in table.values())
@@ -238,7 +244,11 @@ def test_written_augmented_pair_rebuilds_the_polynomial_table(tmp_path):
     rebuilt = laurent_range(_written_pair(report), aug, -3, 6)
     got, got_spread = unpack_laurent(poly, rebuilt)
     want, want_spread = unpack_laurent(poly, _live_table(aug))
-    assert got_spread == want_spread == report["polynomial"]["unpack_disagreement"]
+    assert got_spread == want_spread
+    # the report's spread is that of the written pair alone
+    written = _written_pair(report)
+    pair = {-1: written.t_minus_one, 0: written.t_zero}
+    assert unpack_laurent(poly, pair)[1] == report["polynomial"]["unpack_disagreement"]
     assert got.keys() == want.keys()
     for m, block in want.items():
         assert np.array_equal(got[m], block), m
@@ -381,10 +391,12 @@ def _scaled(pencil, s):
     return LinearPencil(s * pencil.c0, s * pencil.c1)
 
 
-def _analyze_code(pencil, tmp_path) -> int:
+def _analyze_code(pencil, tmp_path, *flags) -> int:
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps(dump_pencil(pencil)))
-    return main(["analyze", "--pencil", str(path), "--out", str(tmp_path / "report.json")])
+    return main(
+        ["analyze", "--pencil", str(path), "--out", str(tmp_path / "report.json"), *flags]
+    )
 
 
 def _plant(mat):
@@ -437,49 +449,76 @@ def _deck_sim16() -> LinearPencil:
     return LinearPencil(member.c0, member.c1)
 
 
+def _balanced_plant(mat, n):
+    """``_plant(mat)`` with the same error taken off entry (n, n): on the
+    augmented pair of a degree-2 pencil the two copies of one block move
+    apart and their average stays as it was."""
+    out = _plant(mat)
+    out[n, n] -= out[0, 0] - mat[0, 0]
+    return out
+
+
 @pytest.mark.parametrize(
     "make_pencil",
-    [lambda: make("c0").pencil, lambda: make("matrix").pencil, _deck_sim16],
-    ids=["c0", "matrix", "sim16"],
+    [
+        lambda: make("c0").pencil,
+        lambda: make("matrix").pencil,
+        _deck_sim16,
+        lambda: _degree2_pencil(),
+    ],
+    ids=["c0", "matrix", "sim16", "degree2"],
 )
 def test_closed_form_fails_a_pair_planted_past_the_identities(
     make_pencil, tmp_path, monkeypatch
 ):
     # the pair passes basic_solution's identity check and only then takes a
     # relative 1e-6 error: the closed form against a direct solve reads
-    # 6.4e-8 to 1.0e-6 of ||R(z)||, 64 times the bound or more, at every scale
+    # 6.4e-8 to 1.0e-6 of ||R(z)||, 64 times the bound or more, at every
+    # scale.  A polynomial's augmented pair also takes the error balanced
+    # across two copies of one block: the closed form and the copies'
+    # spread each read 280 times their bounds or more
     real = cli.basic_solution
     pencil = make_pencil()
+    plants = [_plant]
+    if isinstance(pencil, PolynomialPencil):
+        plants.append(lambda mat: _balanced_plant(mat, pencil.dim))
     for scale in (1e-8, 1.0, 1e10):
         for j in (None, -1, 0):
-            def planted(*args, **kwargs):
-                basic = real(*args, **kwargs)
-                pair = [basic.t_minus_one, basic.t_zero]
-                if j is not None:
-                    pair[j + 1] = _plant(pair[j + 1])
-                return BasicSolution(*pair)
+            for plant in plants:
+                def planted(*args, **kwargs):
+                    basic = real(*args, **kwargs)
+                    pair = [basic.t_minus_one, basic.t_zero]
+                    if j is not None:
+                        pair[j + 1] = plant(pair[j + 1])
+                    return BasicSolution(*pair)
 
-            monkeypatch.setattr(cli, "basic_solution", planted)
-            want = 0 if j is None else 2
-            assert _analyze_code(_scaled(pencil, scale), tmp_path) == want, (scale, j)
+                monkeypatch.setattr(cli, "basic_solution", planted)
+                want = 0 if j is None else 2
+                code = _analyze_code(_scaled(pencil, scale), tmp_path)
+                assert code == want, (scale, j, plant)
 
 
 def test_linear_analyze_runs_no_fundamental_window(matrix_pencil_file, tmp_path, monkeypatch):
-    # the window and the table it reads are sums of the identities that
-    # basic_solution has checked: only the polynomial path builds them
+    # the window, the table it reads and the projections the report does not
+    # write are sums or products of the identities that basic_solution has
+    # checked: neither pencil kind builds them, a polynomial one included,
+    # whose augmented identities are its own block by block
     calls = []
-    for name in ("verify_fundamental", "laurent_range"):
-        real = getattr(cli, name)
+    for module, name in (
+        (gjrep.pencil, "verify_fundamental"),
+        (cli, "laurent_range"),
+        (cli, "projections"),
+    ):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            cli, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+            module, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         )
     out = str(tmp_path / "r.json")
     assert main(["analyze", "--pencil", matrix_pencil_file, "--out", out]) == 0
-    assert calls == []
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps(dump_pencil(_degree2_pencil())))
     assert main(["analyze", "--pencil", str(poly), "--out", out]) == 0
-    assert calls == ["laurent_range", "verify_fundamental"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("j", [-1, 0])
@@ -631,20 +670,39 @@ def test_demo_outer_radius_is_exact(name, param, tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize(
-    "name, params",
-    [("c0", {}), ("c0", {"lam": 0.99}), ("matrix", {"eps": 0.01}), ("matrix", {"eps": 1e8})],
+DEMO_ENTRIES = (
+    ("c0", {}),
+    ("c0", {"lam": 0.99}),
+    ("matrix", {"eps": 0.01}),
+    ("matrix", {"eps": 1e8}),
+    ("volterra", {"n": 2}),
+    ("volterra", {"n": 64}),
 )
+# (expected key, check, index into DEMO_ENTRIES): every coefficient check on
+# the c0 and matrix entries, and the Volterra norm, exact at every n
+DEMO_PLANTS = [
+    *(
+        (key, check, i)
+        for key, check in (
+            ("t_neg", "principal_coefficients"),
+            ("t_pos", "regular_coefficients"),
+            ("resolvent", "resolvent_law"),
+            ("default_radius", "default_radius"),
+        )
+        for i in range(4)
+    ),
+    ("operator_norm", "operator_norm", 4),
+    ("operator_norm", "operator_norm", 5),
+]
+
+
 @pytest.mark.parametrize(
-    "key, check",
-    [
-        ("t_neg", "principal_coefficients"),
-        ("t_pos", "regular_coefficients"),
-        ("resolvent", "resolvent_law"),
-        ("default_radius", "default_radius"),
-    ],
+    "key, check, i",
+    DEMO_PLANTS,
+    ids=[f"{key}-{check}-{DEMO_ENTRIES[i][0]}-params{i}" for key, check, i in DEMO_PLANTS],
 )
-def test_demo_coefficient_checks_fail_a_planted_relative_error(name, params, key, check):
+def test_demo_coefficient_checks_fail_a_planted_relative_error(key, check, i):
+    name, params = DEMO_ENTRIES[i]
     entry = make(name, **params)
     exact = entry.expected[key]
     wrong = (
@@ -656,6 +714,14 @@ def test_demo_coefficient_checks_fail_a_planted_relative_error(name, params, key
 
     assert verdict(entry) is True
     assert verdict(planted) is False
+
+
+def test_analyze_exits_4_when_the_contour_does_not_settle(tmp_path, capsys):
+    # c0 at n = 3 has its nearest offset at 3: a radius of 2.997 puts a node
+    # within 3e-3 of that pole, and no grid up to MAX_NODES settles
+    assert _analyze_code(make("c0", n=3).pencil, tmp_path, "--radius", "2.997") == 4
+    assert "ContourNotConverged" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_demo_volterra_checks_its_outer_radius(monkeypatch, capsys):

@@ -279,11 +279,11 @@ def test_svd_count_of_volterra64_analyze(tmp_path, monkeypatch):
 
 
 def test_svd_count_of_degree2_analyze(tmp_path, monkeypatch):
-    # the polynomial fundamental check takes exact norms only where the
-    # maximum can sit, the unpack and closed-form verdicts and the
+    # the unpack verdict reads the pair's exact norms and takes the spread's
+    # only where the maximum can sit, the closed-form verdict and the
     # classification only where their bounds straddle the threshold, and the
-    # checked solves take none: 13 calls here
+    # checked solves take none: 12 calls here
     rng = np.random.default_rng(5)
     c0 = np.array([[1.0], [0.5]]) @ np.array([[1.0, -1.0]])
     poly = PolynomialPencil((c0, rng.standard_normal((2, 2)), 0.3 * np.eye(2)))
-    assert 0 < _analyze_svd_calls(poly, tmp_path, monkeypatch) <= 13
+    assert 0 < _analyze_svd_calls(poly, tmp_path, monkeypatch) <= 12
