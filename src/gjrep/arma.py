@@ -60,7 +60,7 @@ class ArmaModel:
     def a0_inv(self) -> Array:
         """``A_0^{-1}``, read-only and solved once per model: the one factorisation
         of ``A_0`` that the oracle, the extended forms and the order probe read."""
-        inv = _checked_solve(self.a0, np.eye(self.dim), "contemporaneous coefficient A_0")
+        inv = _checked_solve(self.a0, what="contemporaneous coefficient A_0")
         inv.flags.writeable = False
         return inv
 

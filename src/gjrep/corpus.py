@@ -68,7 +68,7 @@ def make_matrix_example(eps: float = 0.5) -> CorpusEntry:
             "range_sin": np.array([[0.0, 1.0], [0.0, 1.0]]),
             "pole_order": 1,
             "annulus": (0.0, abs(eps)),
-            "default_radius": abs(eps) / 2.0,
+            "default_radius": abs(eps) / 4.0,
             "resolvent": resolvent,
             "t_neg": t_neg,
             "t_pos": t_pos,
@@ -140,7 +140,7 @@ def make_c0_example(lam: float = 0.25, n: int = 10) -> CorpusEntry:
             "pole_order": 2,
             "t_minus_two": t_m2,
             "annulus": (0.0, (1.0 - lam) / lam),
-            "default_radius": (1.0 - lam) / lam / 2.0,
+            "default_radius": (1.0 - lam) / lam / 4.0,
             "resolvent": resolvent,
             "t_neg": t_neg,
             "t_pos": t_pos,
@@ -264,7 +264,7 @@ def make_hierarchy_example(base: float = 0.4, n: int = 8) -> CorpusEntry:
             "pole_order": n,
             "eigenpair": (v, sigma),
             "annulus": (0.0, sigma),
-            "default_radius": sigma / 2.0,
+            "default_radius": sigma / 4.0,
             "resolvent": resolvent,
             "t_neg": t_neg,
             "t_pos": t_pos,

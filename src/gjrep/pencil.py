@@ -13,14 +13,16 @@ anchor's cluster of offsets for both of its users: the contour radius and
 chain bases (``_schur_basis``, which ``chains`` only calls) on ``ZERO_TOL``
 from ``LinearPencil.qz``.
 
-The quadrature is the trapezoid rule on nested grids.  The m-point grid is
-the even half of the 2m-point grid, so node doubling solves only the new odd
-nodes and adds them to one running sum per coefficient; no node value is
-kept between rounds.  Every inverse, the contour's nodes included, goes
-through one condition-checked solve (``_checked_solve``: one LU, LAPACK's
-1-norm condition estimate from it, and the solve from the same LU), and
-every one-step matrix recurrence ``X_{t+1} = -S X_t`` through one generator
-(``_laurent_orbit``).
+The quadrature is the trapezoid rule on nested grids, on a circle of a
+quarter of the distance R to the nearest other singularity, where its error
+falls like ``(1/4)^m`` (``default_radius``).  The m-point grid is the even
+half of the 2m-point grid, so node doubling solves only the new odd nodes
+and adds them to one running sum per coefficient; no node value is kept
+between rounds.  Every inverse, the contour's nodes included, goes through
+one condition-checked solve (``_checked_solve``: one LU, LAPACK's 1-norm
+condition estimate from it, and the solve, or the inverse, from the same
+LU), and every one-step matrix recurrence ``X_{t+1} = -S X_t`` through one
+generator (``_laurent_orbit``).
 
 Spectral norms follow one rule.  A norm that a report writes is an exact SVD
 norm (``spectral_norm``), computed once per object where several checks share
@@ -69,7 +71,7 @@ TOL_SOLVE = 1e-9
 TOL_CONTOUR = 1e-9
 TOL_FUND = 1e-9
 COND_CAP = 1e12
-START_NODES = 32  # first grid of the contour quadrature; doubling sets the rest
+START_NODES = 16  # first grid of the contour quadrature; doubling sets the rest
 MAX_NODES = 1 << 14  # node cap of the contour quadrature
 # the anchor's cluster (``_anchor_cluster``) on two tolerances: the contour
 # radius and r_hat leave out the offsets within ANCHOR_TOL, and the chain
@@ -121,20 +123,27 @@ def spectral_norm(a: Array) -> float:
 
 @cache
 def _lu_routines(dtype: np.dtype):
-    """LAPACK's ``(getrf, gecon, getrs)`` for ``dtype``, fetched once per dtype."""
-    return scipy.linalg.lapack.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=dtype)
+    """LAPACK's ``(getrf, gecon, getrs, getri, getri_lwork)`` for ``dtype``,
+    fetched once per dtype."""
+    names = ("getrf", "gecon", "getrs", "getri", "getri_lwork")
+    return scipy.linalg.lapack.get_lapack_funcs(names, dtype=dtype)
 
 
-def _checked_solve(a: Array, b: Array, what: str) -> Array:
-    """``a^{-1} b`` from one LU of ``a``, or SingularMatrixError naming ``what``.
+def _checked_solve(a: Array, b: Array | None = None, *, what: str) -> Array:
+    """``a^{-1} b``, or ``a^{-1}`` with ``b`` omitted, from one LU of ``a``;
+    SingularMatrixError naming ``what`` if ``a`` is singular.
 
     The LU gives LAPACK's 1-norm condition estimate (``?gecon``, O(n^2);
-    Higham, ACM TOMS 14, 1988) and then the solve.  ``a`` counts as singular
-    at an exact zero pivot or when the estimate is above ``COND_CAP`` or NaN;
-    a 1-norm that is not finite raises NumericError.  The routines follow the
+    Higham, ACM TOMS 14, 1988) and then the solve (``?getrs``) or the
+    inverse (``?getri``, with the workspace LAPACK asks for), which inverts
+    the triangular factors in place: about 2/3 of the flops of solving
+    against ``I``, and no identity is built.  ``a`` counts as singular at an
+    exact zero pivot or when the estimate is above ``COND_CAP`` or NaN; a
+    1-norm that is not finite raises NumericError.  The routines follow the
     dtype of ``a`` and ``b`` together, so a complex ``b`` is never cast to real.
     """
-    getrf, gecon, getrs = _lu_routines(np.result_type(a, b))
+    dtype = a.dtype if b is None else np.result_type(a, b)
+    getrf, gecon, getrs, getri, getri_lwork = _lu_routines(dtype)
     norm = float(np.abs(a).sum(axis=0).max())
     if not np.isfinite(norm):
         raise NumericError(f"{what}: 1-norm is not finite (overflow)")
@@ -143,7 +152,10 @@ def _checked_solve(a: Array, b: Array, what: str) -> Array:
     cond = 1.0 / rcond if rcond > 0.0 else np.inf  # NaN counts as singular too
     if not cond <= COND_CAP:
         raise SingularMatrixError(f"{what} is singular (condition {cond:.3e})")
-    return getrs(lu, piv, b)[0]
+    if b is not None:
+        return getrs(lu, piv, b)[0]
+    lwork = int(getri_lwork(a.shape[0])[0].real)
+    return getri(lu, piv, lwork=lwork, overwrite_lu=True)[0]
 
 
 # Relative padding of the bounds: covers the rounding in the bounds and in
@@ -370,9 +382,8 @@ def solve_at(pencil: LinearPencil, z: complex) -> Array:
     (at least ``TOL_SOLVE``, since ``||A|| ||A^{-1}|| >= 1``).
     """
     a = pencil.evaluate(z)
-    eye = np.eye(pencil.dim, dtype=a.dtype)
-    r = _checked_solve(a, eye, f"pencil at z = {z}")
-    defect = a @ r - eye
+    r = _checked_solve(a, what=f"pencil at z = {z}")
+    defect = a @ r - np.eye(pencil.dim)
     if not _screened(
         lambda res, na, nr: res <= TOL_SOLVE * na * nr, (defect,), (a, r)
     ):
@@ -435,14 +446,25 @@ def _outer_offset(pencil: LinearPencil) -> float:
 
 
 def default_radius(pencil: LinearPencil) -> float:
-    """Contour radius: half the distance to the nearest other singularity,
-    the smallest offset outside the anchor's cluster on ``ANCHOR_TOL``.
+    """Contour radius: a quarter of the distance ``R`` to the nearest other
+    singularity, the smallest offset outside the anchor's cluster on
+    ``ANCHOR_TOL``.
+
+    The m-node trapezoid error of ``T_j`` falls like ``(r/R)^m`` (Trefethen
+    & Weideman, SIAM Review 56, 2014): at ``r = R/4`` that is 2.3e-10 at 16
+    nodes, so the doubling from ``START_NODES = 16`` settles at 32 under
+    ``TOL_CONTOUR``, where ``R/2`` needed 64.  The price is rounding: nodes
+    nearer the pole carry a larger ``||R(z)||`` (Bornemann, Found. Comput.
+    Math. 11, 2011).  With each node solved at its exact offset
+    (``contour_coefficients``) that price stays small: c0 at ``lam = 0.99``
+    reads ``T_0`` to 7.3e-14 of the pair's largest entry, against 9.1e-13
+    at ``R/2`` with the offset rounded through ``1 + w``.
 
     When no other finite singularity exists the resolvent is analytic on the
     whole punctured plane and any radius works; 1.0 is returned.
     """
     outer = _outer_offset(pencil)
-    return outer / 2.0 if outer < np.inf else 1.0
+    return outer / 4.0 if outer < np.inf else 1.0
 
 
 def contour_coefficients(
@@ -450,7 +472,14 @@ def contour_coefficients(
 ) -> tuple[dict[int, Array], dict]:
     """The pair ``{-1: T_{-1}, 0: T_0}`` by trapezoid quadrature with node doubling.
 
-    Equispaced nodes ``z_k = 1 + radius e^{2 pi i k/m}`` on the circle; the
+    Equispaced nodes ``z_k = 1 + w_k``, ``w_k = radius e^{2 pi i k/m}``, on
+    the circle, and ``T_j = (1/m) sum_k R(z_k) w_k^{-j}``.  Each node is
+    solved at its offset, ``A(z_k) = C_0 + w_k C_1``, and weighed by that
+    same ``w_k``: forming ``z_k`` and subtracting 1 again would round the
+    offset to the anchor's scale, which on a small circle moves the node off
+    its weight (c0 at ``lam = 0.99``, radius 0.0025: ``T_0`` off by 1.7e-11
+    of the pair instead of 7.3e-14).  The trapezoid error falls like
+    ``(radius / R)^m`` for the outer offset R (``default_radius``).  The
     node count m starts at ``START_NODES`` and doubles, up to ``MAX_NODES``,
     until ``max_j ||T_j(2m) - T_j(m)|| <= TOL_CONTOUR * max_j ||T_j(2m)||``
     over the pair: one screened verdict per doubling, relative to
@@ -460,9 +489,9 @@ def contour_coefficients(
     ``_checked_solve``: a node singular up to rounding raises
     SingularMatrixError with its angle on the first grid that holds it.  The
     grids are nested: the m-point grid is the even half of the 2m-point
-    grid, with the same phases ``e^{-2 pi i j k/m}``.  So each round solves
-    only the new odd nodes and adds them to one running sum per ``j``;
-    ``T_j`` is that sum times ``radius^{-j} / m``, and no node value is
+    grid, with the same offsets.  So each round solves only the new odd
+    nodes, each inverted from its own LU (``?getri``), and adds them to one
+    running sum per ``j``; ``T_j`` is that sum over m, and no node value is
     stored.
 
     A real (float64) pencil has ``R(conj z) = conj R(z)``, and the grid is
@@ -470,7 +499,8 @@ def contour_coefficients(
     only the nodes with angle in ``[0, pi]`` are solved, ``m/2 + 1`` of
     them.  The two on the real axis (``k = 0``, ``k = m/2``) are solved at
     a real point and count once; every other one adds
-    ``2 Re(R(z_k) e^{-i j theta_k})`` for itself and its twin.  The new odd
+    ``2 Re(R(z_k) w_k^{-j})`` for itself and its twin, formed from the real
+    and imaginary parts of ``R(z_k)`` with no complex temporary.  The new odd
     nodes of a doubling pair up as ``k <-> 2m - k`` too, and the sums and
     the returned ``T_j`` are float64.
 
@@ -489,19 +519,25 @@ def contour_coefficients(
         """Add nodes ``ks`` of the m-point grid to the sums; return the m-point ``T_j``."""
         for k in ks:
             angle = 2 * np.pi * k / m
-            point = 1.0 + radius * np.exp(1j * angle)
+            # solved at the offset it is weighed by, never at 1 + offset
+            offset = radius * np.exp(1j * angle)
             # on the half grid node k stands in for its twin m - k as well,
-            # except on the real axis (k = 0 or m/2), where the point is real
+            # except on the real axis (k = 0 or m/2), where the node is real
             weight = 2.0 if half and 0 < 2 * k < m else 1.0
             if half and weight == 1.0:
-                point = point.real
-            a = pencil.evaluate(point)
-            eye = np.eye(pencil.dim, dtype=a.dtype)
-            r = _checked_solve(a, eye, f"contour node near angle {angle:.4f} (radius {radius})")
+                offset = offset.real
+            r = _checked_solve(
+                pencil.c0 + offset * pencil.c1,
+                what=f"contour node near angle {angle:.4f} (radius {radius})",
+            )
             for j in js:
-                term = r * (weight * np.exp(-1j * j * angle))
-                sums[j] += term.real if half else term
-        return {j: sums[j] * (radius ** (-j) / m) for j in js}
+                w = weight * offset ** (-j)  # T_j = mean of R(z_k) (z_k - 1)^{-j}
+                if half:  # Re(r w), with no complex temporary
+                    sums[j] += r.real * w.real
+                    sums[j] -= r.imag * w.imag
+                else:
+                    sums[j] += r * w
+        return {j: sums[j] / m for j in js}
 
     m = START_NODES
     current = add_nodes(m, range(m // 2 + 1 if half else m))
@@ -753,8 +789,8 @@ def annulus_estimate(
 
     ``r_hat`` is exact and scale-free: the regular series converges exactly
     on ``|z - 1| <`` the smallest offset outside the anchor's cluster (inf
-    for none), the offset ``default_radius`` halves.  ``s_hat`` reads the
-    pair's class ``sclass`` (``classify_singularity``): the principal part
+    for none), four times ``default_radius``.  ``s_hat`` reads the pair's
+    class ``sclass`` (``classify_singularity``): the principal part
     of a removable singularity or a pole is a finite sum, which converges
     on the whole punctured plane, so ``s_hat`` is 0.  Otherwise it is the
     root test ``max ||T_{-k}||^{1/k}`` over k = 6..12 (``INNER_TERMS // 2``
@@ -786,7 +822,9 @@ def closed_form_resolvent(basic: BasicSolution, pencil: LinearPencil, z: complex
     sin_core = w * eye + basic.t_minus_one @ pencil.c0
     reg_core = eye + basic.t_zero @ pencil.c1 * w
     r_sin = _checked_solve(
-        sin_core, basic.t_minus_one, f"closed-form singular factor at z = {z}"
+        sin_core, basic.t_minus_one, what=f"closed-form singular factor at z = {z}"
     )
-    r_reg = _checked_solve(reg_core, basic.t_zero, f"closed-form regular factor at z = {z}")
+    r_reg = _checked_solve(
+        reg_core, basic.t_zero, what=f"closed-form regular factor at z = {z}"
+    )
     return r_sin + r_reg

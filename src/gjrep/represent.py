@@ -160,7 +160,7 @@ def represent(
     dtype = np.result_type(pencil.c0, basic.t_minus_one, basic.t_zero, g.values, model.c)
     eye = np.eye(n, dtype=dtype)
     c1c = pencil.c1 @ model.c
-    w_sin = _checked_solve(eye - basic.t_minus_one @ pencil.c0, eye, "I - T_{-1} C_0")
+    w_sin = _checked_solve(eye - basic.t_minus_one @ pencil.c0, what="I - T_{-1} C_0")
     drive = np.zeros((horizon, n, 2), dtype=dtype)
     drive[:, :, 0] = -(g_causal @ (w_sin @ basic.t_minus_one).T)
     drive[0, :, 1] = w_sin @ (basic.t_minus_one @ c1c)
@@ -177,7 +177,7 @@ def represent(
         # sum_l (-1)^l T_l diff^l g = (I - M diff)^{-1} T_0 g with M = T_0 C_1:
         # the filter in S = -W M and G = W T_0, W = (I - M)^{-1}
         m = basic.t_zero @ pencil.c1
-        w_reg = _checked_solve(eye - m, eye, "I - T_0 C_1")
+        w_reg = _checked_solve(eye - m, what="I - T_0 C_1")
         step, gain = -(w_reg @ m), w_reg @ basic.t_zero
     else:
         # Q_s = (P^c S_A)^s P^c A_0^{-1}: every extended term is a recursion in

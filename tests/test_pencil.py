@@ -13,6 +13,7 @@ from gjrep import (
     FundamentalResidualError,
     InputError,
     LinearPencil,
+    NumericError,
     PolynomialPencil,
     SingularMatrixError,
     annulus_estimate,
@@ -96,7 +97,7 @@ def test_contour_matches_all_node_trapezoid(name):
     pencil = CONTOUR_PENCILS[name]()
     radius = default_radius(pencil)
     got, info = contour_coefficients(pencil, radius)
-    want, nodes = trapezoid_doubling(pencil.c0, pencil.c1, (-1, 0), radius)
+    want, nodes = trapezoid_doubling(pencil.c0, pencil.c1, (-1, 0), radius, nodes=16)
     assert info == {"radius": radius, "nodes": nodes}
     scale = max(spectral_norm(want[j]) for j in want)
     for j in want:
@@ -104,7 +105,7 @@ def test_contour_matches_all_node_trapezoid(name):
 
 
 def test_contour_keeps_no_node_values():
-    # a cache of all 64 node values peaks at about 71 blocks (18.6 MB)
+    # a cache of all 32 node values would hold 32 n x n blocks (8.4 MB)
     pencil = make("volterra", n=128).pencil
     radius = default_radius(pencil)
     tracemalloc.start()
@@ -115,7 +116,7 @@ def test_contour_keeps_no_node_values():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert info["nodes"] == 64
+    assert info["nodes"] == 32
     assert peak <= 16 * pencil.dim**2 * 16  # 16 complex n x n blocks, 4.2 MB
 
 
@@ -131,11 +132,11 @@ def test_quadrature_oracle_agreement(name, j_window):
 
 
 def test_default_radius_values():
-    assert default_radius(make("matrix", eps=0.5).pencil) == pytest.approx(0.25)
-    assert default_radius(make("c0", lam=0.25, n=10).pencil) == pytest.approx(1.5)
+    assert default_radius(make("matrix", eps=0.5).pencil) == pytest.approx(0.125)
+    assert default_radius(make("c0", lam=0.25, n=10).pencil) == pytest.approx(0.75)
     assert default_radius(make("volterra", n=16).pencil) == pytest.approx(1.0)
     assert default_radius(make("hierarchy", base=0.4, n=8).pencil) == pytest.approx(
-        0.3984375 / 2.0
+        0.3984375 / 4.0
     )
 
 
@@ -176,6 +177,56 @@ def test_solve_at_rejects_an_unstable_lu():
     assert spectral_norm(np.linalg.inv(a) - stable) > 1e-6 * spectral_norm(stable)
     with pytest.raises(SingularMatrixError, match="residual check"):
         solve_at(LinearPencil(w, np.eye(n)), 1 + 1e-3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_checked_inverse_matches_inv(dtype):
+    # with b omitted the checked solve inverts the LU in place (?getri)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((24, 24)).astype(dtype)
+    if dtype is np.complex128:
+        a += 1j * rng.standard_normal((24, 24))
+    got = gjrep.pencil._checked_solve(a, what="a")
+    want = np.linalg.inv(a)
+    assert got.dtype == dtype
+    assert spectral_norm(got - want) <= 1e-13 * spectral_norm(want)
+
+
+def _wilkinson_overflow():
+    # the growth matrix with a last column of 1e300: its 1-norm is 4e301, but
+    # the last column doubles at each elimination step, so U overflows to
+    # inf and the condition estimate of the LU is NaN
+    n = 40
+    a = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    a[:, -1] = 1e300
+    return a
+
+
+REFUSED = {  # matrix, the error both routes raise, and its message
+    "zero-pivot": (np.array([[0.0, 1.0], [0.0, 1.0]]), SingularMatrixError, "condition inf"),
+    "above-cap": (np.diag([1.0, 1e-13]), SingularMatrixError, r"condition 1\.000e\+13"),
+    "nan-estimate": (_wilkinson_overflow(), SingularMatrixError, "condition inf"),
+    "nan-entry": (np.array([[1.0, np.nan], [0.0, 1.0]]), NumericError, "1-norm is not finite"),
+    "overflowing-norm": (
+        np.array([[1e308, 0.0], [1e308, 1.0]]),
+        NumericError,
+        "1-norm is not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("case", REFUSED)
+def test_checked_inverse_refuses_what_the_solve_refuses(case, dtype):
+    a, error, message = REFUSED[case]
+    a = a.astype(dtype)
+    raised = []
+    for b in (None, np.eye(a.shape[0], dtype=dtype)):
+        # the sum that overflows the 1-norm warns as it overflows
+        with pytest.raises(error, match=message) as info, np.errstate(over="ignore"):
+            gjrep.pencil._checked_solve(a, b, what="a")
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
 
 
 def test_classifications():
@@ -232,9 +283,26 @@ def test_contour_and_class_are_scale_free(name, s):
     pencil = build()
     scaled = LinearPencil(s * pencil.c0, s * pencil.c1)
     _, info = contour_coefficients(scaled)
-    assert info["nodes"] == 64
+    assert info["nodes"] == 32
     got = classify_singularity(basic_solution(scaled), scaled)
     assert (got.kind, got.order) == want
+
+
+def test_quarter_radius_keeps_the_thin_annulus_pair():
+    # c0 at lam = 0.99 has its outer offset at 0.0101, so the contour circles
+    # 0.0025, where the nodes carry a large ||R(z)||.  The pair stays within
+    # 1e-12 of its closed form (7.3e-14 for T_0); it read 1.7e-11 while each
+    # node was solved at 1 + offset, which rounds the offset to the scale of 1
+    e = make("c0", lam=0.99)
+    got, info = contour_coefficients(e.pencil)
+    assert info["nodes"] == 32
+    want = {-1: e.basic.t_minus_one, 0: e.basic.t_zero}
+    size = max(np.abs(t).max() for t in want.values())
+    for j in want:
+        assert np.abs(got[j] - want[j]).max() <= 1e-12 * size, j
+    # a pole of order 20 at radius 1 still doubles to 64 nodes
+    _, info = contour_coefficients(LinearPencil(np.eye(20, k=1), np.eye(20)))
+    assert info == {"radius": 1.0, "nodes": 64}
 
 
 @pytest.mark.parametrize("name", ["c0", "matrix", "hierarchy"])
@@ -300,8 +368,8 @@ def test_outer_radius_is_the_smallest_offset_at_any_scale(name):
     sclass = classify_singularity(basic, pencil)
     _, r_hat = annulus_estimate(basic, pencil, sclass)
     assert r_hat == pytest.approx(want, rel=1e-12)
-    # the contour radius halves the same offset, or falls back to 1.0
-    assert default_radius(pencil) == (r_hat / 2.0 if r_hat < np.inf else 1.0)
+    # the contour radius is a quarter of the same offset, or falls back to 1.0
+    assert default_radius(pencil) == (r_hat / 4.0 if r_hat < np.inf else 1.0)
     for s in (1e-8, 1e8):
         scaled = LinearPencil(s * pencil.c0, s * pencil.c1)
         scaled_basic = BasicSolution(basic.t_minus_one / s, basic.t_zero / s)
@@ -499,9 +567,9 @@ def _count_solves(monkeypatch) -> list:
     solve = gjrep.pencil._checked_solve
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(gjrep.pencil, "_checked_solve", counted)
     return calls

@@ -665,10 +665,10 @@ def _counting_a0_solves(monkeypatch):
     calls = []
     solve = modules[1]._checked_solve
 
-    def counted(a, b, what):
+    def counted(a, b=None, *, what):
         if "A_0" in what:
             calls.append(what)
-        return solve(a, b, what)
+        return solve(a, b, what=what)
 
     for module in modules:
         monkeypatch.setattr(module, "_checked_solve", counted)
